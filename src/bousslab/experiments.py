@@ -275,6 +275,19 @@ def _check_domain_rule(report: RunReport, cfg: ExperimentConfig, r0: float,
         value=d.L, threshold=need))
 
 
+def _check_smallness(report: RunReport, cfg: ExperimentConfig, u0: PhysicalField,
+                     u1: PhysicalField, criterion: str) -> None:
+    try:
+        e0 = initial_data_size(u0, u1)
+    except ValueError as exc:
+        # only file data can carry a velocity mean (the Gaussian velocity is odd)
+        raise ConfigError(f"data.path: 'u1' in {cfg.data.path!r}: {exc}") from exc
+    report.verdicts.append(_verdict(
+        criterion, "data_smallness", "pass" if e0 <= _SMALLNESS else "fail",
+        f"initial data size {e0:.4g} <= {_SMALLNESS:g}",
+        value=e0, threshold=_SMALLNESS))
+
+
 def _bump_radius(cfg: ExperimentConfig) -> float:
     # radius at which the Gaussian bump reaches the double-precision floor
     return 9.0 * cfg.data.width if cfg.data.kind == "gaussian" else 0.1 * cfg.discretization.L
@@ -288,12 +301,7 @@ def run_nonlinear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     spec = _nl_spec(cfg)
     grid, u0, u1 = _box_data(cfg)
     _check_domain_rule(report, cfg, _bump_radius(cfg), "AC7")
-
-    e0 = initial_data_size(u0, u1)
-    report.verdicts.append(_verdict(
-        "AC7", "data_smallness", "pass" if e0 <= _SMALLNESS else "fail",
-        f"initial data size {e0:.4g} <= {_SMALLNESS:g}",
-        value=e0, threshold=_SMALLNESS))
+    _check_smallness(report, cfg, u0, u1, "AC7")
 
     d = cfg.discretization
     run = solve(u0, u1, d.T, d.dt, spec, params, out_every=d.out_every)
@@ -339,11 +347,7 @@ def run_nl_vs_linear_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     spec = _nl_spec(cfg)
     grid, u0, u1 = _box_data(cfg)
     _check_domain_rule(report, cfg, _bump_radius(cfg), "AC8")
-    e0 = initial_data_size(u0, u1)
-    report.verdicts.append(_verdict(
-        "AC8", "data_smallness", "pass" if e0 <= _SMALLNESS else "fail",
-        f"initial data size {e0:.4g} <= {_SMALLNESS:g}",
-        value=e0, threshold=_SMALLNESS))
+    _check_smallness(report, cfg, u0, u1, "AC8")
 
     d = cfg.discretization
     run = solve(u0, u1, d.T, d.dt, spec, params, out_every=d.out_every)

@@ -2,8 +2,8 @@
 
 Two complementary evaluation routes for the same linear flow:
 
-* :func:`linear_solution` applies the propagator symbols to the FFT lattice
-  of a periodic box (exact in time, spectral in space);
+* :func:`linear_solution` applies the propagator symbols to the half-spectrum
+  lattice of a periodic box (exact in time, spectral in space);
 * :func:`linear_norm_radial` evaluates L^2-type norms of the evolution of
   radially symmetric data directly as one-dimensional continuum integrals
   over ``|xi|``, free of any box truncation, which is what makes decay-rate
@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .spectral import (Grid, PhysicalField, SpectralField, SPHERE_SURFACE,
-                       forward_transform, inverse_transform, _radial_integral)
+                       forward_transform, half_forward, half_inverse,
+                       inverse_transform, _radial_integral)
 from .symbols import ModelParams, mode_energy, profile_symbols, propagator
 
 
@@ -46,14 +47,25 @@ class StatePair:
         return self.u.grid
 
 
-def _apply_symbols(grid: Grid, u0_hat: np.ndarray, u1_hat: np.ndarray, t: float,
-                   params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    sym = propagator(grid.xi2, t, params)
+def _half_state(u: PhysicalField, ut: PhysicalField) -> np.ndarray:
+    """Stacked half spectra ``(u_hat, ut_hat)`` from one batched transform."""
+    return half_forward(u.grid, np.stack([u.values, ut.values]))
+
+
+def _state_pair(grid: Grid, y: np.ndarray, t: float) -> StatePair:
+    """The physical state of stacked half spectra (one batched transform)."""
+    u, ut = half_inverse(grid, y)
+    return StatePair(u=PhysicalField(grid, u), ut=PhysicalField(grid, ut), t=float(t))
+
+
+def _apply_symbols(grid: Grid, y0: np.ndarray, t: float,
+                   params: ModelParams) -> np.ndarray:
+    """Linear flow over ``t`` of the stacked half spectra ``(u0_hat, u1_hat)``."""
+    sym = propagator(grid.xi2_half, t, params)
     # kernels are real up to rounding (real or conjugate root pairs); dropping
-    # the rounding-level imaginary part keeps the coefficient array Hermitian
-    u_hat = sym.sine.real * u1_hat + sym.cosine.real * u0_hat
-    ut_hat = sym.sine_dt.real * u1_hat + sym.cosine_dt.real * u0_hat
-    return u_hat, ut_hat
+    # the rounding-level imaginary part keeps the fields real
+    return np.stack([sym.sine.real * y0[1] + sym.cosine.real * y0[0],
+                     sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]])
 
 
 def linear_solution(u0: PhysicalField, u1: PhysicalField, t: float,
@@ -64,12 +76,7 @@ def linear_solution(u0: PhysicalField, u1: PhysicalField, t: float,
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     g = u0.grid
-    u0_hat = forward_transform(u0).coeffs
-    u1_hat = forward_transform(u1).coeffs
-    u_hat, ut_hat = _apply_symbols(g, u0_hat, u1_hat, t, params)
-    u = inverse_transform(SpectralField(g, u_hat))
-    ut = inverse_transform(SpectralField(g, ut_hat))
-    return StatePair(u=u, ut=ut, t=float(t))
+    return _state_pair(g, _apply_symbols(g, _half_state(u0, u1), t, params), t)
 
 
 def profile_solution(u0: PhysicalField, u1: PhysicalField, t: float,

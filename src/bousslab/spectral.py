@@ -22,6 +22,17 @@ Conventions used throughout the package:
   convenient for compactly supported data.  Coefficient phases refer to the
   FFT sample ordering; everything downstream (norms, radial multipliers)
   depends only on ``|coeffs|`` and ``|xi|``.
+* The solvers carry real fields as half spectra (``rfftn`` layout): the full
+  lattice on the first ``n - 1`` axes and ``m = 0 .. N/2`` on the last, shape
+  :attr:`Grid.half_shape`.  The other half is the complex conjugate of the
+  mode ``-m``, so Hermitian symmetry holds by construction and
+  :func:`half_to_full` rebuilds the full spectrum exactly.  The 2/3 mask and
+  ``|xi|^2`` restrict unchanged to the half lattice.  Parseval on the half
+  lattice weighs each mode by its multiplicity (:attr:`Grid.half_multiplicity`):
+  1 on the last-axis planes ``m = 0`` and ``m = N/2``, which hold their own
+  conjugates, and 2 elsewhere.  :func:`half_forward` / :func:`half_inverse`
+  transform over the last ``n`` axes, so a leading stack axis (for example
+  ``(u, u_t)``) is transformed in one batched call.
 """
 
 from __future__ import annotations
@@ -107,6 +118,43 @@ class Grid:
         out.flags.writeable = False
         return out
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: ``N//2 + 1`` modes on the last axis."""
+        return self.shape[:-1] + (self.N // 2 + 1,)
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """The spatial axes of a field array with leading stack axes."""
+        return tuple(range(-self.n, 0))
+
+    @property
+    def fft_scale(self) -> float:
+        """Factor from ``fftn`` sums to unitary-convention coefficients."""
+        return self.cell_volume * TWO_PI ** (-0.5 * self.n)
+
+    # the half lattice is the first N//2 + 1 last-axis indices of the full
+    # one; index N/2 holds the mode -N/2, whose |m| and |xi| equal those of
+    # the +N/2 mode that rfftn stores there
+
+    @cached_property
+    def xi2_half(self) -> np.ndarray:
+        """|xi|^2 on the half lattice, shape ``self.half_shape``."""
+        return _frozen(self.xi2[..., : self.N // 2 + 1])
+
+    @cached_property
+    def dealias_mask_half(self) -> np.ndarray:
+        """The 2/3-rule mask on the half lattice."""
+        return _frozen(self.dealias_mask[..., : self.N // 2 + 1])
+
+    @cached_property
+    def half_multiplicity(self) -> np.ndarray:
+        """Parseval weight of each last-axis index of the half lattice (1 or 2)."""
+        mult = np.full(self.N // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        mult.flags.writeable = False
+        return mult
+
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Per-axis physical coordinates, centred at the origin."""
         x = -0.5 * self.L + self.dx * np.arange(self.N)
@@ -177,8 +225,7 @@ class SpectralField:
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Unitary-convention forward transform (rectangle-rule Fourier integral)."""
     g = f.grid
-    scale = g.cell_volume * TWO_PI ** (-0.5 * g.n)
-    return SpectralField(g, scale * np.fft.fftn(f.values))
+    return SpectralField(g, g.fft_scale * np.fft.fftn(f.values))
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
@@ -194,6 +241,37 @@ def inverse_transform(F: SpectralField) -> PhysicalField:
             "would produce a complex field"
         )
     return PhysicalField(g, w.real)
+
+
+def half_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary half spectrum of real samples shaped ``(..., *grid.shape)``."""
+    out = np.fft.rfftn(values, axes=grid.axes)
+    out *= grid.fft_scale
+    return out
+
+
+def half_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of half spectra shaped ``(..., *grid.half_shape)``."""
+    out = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes)
+    out /= grid.fft_scale
+    return out
+
+
+def half_l2(grid: Grid, coeffs: np.ndarray) -> float:
+    """L^2 norm of the real field with half spectrum ``coeffs`` (Plancherel)."""
+    power = coeffs.real**2 + coeffs.imag**2
+    return math.sqrt(grid.dxi**grid.n * float(np.sum(grid.half_multiplicity * power)))
+
+
+def half_to_full(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """The full spectrum of a half spectrum, completed by conjugate symmetry."""
+    h = grid.N // 2 + 1
+    # full index N - k on the last axis is the conjugate of half index k, and
+    # index j on every other axis pairs with (-j) mod N
+    mirror = coeffs[..., h - 2:0:-1]
+    for ax in range(grid.n - 1):
+        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+    return SpectralField(grid, np.concatenate([coeffs, np.conj(mirror)], axis=-1))
 
 
 # ---------------------------------------------------------------------------

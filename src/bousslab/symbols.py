@@ -38,7 +38,7 @@ exponential mode decay rate ``decay_envelope(s) = s / (1+s)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class ModelParams:
 
     alpha: float = -1.0
     beta: float = 1.0
-    gamma: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha <= -1.0):

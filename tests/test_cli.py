@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bousslab.cli import EXIT_BAD_CONFIG, EXIT_BLOWUP, EXIT_OK, EXIT_VERDICT_FAILED, OUT_ENV_VAR, main
@@ -158,6 +159,41 @@ class TestExitCodes:
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
+
+    def test_oracle_stiffness_returns_three_and_names_it(self, tmp_path, capsys):
+        # the ETD solve finishes; the explicit oracle overflows a trial stage
+        cfg = write_config(tmp_path, {
+            "experiment": "oracle_crosscheck",
+            "seed": 12345,
+            "model": {"alpha": -1.0, "beta": 1.0,
+                      "f_kind": "quadratic", "g_kind": "quadratic"},
+            "discretization": {"n": 1, "L": 30.0, "N": 512, "dt": 0.005, "T": 5.0},
+            "data": {"kind": "gaussian", "amplitude": 0.01, "width": 1.0},
+        })
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert "oracle stiffness" in err
+        assert "non-finite values in the nonlinearity" not in err
+
+    def test_mean_carrying_velocity_file_returns_two(self, tmp_path, capsys):
+        x = -32.0 + np.arange(64)
+        bump = 1e-3 * np.exp(-0.5 * x**2)
+        np.savez(tmp_path / "data.npz", u0=bump, u1=bump)
+        cfg = write_config(tmp_path, {
+            "experiment": "nonlinear_rates",
+            "seed": 0,
+            "model": {"alpha": -1.0, "beta": 1.0},
+            "discretization": {"n": 1, "L": 64.0, "N": 64, "dt": 0.1,
+                               "T": 2.0, "out_every": 2},
+            "data": {"kind": "custom_file", "path": str(tmp_path / "data.npz")},
+            "analysis": {"k_list": [0], "fit_window": [0.5, 2.0],
+                         "slope_tol": 0.1},
+        })
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "data.path" in err and "u1" in err
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -41,7 +41,7 @@ def state_distance(a: Trajectory, b: Trajectory) -> float:
 class TestNonlinearitySpec:
     @pytest.mark.parametrize("kw", [
         dict(f_kind="quartic"), dict(g_kind="zero"), dict(g_sign=0.5),
-        dict(beta=-1.0), dict(f_arg="x"),
+        dict(beta=-1.0), dict(g_sign=-2.0),
     ])
     def test_invalid_specs_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -182,6 +182,44 @@ class TestStepAndSolve:
                               tol=1e-10, t_eval=run.times)
         err = state_distance(run, ref)
         assert err <= 1e-6 * l2_norm(u0)
+
+    def test_three_dimensional_solve_matches_reference_oracle(self):
+        g = make_grid(3, 20.0, 16)
+        u0 = small_gaussian(g, amplitude=0.05, width=2.0)
+        u1 = PhysicalField.zero(g)
+        run = solve(u0, u1, T=1.0, dt=0.01, spec=QUAD_SPEC, params=P,
+                    out_every=25)
+        ref = reference_solve(u0, u1, T=1.0, spec=QUAD_SPEC, params=P,
+                              tol=1e-10, t_eval=run.times)
+        assert state_distance(run, ref) <= 1e-6 * l2_norm(u0)
+
+    def test_one_step_makes_two_forward_and_two_inverse_transforms(self, monkeypatch):
+        counts = {"forward": 0, "inverse": 0}
+
+        def counted(fn, kind):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "fftn", "rfft", "rfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
+        for name in ("ifft", "ifftn", "irfft", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+        g = make_grid(2, 20.0, 16)
+        u0 = small_gaussian(g, amplitude=0.05, width=2.0)
+        u1 = PhysicalField.zero(g)
+
+        def transforms(n_steps: int) -> dict:
+            counts.update(forward=0, inverse=0)
+            # both runs record only the initial and the final state, so the
+            # difference is the cost of one step
+            solve(u0, u1, T=0.1 * n_steps, dt=0.1, spec=QUAD_SPEC, params=P,
+                  out_every=2)
+            return dict(counts)
+
+        one, two = transforms(1), transforms(2)
+        assert {k: two[k] - one[k] for k in counts} == {"forward": 2, "inverse": 2}
 
     def test_energy_non_increasing_along_linear_run(self, rng):
         g = make_grid(1, 12.0, 64)

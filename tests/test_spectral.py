@@ -19,6 +19,7 @@ from bousslab import (NormSpec, PhysicalField, QuadratureError, SpectralField,
                       forward_transform, inverse_transform, l1_norm, l2_norm,
                       linf_norm, make_grid, neg_sobolev_norm, norm,
                       radial_norm_quadrature, sobolev_norm)
+from bousslab.spectral import half_forward, half_inverse, half_l2, half_to_full
 
 from conftest import random_smooth_field
 
@@ -111,6 +112,34 @@ class TestTransform:
         phys = l2_norm(u)
         spec = l2_norm(forward_transform(u))
         assert spec == pytest.approx(phys, rel=1e-10)
+
+
+class TestHalfSpectrum:
+    """The rfftn half-lattice layout the solvers carry their state in."""
+
+    # white noise fills every mode, the Nyquist planes included
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)])
+    def test_half_l2_with_multiplicity_is_the_full_l2(self, rng, n, N):
+        g = make_grid(n, 7.0, N)
+        for _ in range(3):
+            u = PhysicalField(g, rng.standard_normal(g.shape))
+            assert half_l2(g, half_forward(g, u.values)) == pytest.approx(
+                sobolev_norm(u, 0), rel=1e-13)
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)])
+    def test_layout_matches_the_full_spectrum(self, rng, n, N):
+        g = make_grid(n, 7.0, N)
+        stack = rng.standard_normal((2,) + g.shape)
+        half = half_forward(g, stack)
+        assert half.shape == (2,) + g.half_shape
+        assert np.max(np.abs(half_inverse(g, half) - stack)) <= 1e-13
+        for values, coeffs in zip(stack, half):
+            full = forward_transform(PhysicalField(g, values)).coeffs
+            assert np.max(np.abs(half_to_full(g, coeffs).coeffs - full)) \
+                <= 1e-13 * np.max(np.abs(full))
+        keep = (slice(None),) * (n - 1) + (slice(0, N // 2 + 1),)
+        assert np.array_equal(g.xi2_half, g.xi2[keep])
+        assert np.array_equal(g.dealias_mask_half, g.dealias_mask[keep])
 
 
 class TestFieldTypes:

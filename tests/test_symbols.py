@@ -22,7 +22,7 @@ from bousslab import (ModelParams, characteristic_roots, damping_coefficient,
 class TestModelParams:
     def test_defaults(self):
         p = ModelParams()
-        assert p.alpha == -1.0 and p.beta == 1.0 and p.gamma == 1.0
+        assert p.alpha == -1.0 and p.beta == 1.0
 
     @pytest.mark.parametrize("kw", [dict(alpha=-0.5), dict(alpha=0.0),
                                     dict(beta=0.0), dict(beta=-1.0)])
