@@ -21,9 +21,10 @@ from .linear import (RadialData, StatePair, gaussian_profile,
                      linear_solution, profile_solution,
                      square_integrable_profile, square_integrable_radial_data,
                      total_energy)
-from .nonlinear import (BlowUpError, NonlinearitySpec, StiffnessError,
-                        Trajectory, linear_trajectory, nonlinearity,
-                        picard_iterate, reference_solve, solve, step_duhamel)
+from .nonlinear import (BlowUpError, NonlinearitySpec,
+                        ReferenceIntegrationError, StiffnessError, Trajectory,
+                        linear_trajectory, nonlinearity, picard_iterate,
+                        reference_solve, solve, step_duhamel)
 from .spectral import (Grid, NormSpec, PhysicalField, QuadratureError,
                        SpectralField, forward_transform, inverse_transform,
                        l1_norm, l2_norm, linf_norm, make_grid,
@@ -43,7 +44,8 @@ __all__ = [
     "DataConfig", "DecaySeries", "DiscretizationConfig", "ExperimentConfig",
     "Grid", "ModeEnergy", "ModelConfig", "ModelParams", "NonlinearitySpec",
     "NormSpec", "PhysicalField", "ProductCheck", "PropagatorSymbols",
-    "QuadratureError", "RadialData", "RateFit", "RunReport", "SpectralField",
+    "QuadratureError", "RadialData", "RateFit", "ReferenceIntegrationError",
+    "RunReport", "SpectralField",
     "StatePair", "StiffnessError", "Trajectory", "certify_bound", "characteristic_roots",
     "damping_coefficient", "decay_envelope", "decay_series",
     "default_certify_grids", "fit_rate", "forward_transform", "gap_weight",

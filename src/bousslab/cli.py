@@ -8,8 +8,10 @@ plots from a previously written series table.
 
 Exit codes: 0 all verdicts pass; 1 at least one verdict failed; 2 invalid
 configuration (message names the offending field or JSON location); 3 the
-run blew up (amplitude guard tripped or non-finite state) or the explicit
-reference oracle hit its stiffness limit (the message says which).
+run failed numerically: it blew up (amplitude guard tripped or non-finite
+state), the explicit reference oracle hit its stiffness limit or otherwise
+failed ("reference integration failed"), or a radial quadrature did not
+converge (the message says which).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import list_experiments, run_experiment
-from .nonlinear import BlowUpError, StiffnessError
+from .nonlinear import BlowUpError, ReferenceIntegrationError
 from .reporting import (plot_run_svgs, read_series_csv, write_rates_csv,
                         write_report_json, write_series_csv)
+from .spectral import QuadratureError
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1
@@ -52,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (BlowUpError, StiffnessError) as exc:
+    except (BlowUpError, ReferenceIntegrationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -58,14 +58,20 @@ def _state_pair(grid: Grid, y: np.ndarray, t: float) -> StatePair:
     return StatePair(u=PhysicalField(grid, u), ut=PhysicalField(grid, ut), t=float(t))
 
 
-def _apply_symbols(grid: Grid, y0: np.ndarray, t: float,
+def _apply_symbols(grid: Grid, y0: np.ndarray, t,
                    params: ModelParams) -> np.ndarray:
-    """Linear flow over ``t`` of the stacked half spectra ``(u0_hat, u1_hat)``."""
-    sym = propagator(grid.xi2_half, t, params)
+    """Linear flow over ``t`` of the stacked half spectra ``(u0_hat, u1_hat)``.
+
+    A scalar ``t`` gives shape ``(2, *grid.half_shape)``; a vector of ``M``
+    times gives ``(M, 2, *grid.half_shape)`` from one kernel evaluation.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    sym = propagator(grid.xi2_half, t.reshape(t.shape + (1,) * grid.n), params)
     # kernels are real up to rounding (real or conjugate root pairs); dropping
     # the rounding-level imaginary part keeps the fields real
     return np.stack([sym.sine.real * y0[1] + sym.cosine.real * y0[0],
-                     sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]])
+                     sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]],
+                    axis=-grid.n - 1)
 
 
 def linear_solution(u0: PhysicalField, u1: PhysicalField, t: float,

@@ -18,7 +18,9 @@ Three independent realisations are provided and cross-checked:
   whose weights are closed forms in the characteristic roots;
 * :func:`picard_iterate` -- the global-in-time fixed-point map evaluated
   with trapezoid quadrature on a fixed mesh, whose iterates contract for
-  small data;
+  small data; the Duhamel sum is taken column by column, one kernel
+  evaluation over the lags ``t_i - tau_j`` of all later mesh times per
+  source time ``tau_j``, plus one over all mesh times for the linear part;
 * :func:`reference_solve` -- a method-of-lines oracle that never touches the
   closed-form kernels: the spectral mode system integrated by an adaptive
   embedded Runge-Kutta pair, whose state vector holds the real and imaginary
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .linear import StatePair, _apply_symbols, _half_state, _state_pair, linear_solution
+from .linear import StatePair, _apply_symbols, _half_state, _state_pair
 from .spectral import (Grid, PhysicalField, SpectralField, half_forward,
                        half_inverse, half_l2, half_to_full)
 from .symbols import (ModelParams, characteristic_roots, damping_coefficient,
@@ -58,7 +60,11 @@ class BlowUpError(RuntimeError):
         self.time = time
 
 
-class StiffnessError(RuntimeError):
+class ReferenceIntegrationError(RuntimeError):
+    """The Runge-Kutta oracle of :func:`reference_solve` did not finish."""
+
+
+class StiffnessError(ReferenceIntegrationError):
     """The explicit Runge-Kutta oracle cannot resolve the high-mode damping."""
 
 
@@ -279,6 +285,22 @@ def _trapezoid_weights(tau: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mesh_trajectory(u0: PhysicalField, u1: PhysicalField, times: np.ndarray,
+                     y: np.ndarray) -> Trajectory:
+    """Trajectory of the initial data at ``times[0] = 0`` and the stacked half
+    spectra ``y[i]`` (shape ``(M, 2, *half_shape)``) at ``times[i]``, ``i >= 1``.
+
+    Row 0 of ``y`` is ignored; the other rows go to physical space in one
+    batched inverse transform.
+    """
+    g = u0.grid
+    fields = half_inverse(g, y[1:])
+    states = [StatePair(u=u0, ut=u1, t=0.0)]
+    states += [StatePair(u=PhysicalField(g, f[0]), ut=PhysicalField(g, f[1]), t=float(t))
+               for f, t in zip(fields, times[1:])]
+    return Trajectory(times=times.copy(), states=states)
+
+
 def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
                    spec: NonlinearitySpec, params: ModelParams) -> Trajectory:
     """One application of the solution map ``Phi`` to a candidate trajectory.
@@ -287,37 +309,45 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
     time integral evaluated by the trapezoid rule on ``base.times``.  For
     small data the map contracts in the sup-over-time L^2 distance, and its
     fixed point is the solution (up to the trapezoid error of the mesh).
+
+    The Duhamel sum is accumulated column by column: for each source time
+    ``tau_j`` one kernel evaluation over the lags ``t_i - tau_j`` (``i >= j``)
+    updates every later mesh time at once, and the linear part comes from one
+    kernel evaluation over all mesh times.  That is ``M + 1`` kernel calls on
+    an ``M``-point mesh (any spacing), and each time still sums its terms in
+    the order ``j = 0..i``.
     """
     g = base.grid
     if u0.grid != g or u1.grid != g:
         raise ValueError("initial data live on a different grid than the trajectory")
     times = base.times
-    y0 = _half_state(u0, u1)
     source = _Source(g, spec)
     sources = [source(_half_state(s.u, s.ut), s.t) for s in base.states]
+    # the weight of tau_j in the sum for t_i (> tau_j) is its whole-mesh
+    # trapezoid weight; for t_i = tau_j it is the right-endpoint half step
+    weights = _trapezoid_weights(times)
+    endpoint = np.concatenate([[0.0], 0.5 * np.diff(times)])
+    column = (-1,) + (1,) * g.n
 
-    out_states = [StatePair(u=u0, ut=u1, t=0.0)]
-    for i in range(1, times.size):
-        t_i = times[i]
-        y = _apply_symbols(g, y0, t_i, params)
-        tau = times[: i + 1]
-        w = _trapezoid_weights(tau)
-        for j in range(i + 1):
-            lag = propagator(g.xi2_half, t_i - tau[j], params)
-            y[0] += w[j] * lag.sine.real * sources[j]
-            y[1] += w[j] * lag.sine_dt.real * sources[j]
-        out_states.append(_state_pair(g, y, t_i))
-    return Trajectory(times=times.copy(), states=out_states)
+    y = _apply_symbols(g, _half_state(u0, u1), times, params)
+    for j, s_j in enumerate(sources):
+        lag = propagator(g.xi2_half, (times[j:] - times[j]).reshape(column), params)
+        w_j = np.full(times.size - j, weights[j])
+        w_j[0] = endpoint[j]
+        w_j = w_j.reshape(column)
+        y[j:, 0] += w_j * lag.sine.real * s_j
+        y[j:, 1] += w_j * lag.sine_dt.real * s_j
+    return _mesh_trajectory(u0, u1, times, y)
 
 
 def linear_trajectory(u0: PhysicalField, u1: PhysicalField, times: Sequence[float],
                       params: ModelParams) -> Trajectory:
     """Exact linear evolution sampled on a mesh (the usual Picard seed)."""
+    if u0.grid != u1.grid:
+        raise ValueError("u0 and u1 live on different grids")
     t_arr = np.asarray(times, dtype=np.float64)
-    states = [StatePair(u=u0, ut=u1, t=0.0)]
-    for t in t_arr[1:]:
-        states.append(linear_solution(u0, u1, float(t), params))
-    return Trajectory(times=t_arr, states=states)
+    y = _apply_symbols(u0.grid, _half_state(u0, u1), t_arr, params)
+    return _mesh_trajectory(u0, u1, t_arr, y)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +366,7 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     end to end.  Explicit RK methods only; stiff high-frequency damping can
     drive the step size to underflow or overflow a trial stage, which
     surfaces as a :class:`StiffnessError` advising a smaller grid or horizon.
+    Any other integrator failure raises :class:`ReferenceIntegrationError`.
     """
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
@@ -378,7 +409,7 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         msg = sol.message or "integration failed"
         if "step size" in msg.lower():
             raise StiffnessError(f"oracle stiffness limit; reduce N or T ({msg})")
-        raise RuntimeError(f"reference integration failed: {msg}")
+        raise ReferenceIntegrationError(f"reference integration failed: {msg}")
 
     states = [_state_pair(g, unpack(sol.y[:, j]), t) for j, t in enumerate(sol.t)]
     return Trajectory(times=sol.t.copy(), states=states)

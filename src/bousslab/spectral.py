@@ -447,8 +447,8 @@ def _radial_integral(integrand: Callable[[np.ndarray], np.ndarray], cutoff: floa
             return total
         c *= 2.0
     raise QuadratureError(
-        f"radial quadrature tail check failed after {max_doublings} cutoff doublings "
-        f"(last cutoff {c:g})"
+        f"radial quadrature did not converge: tail check failed after "
+        f"{max_doublings} cutoff doublings (last cutoff {c:g})"
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bousslab import PhysicalField, make_grid
+from bousslab.experiments import _random_smooth_field
 
 
 @pytest.fixture
@@ -19,6 +20,4 @@ def grid_1d():
 
 def random_smooth_field(grid, rng, scale: float = 1.0) -> PhysicalField:
     """A random real field with a smooth (Gaussian-damped) spectrum."""
-    noise = rng.standard_normal(grid.shape)
-    coeffs = np.fft.fftn(noise) * np.exp(-grid.xi2 / 2.0)
-    return PhysicalField(grid, scale * np.fft.ifftn(coeffs).real)
+    return PhysicalField(grid, scale * _random_smooth_field(grid, rng).values)

@@ -14,6 +14,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from bousslab import (ModelParams, NonlinearitySpec, PhysicalField, make_grid,
+                      radial_norm_quadrature, reference_solve)
 from bousslab.cli import EXIT_BAD_CONFIG, EXIT_BLOWUP, EXIT_OK, EXIT_VERDICT_FAILED, OUT_ENV_VAR, main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "bousslab" / "schema" / "report_schema.json"
@@ -175,6 +177,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "oracle stiffness" in err
         assert "non-finite values in the nonlinearity" not in err
+
+    def test_quadrature_failure_returns_three_and_names_it(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def run_experiment(cfg, threads=1):
+            # a flat spectral profile never passes the cutoff tail check
+            radial_norm_quadrature(np.ones_like, k=0, n=1, cutoff=1.0)
+
+        monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
+        cfg = write_config(tmp_path, small_linear_config())
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BLOWUP
+        assert "radial quadrature did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_reference_integration_failure_returns_three_and_names_it(
+            self, tmp_path, capsys, monkeypatch):
+        class Failed:  # the result solve_ivp returns when its integrator gives up
+            success = False
+            message = "integrator gave up"
+
+        def run_experiment(cfg, threads=1):
+            g = make_grid(1, 10.0, 16)
+            reference_solve(PhysicalField.zero(g), PhysicalField.zero(g), T=1.0,
+                            spec=NonlinearitySpec(), params=ModelParams())
+
+        monkeypatch.setattr("bousslab.nonlinear.solve_ivp", lambda *a, **k: Failed())
+        monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
+        cfg = write_config(tmp_path, small_linear_config())
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert "reference integration failed" in err and "integrator gave up" in err
+        assert not (tmp_path / "o").exists()
 
     def test_mean_carrying_velocity_file_returns_two(self, tmp_path, capsys):
         x = -32.0 + np.arange(64)

@@ -12,12 +12,17 @@ import math
 import numpy as np
 import pytest
 
+import bousslab.linear
+import bousslab.nonlinear
 from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
                       PhysicalField, StatePair, Trajectory, forward_transform,
                       inverse_transform, l2_norm, linear_solution,
                       linear_trajectory, make_grid, nonlinearity,
-                      picard_iterate, reference_solve, solve, step_duhamel,
-                      total_energy)
+                      picard_iterate, propagator, reference_solve, solve,
+                      step_duhamel, total_energy)
+from bousslab.linear import _half_state
+from bousslab.nonlinear import _Source, _trapezoid_weights
+from bousslab.spectral import half_inverse
 
 from conftest import random_smooth_field
 
@@ -30,6 +35,33 @@ def small_gaussian(grid, amplitude=0.01, width=1.0):
     return PhysicalField.from_function(
         grid, lambda *xs: amplitude * np.exp(-sum(x**2 for x in xs)
                                              / (2.0 * width**2)))
+
+
+def pairwise_picard(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
+                    spec: NonlinearitySpec, params: ModelParams) -> list[np.ndarray]:
+    """Reference Picard map: one kernel evaluation per mesh pair (t_i, tau_j).
+
+    Returns the physical ``(u, u_t)`` stack at every mesh time.
+    """
+    g = base.grid
+    times = base.times
+    y0 = _half_state(u0, u1)
+    source = _Source(g, spec)
+    sources = [source(_half_state(s.u, s.ut), s.t) for s in base.states]
+    out = [np.stack([u0.values, u1.values])]
+    for i in range(1, times.size):
+        t_i = times[i]
+        sym = propagator(g.xi2_half, t_i, params)
+        y = np.stack([sym.sine.real * y0[1] + sym.cosine.real * y0[0],
+                      sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]])
+        tau = times[: i + 1]
+        w = _trapezoid_weights(tau)
+        for j in range(i + 1):
+            lag = propagator(g.xi2_half, t_i - tau[j], params)
+            y[0] += w[j] * lag.sine.real * sources[j]
+            y[1] += w[j] * lag.sine_dt.real * sources[j]
+        out.append(half_inverse(g, y))
+    return out
 
 
 def state_distance(a: Trajectory, b: Trajectory) -> float:
@@ -269,6 +301,56 @@ class TestPicard:
             current = nxt
         assert dists[1] / dists[0] < 0.5
         assert dists[2] / dists[1] < 0.5
+
+    @pytest.mark.parametrize("case", ["oracle_crosscheck_m33", "non_uniform_mesh",
+                                      "grid_2d"])
+    def test_bitwise_equal_to_pairwise_sum(self, case):
+        if case == "oracle_crosscheck_m33":
+            g, params = make_grid(1, 30.0, 64), P
+            u0, u1 = small_gaussian(g, amplitude=0.01), PhysicalField.zero(g)
+            times = np.linspace(0.0, 2.0, 33)
+        elif case == "non_uniform_mesh":
+            g, params = make_grid(1, 30.0, 64), ModelParams(alpha=-1.5)
+            u0 = small_gaussian(g, amplitude=0.02)
+            u1 = PhysicalField.from_function(
+                g, lambda x: 0.01 * np.sin(x) * np.exp(-x**2 / 8.0))
+            steps = np.random.default_rng(3).uniform(0.02, 0.2, size=32)
+            times = np.concatenate([[0.0], np.cumsum(steps)])
+        else:
+            g, params = make_grid(2, 20.0, 16), P
+            u0 = small_gaussian(g, amplitude=0.05, width=2.0)
+            u1 = small_gaussian(g, amplitude=0.02, width=3.0)
+            times = np.linspace(0.0, 1.0, 17)
+        base = linear_trajectory(u0, u1, times, params)
+        # the second application starts from a base with a nonzero velocity
+        for _ in range(2):
+            out = picard_iterate(base, u0, u1, QUAD_SPEC, params)
+            ref = pairwise_picard(base, u0, u1, QUAD_SPEC, params)
+            assert np.array_equal(out.times, times)
+            for s, r in zip(out.states, ref, strict=True):
+                assert np.array_equal(s.u.values, r[0])
+                assert np.array_equal(s.ut.values, r[1])
+            base = out
+
+    def test_one_kernel_evaluation_per_duhamel_column(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return propagator(*args, **kwargs)
+
+        # the linear part goes through bousslab.linear, the Duhamel sum
+        # through bousslab.nonlinear; both reach the one kernel function
+        monkeypatch.setattr(bousslab.linear, "propagator", counted)
+        monkeypatch.setattr(bousslab.nonlinear, "propagator", counted)
+        g = make_grid(1, 30.0, 64)
+        u0, u1 = small_gaussian(g, amplitude=0.01), PhysicalField.zero(g)
+        m = 65
+        base = linear_trajectory(u0, u1, np.linspace(0.0, 2.0, m), P)
+        calls[0] = 0
+        picard_iterate(base, u0, u1, QUAD_SPEC, P)
+        # the pairwise sum makes M(M+1)/2 - 1 lag calls and M - 1 linear ones
+        assert calls[0] <= m + 1
 
     def test_grid_mismatch_rejected(self, rng):
         g = make_grid(1, 12.0, 32)
