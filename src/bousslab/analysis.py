@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linear import RadialData, linear_norm_radial
+from .linear import RadialData, _radial_norms
 from .nonlinear import Trajectory
 from .spectral import (NormSpec, PhysicalField, SpectralField, forward_transform,
                        inverse_transform, l1_norm, l2_norm, linf_norm,
@@ -153,37 +153,37 @@ _RADIAL_SOURCE = {"linear": "linear", "profile": "profile", "gap": "profile_gap"
 
 def radial_decay_series(data: RadialData, times: Sequence[float],
                         k_list: Sequence[int], n: int, params: ModelParams,
-                        which: str = "linear", threads: int = 1,
+                        which: str | Sequence[str] = "linear", threads: int = 1,
                         rtol: float = 1e-9) -> list[DecaySeries]:
-    """Continuum radial norms over a time sweep, one series per ``k``.
+    """Continuum radial norms over a time sweep, one series per ``(which, k)``.
 
-    Independent ``(t, k)`` evaluations; ``threads > 1`` maps the sweep over a
-    thread pool (results are ordered, so the output is identical).
+    ``which`` is one kernel name or a tuple of them; the series come out
+    ordered by ``which``, then by ``k``.  Each time is one job that
+    evaluates the kernels once per quadrature node set for every
+    component; ``threads > 1`` maps the jobs over times on a thread pool
+    (results are ordered, so the output is identical).
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
     t_arr = np.asarray(times, dtype=np.float64)
     if t_arr.size < 8:
         raise ValueError(f"time sweep has {t_arr.size} points, need >= 8")
-    jobs = [(k, t) for k in k_list for t in t_arr]
+    whiches = (which,) if isinstance(which, str) else tuple(which)
+    if not whiches:
+        raise ValueError("which must name at least one kernel")
+    components = [(w, int(k)) for w in whiches for k in k_list]
 
-    def run_one(job: tuple[int, float]) -> float:
-        k, t = job
-        return linear_norm_radial(data, float(t), int(k), n, params,
-                                  which=which, rtol=rtol)
+    def run_one(t: float) -> list[float]:
+        return _radial_norms(data, float(t), components, n, params, rtol=rtol)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            flat = list(pool.map(run_one, jobs))
+            rows = list(pool.map(run_one, t_arr))
     else:
-        flat = [run_one(j) for j in jobs]
-    out = []
-    for i, k in enumerate(k_list):
-        vals = np.asarray(flat[i * t_arr.size:(i + 1) * t_arr.size])
-        out.append(DecaySeries(times=t_arr.copy(), values=vals, k=int(k),
-                               norm_kind="sobolev2",
-                               source=_RADIAL_SOURCE.get(which, which)))
-    return out
+        rows = [run_one(t) for t in t_arr]
+    return [DecaySeries(times=t_arr.copy(), values=np.asarray([row[i] for row in rows]),
+                        k=k, norm_kind="sobolev2", source=_RADIAL_SOURCE.get(w, w))
+            for i, (w, k) in enumerate(components)]
 
 
 def xnorm_proxy(run: Trajectory, n: int, k_list: Sequence[int] = (0, 1, 2)) -> np.ndarray:

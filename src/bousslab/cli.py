@@ -115,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                        help=f"output directory (default: ${OUT_ENV_VAR} or "
                             f"./runs, plus the experiment name)")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent norm evaluations")
+                       help="worker threads for the radial experiments "
+                            "(one evaluation time per job)")
     p_run.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list experiment ids and what they verify")

@@ -227,11 +227,8 @@ def run_profile_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     lo, hi = cfg.analysis.fit_window
     times = np.geomspace(max(lo, 1e-3), hi, cfg.analysis.n_times)
     ks = cfg.analysis.k_list
-    lin = radial_decay_series(data, times, ks, n, params,
-                              which="linear", threads=threads)
-    gap = radial_decay_series(data, times, ks, n, params,
-                              which="gap", threads=threads)
-    report.series = lin + gap
+    report.series = radial_decay_series(data, times, ks, n, params,
+                                        which=("linear", "gap"), threads=threads)
     tol = cfg.analysis.slope_tol
 
     def gate(s: DecaySeries, fit: RateFit, theory: float) -> tuple[str, str, str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,20 +117,25 @@ class RadialData:
     ``class_tag`` records the decay class of the displacement profile:
     ``"integrable"`` for smooth rapidly decaying transforms (data in L^1),
     ``"square_integrable"`` for the borderline profile with an integrable
-    power singularity at xi = 0 (data in L^2 but not L^1); the tag selects
-    the quadrature substitution that keeps the integrand smooth.
+    power singularity at xi = 0 (data in L^2 but not L^1).
+    ``substitution_power = q`` is the radial quadrature substitution
+    ``r = s^q`` that keeps such an integrand smooth at ``r = 0``.
     """
 
     u0_hat: Callable[[np.ndarray], np.ndarray]
     u1_hat: Callable[[np.ndarray], np.ndarray]
     class_tag: str = "integrable"
     cutoff_hint: float = 12.0
+    substitution_power: int = 1
 
     def __post_init__(self) -> None:
         if self.class_tag not in ("integrable", "square_integrable"):
             raise ValueError(f"unknown data class {self.class_tag!r}")
         if not (self.cutoff_hint > 0.0):
             raise ValueError("cutoff hint must be positive")
+        if not (isinstance(self.substitution_power, int) and self.substitution_power >= 1):
+            raise ValueError(f"substitution power must be a positive integer, "
+                             f"got {self.substitution_power!r}")
 
 
 def _zero_profile(r: np.ndarray) -> np.ndarray:
@@ -162,10 +167,11 @@ def square_integrable_profile(n: int, eps: float = 0.2,
 
     The field is square integrable (the singularity is integrable) but not
     integrable in physical space, the regime where only the non-weighted
-    decay rates ``(1+t)^(-k/2)`` survive.
+    decay rates ``(1+t)^(-k/2)`` survive.  The supported range is
+    ``0 < eps < 1``, the same as the config field ``data.eps``.
     """
-    if not (0.0 < eps < n):
-        raise ValueError(f"need 0 < eps < n, got eps={eps}, n={n}")
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"need 0 < eps < 1, got eps={eps}")
     power = -0.5 * (n - eps)
 
     def profile(r: np.ndarray) -> np.ndarray:
@@ -189,13 +195,75 @@ def gaussian_radial_data(amplitude: float = 1.0, width: float = 1.0, n: int = 1,
 
 def square_integrable_radial_data(n: int, eps: float = 0.2,
                                   amplitude: float = 1.0) -> RadialData:
-    """Square-integrable-only displacement data, zero velocity."""
+    """Square-integrable-only displacement data, zero velocity, ``0 < eps < 1``.
+
+    The norm integrands behave like ``r^(eps - 1 + 2k)`` at ``r = 0``; the
+    substitution power ``ceil(1/eps)`` makes them bounded there.
+    """
     return RadialData(u0_hat=square_integrable_profile(n, eps, amplitude),
                       u1_hat=_zero_profile, class_tag="square_integrable",
-                      cutoff_hint=1.0)
+                      cutoff_hint=1.0, substitution_power=math.ceil(1.0 / eps))
 
 
 _WHICH = ("linear", "profile", "gap")
+
+
+def _radial_norms(data: RadialData, t: float, components: Sequence[tuple[str, int]],
+                  n: int, params: ModelParams, rtol: float = 1e-9) -> list[float]:
+    """:func:`linear_norm_radial` for every ``(which, k)`` of ``components`` at once.
+
+    All components share the cutoff and panel schedule at ``t``, so each node
+    set evaluates ``propagator`` and/or ``profile_symbols`` once and weighs
+    the kernel by ``r^(2k+n-1)`` per component; every component still
+    converges on its own (see ``spectral._radial_integral``), so each value
+    is bitwise the one a one-component call gives.
+    """
+    if n not in SPHERE_SURFACE:
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+    for which, k in components:
+        if which not in _WHICH:
+            raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+        if k < 0 or int(k) != k:
+            raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
+    whiches = [which for which, _ in components]
+    weights = [2 * int(k) + n - 1 for _, k in components]
+
+    def integrand(r: np.ndarray, live: np.ndarray) -> np.ndarray:
+        xi2 = r * r
+        need = {whiches[i] for i in live}
+        u0, u1 = data.u0_hat(r), data.u1_hat(r)
+        kernels = {}
+        if need & {"linear", "gap"}:
+            sym = propagator(xi2, t, params)
+            sine, cosine = sym.sine.real, sym.cosine.real
+        if need & {"profile", "gap"}:
+            g0, h0 = profile_symbols(xi2, t, params)
+        if "linear" in need:
+            kernels["linear"] = sine * u1 + cosine * u0
+        if "profile" in need:
+            kernels["profile"] = g0 * u1 + h0 * u0
+        if "gap" in need:
+            # subtracted before squaring: no cancellation of two large norms
+            kernels["gap"] = (sine - g0) * u1 + (cosine - h0) * u0
+        rows = []
+        for i in live:
+            w = kernels[whiches[i]]
+            rows.append(r**weights[i] * w * w)
+        return np.stack(rows)
+
+    cutoff = data.cutoff_hint
+    if t >= 50.0:
+        # kernels decay at least like exp(alpha r^2 t) in the oscillatory band
+        # and exp(-2t) beyond it, so the mass is inside r^2 <= 800/(|alpha| t)
+        cutoff = min(cutoff, math.sqrt(800.0 / (abs(params.alpha) * t)))
+    cycles = cutoff * (t + 1.0) / (2.0 * math.pi)
+    panels0 = max(8, int(3.0 * cycles) + 8)
+    values = _radial_integral(integrand, len(components), cutoff, panels0, rtol,
+                              substitution_power=data.substitution_power,
+                              max_doublings=3)
+    return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]
 
 
 def linear_norm_radial(data: RadialData, t: float, k: int, n: int,
@@ -208,45 +276,10 @@ def linear_norm_radial(data: RadialData, t: float, k: int, n: int,
     Evaluated as ``sqrt(c_n int r^(2k+n-1) |W(r, t)|^2 dr)`` with an
     oscillation-aware panel count and an automatically tightened cutoff at
     late times (the kernels carry ``exp(alpha r^2 t / 2)``); the truncation
-    is still verified by the doubling tail check.
+    is still verified by the doubling tail check.  The integration variable
+    is ``r = s^q`` with ``q = data.substitution_power``.  This is the
+    one-component case of the all-components evaluation behind
+    :func:`bousslab.analysis.radial_decay_series`, with the same integrator
+    as :func:`bousslab.spectral.radial_norm_quadrature`.
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
-    if n not in SPHERE_SURFACE:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
-
-    def kernel_values(r: np.ndarray) -> np.ndarray:
-        xi2 = r * r
-        if which == "linear":
-            sym = propagator(xi2, t, params)
-            return (sym.sine.real * data.u1_hat(r)
-                    + sym.cosine.real * data.u0_hat(r))
-        if which == "profile":
-            g0, h0 = profile_symbols(xi2, t, params)
-            return g0 * data.u1_hat(r) + h0 * data.u0_hat(r)
-        sym = propagator(xi2, t, params)
-        g0, h0 = profile_symbols(xi2, t, params)
-        return ((sym.sine.real - g0) * data.u1_hat(r)
-                + (sym.cosine.real - h0) * data.u0_hat(r))
-
-    weight = 2 * int(k) + n - 1
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        w = kernel_values(r)
-        return r**weight * w * w
-
-    cutoff = data.cutoff_hint
-    if t >= 50.0:
-        # kernels decay at least like exp(alpha r^2 t) in the oscillatory band
-        # and exp(-2t) beyond it, so the mass is inside r^2 <= 800/(|alpha| t)
-        cutoff = min(cutoff, math.sqrt(800.0 / (abs(params.alpha) * t)))
-    cycles = cutoff * (t + 1.0) / (2.0 * math.pi)
-    panels0 = max(8, int(3.0 * cycles) + 8)
-    substitution = 5 if data.class_tag == "square_integrable" else 1
-    value = _radial_integral(integrand, cutoff, panels0, rtol,
-                             substitution_power=substitution, max_doublings=3)
-    return math.sqrt(max(SPHERE_SURFACE[n] * value, 0.0))
+    return _radial_norms(data, t, ((which, k),), n, params, rtol)[0]

@@ -379,6 +379,9 @@ def neg_sobolev_norm(field) -> float:
 # radial quadrature (continuum norms of radially symmetric spectra)
 # ---------------------------------------------------------------------------
 
+#: most nodes one panel sum may use; the shipped configs stay below 2^15
+_MAX_NODES = 2**20
+
 
 @lru_cache(maxsize=8)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,40 +389,70 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_sum(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               panels: int, order: int = 12) -> float:
-    """Composite Gauss-Legendre sum of ``f`` over ``[a, b]``."""
+def _panel_sum(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
+               a: float, b: float, panels: int, order: int = 12) -> np.ndarray:
+    """Composite Gauss-Legendre sums over ``[a, b]`` of the ``live`` rows of ``f``.
+
+    Raises :class:`QuadratureError` rather than evaluate more than
+    ``_MAX_NODES`` nodes or sum non-finite values.
+    """
+    if panels * order > _MAX_NODES:
+        raise QuadratureError(
+            f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
+            f"would need {panels * order} nodes (limit {_MAX_NODES})")
     x, w = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = (mid + half * x[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=np.float64)
+    vals = np.asarray(f(nodes, live), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite profile values in radial quadrature")
-    return float(np.sum(vals * (half * w[None, :]).ravel()))
+        raise QuadratureError(
+            f"radial quadrature did not converge: non-finite integrand values "
+            f"on [{a:g}, {b:g}]")
+    weighted = vals * (half * w[None, :]).ravel()
+    # one 1-D sum per row: the same summation order as a scalar integrand
+    return np.array([np.sum(row) for row in weighted])
 
 
-def _refined_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      panels0: int, rtol: float, atol: float = 1e-300) -> float:
-    """Integral of ``f`` over ``[a, b]`` by panel doubling until tolerance."""
+def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      live: np.ndarray, a: float, b: float, panels0: int,
+                      rtol: float, atol: np.ndarray) -> np.ndarray:
+    """Integrals of the ``live`` rows of ``f`` over ``[a, b]`` by panel doubling.
+
+    Each row stops at the first doubling where it changes by at most
+    ``max(rtol * |value|, atol[row])`` and is left out of later panel sums.
+    """
     panels = max(4, int(panels0))
-    prev = _panel_sum(f, a, b, panels)
+    out = np.empty(live.size)
+    rows = np.arange(live.size)  # positions in ``live`` still refining
+    prev = _panel_sum(f, live, a, b, panels)
     for _ in range(12):
         panels *= 2
-        cur = _panel_sum(f, a, b, panels)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            return cur
-        prev = cur
+        cur = _panel_sum(f, live[rows], a, b, panels)
+        done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if rows.size == 0:
+            return out
     raise QuadratureError(
         f"radial quadrature did not converge to rtol={rtol:g} on [{a:g}, {b:g}]"
     )
 
 
-def _radial_integral(integrand: Callable[[np.ndarray], np.ndarray], cutoff: float,
-                     panels0: int, rtol: float, substitution_power: int,
-                     max_doublings: int) -> float:
-    """``int_0^cutoff integrand(r) dr`` with tail verification by cutoff doubling.
+def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     count: int, cutoff: float, panels0: int, rtol: float,
+                     substitution_power: int, max_doublings: int) -> np.ndarray:
+    """``int_0^inf integrand(r)[i] dr`` for each of ``count`` components.
+
+    ``integrand(r, live)`` returns the rows ``live`` (an index array) at the
+    nodes ``r``, shape ``(live.size, r.size)``, so one kernel evaluation per
+    node set serves every component.  Each row keeps its own convergence
+    state, exactly as if it were integrated alone: panel doubling on
+    ``[0, cutoff]`` to ``rtol``, then the truncation check on
+    ``[cutoff, 2 cutoff]`` with an absolute floor of 1e-13 of its own body;
+    a relative tail above 1e-12 doubles its cutoff, at most
+    ``max_doublings`` times.  Finished rows drop out of later panel sums.
 
     ``substitution_power = q`` integrates in the variable ``s = r^(1/q)``,
     which regularises integrable endpoint singularities ``r^(-a)`` with
@@ -431,20 +464,26 @@ def _radial_integral(integrand: Callable[[np.ndarray], np.ndarray], cutoff: floa
     if q == 1:
         g = integrand
     else:
-        def g(s: np.ndarray) -> np.ndarray:
-            return q * s ** (q - 1) * integrand(s**q)
+        def g(s: np.ndarray, live: np.ndarray) -> np.ndarray:
+            return q * s ** (q - 1) * integrand(s**q, live)
 
+    totals = np.empty(count)
+    live = np.arange(count)
     c = float(cutoff)
     for _ in range(max_doublings + 1):
-        body = _refined_integral(g, 0.0, c ** (1.0 / q), panels0, rtol)
+        body = _refined_integral(g, live, 0.0, c ** (1.0 / q), panels0, rtol,
+                                 np.full(live.size, 1e-300))
         # the tail only needs to be located to ~1e-13 of the body, so the
         # refinement there carries an absolute floor (tiny tails stop early)
-        tail = _refined_integral(g, c ** (1.0 / q), (2.0 * c) ** (1.0 / q),
+        tail = _refined_integral(g, live, c ** (1.0 / q), (2.0 * c) ** (1.0 / q),
                                  max(8, panels0 // 2), 1e-6,
-                                 atol=1e-13 * max(abs(body), 1e-300))
-        total = body + max(tail, 0.0)
-        if abs(tail) <= 1e-12 * max(abs(total), 1e-300):
-            return total
+                                 1e-13 * np.maximum(np.abs(body), 1e-300))
+        total = body + np.maximum(tail, 0.0)
+        done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
+        totals[live[done]] = total[done]
+        live = live[~done]
+        if live.size == 0:
+            return totals
         c *= 2.0
     raise QuadratureError(
         f"radial quadrature did not converge: tail check failed after "
@@ -463,7 +502,8 @@ def radial_norm_quadrature(spectral_profile: Callable[[np.ndarray], np.ndarray],
     the field whose (unitary-convention) transform has radial profile ``P``.
     The cutoff truncation is verified by integrating ``[cutoff, 2*cutoff]``;
     a relative tail above 1e-12 doubles the cutoff, at most ``max_doublings``
-    times.
+    times.  This is the one-component case of the integrator behind
+    :func:`bousslab.linear.linear_norm_radial`.
     """
     if n not in SPHERE_SURFACE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -473,11 +513,11 @@ def radial_norm_quadrature(spectral_profile: Callable[[np.ndarray], np.ndarray],
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     weight = 2 * int(k) + n - 1
 
-    def integrand(r: np.ndarray) -> np.ndarray:
+    def integrand(r: np.ndarray, live: np.ndarray) -> np.ndarray:
         p = np.asarray(spectral_profile(r))
-        return r**weight * np.abs(p) ** 2
+        return (r**weight * np.abs(p) ** 2)[None, :]
 
     panels0 = max(4, int(points) // 12)
-    value = _radial_integral(integrand, cutoff, panels0, rtol,
-                             substitution_power, max_doublings)
+    (value,) = _radial_integral(integrand, 1, cutoff, panels0, rtol,
+                                substitution_power, max_doublings)
     return math.sqrt(SPHERE_SURFACE[n] * max(value, 0.0))

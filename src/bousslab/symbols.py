@@ -190,7 +190,16 @@ def phi_divided_difference(k: int, a, b) -> np.ndarray:
             acc = acc + p / _FACTORIALS[j + k + 1]
         out[both_small] = acc
 
-    if np.any(near):
+    if np.any(near) and k == 0:
+        # (e^a - e^b) / (a - b) = e^m sinh(h) / h, h = (a - b) / 2, for any
+        # separation; the band is relative, so |a - b| reaches 1e-3 |a|, where
+        # the truncated expansion below would lose e^m d^4 / 1920
+        m = 0.5 * (a[near] + b[near])
+        h = 0.5 * (a[near] - b[near])
+        tiny = np.abs(h) < 1e-4
+        hs = np.where(tiny, 1.0, h)
+        out[near] = np.exp(m) * np.where(tiny, 1.0 + h * h / 6.0, np.sinh(hs) / hs)
+    elif np.any(near):
         m = 0.5 * (a[near] + b[near])
         d = a[near] - b[near]
         pk = [phi(k + j, m) for j in range(4)]
@@ -224,33 +233,39 @@ class PropagatorSymbols:
 
 
 def _exp_divided_difference(lam_p: np.ndarray, lam_m: np.ndarray, t: np.ndarray,
-                            force: str | None = None) -> np.ndarray:
-    """``(exp(lam_p t) - exp(lam_m t)) / (lam_p - lam_m)``, cancellation-free.
+                            force: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(lam_p t) - exp(lam_m t)) / (lam_p - lam_m)`` and ``exp(lam_m t)``.
 
     When ``|(lam_p - lam_m) t| <= 1/2`` the difference is written as
     ``t exp(lam_m t) phi_1((lam_p - lam_m) t)``, which is exact at confluent
-    roots and at t = 0; otherwise the direct quotient is safe.  ``force``
+    roots and at t = 0; otherwise the direct quotient is safe.  Each branch
+    is evaluated only on its own elements, and ``exp(lam_m t)``, which both
+    branches and the derived kernels use, once.  ``force``
     ("series"/"direct") pins a branch, for branch-agreement checks only.
     """
     delta = lam_p - lam_m
     z = delta * t
+    em = np.exp(lam_m * t)
     if force == "series":
         small = np.ones(np.shape(z), dtype=bool)
     elif force == "direct":
         small = np.zeros(np.shape(z), dtype=bool)
     else:
         small = np.abs(z) <= _SERIES_SWITCH
-    zs = np.where(small, z, 0.0)
-    series = t * np.exp(lam_m * t) * phi(1, zs)
-    safe_delta = np.where(small, 1.0, delta)
-    direct = (np.exp(lam_p * t) - np.exp(lam_m * t)) / safe_delta
-    return np.where(small, series, direct)
+    out = np.empty(np.shape(z), dtype=np.complex128)
+    if np.any(small):
+        out[small] = t[small] * em[small] * phi(1, z[small])
+    direct = ~small
+    if np.any(direct):
+        out[direct] = (np.exp(lam_p[direct] * t[direct]) - em[direct]) / delta[direct]
+    return out, em
 
 
 def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) -> PropagatorSymbols:
     """Solution kernels of the mode ODE at (possibly arrays of) ``|xi|^2, t >= 0``.
 
-    Derived quantities reuse the one stable divided difference ``sine``:
+    Derived quantities reuse the one stable divided difference ``sine`` and
+    ``exp(lam_- t)``:
     ``sine_dt = lam_+ sine + exp(lam_- t)``,
     ``cosine = exp(lam_- t) - lam_- sine``,
     ``cosine_dt = -c sine``  (c = restoring coefficient).
@@ -263,8 +278,7 @@ def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) ->
     lam_p, lam_m, t_b = np.broadcast_arrays(roots.lambda_plus, roots.lambda_minus, t_arr)
     c = restoring_coefficient(np.broadcast_arrays(xi2, t_arr)[0])
 
-    sine = _exp_divided_difference(lam_p, lam_m, t_b, force=_force_branch)
-    em = np.exp(lam_m * t_b)
+    sine, em = _exp_divided_difference(lam_p, lam_m, t_b, force=_force_branch)
     sine_dt = lam_p * sine + em
     cosine = em - lam_m * sine
     cosine_dt = -c * sine

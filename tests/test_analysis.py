@@ -6,17 +6,20 @@ and the t = 0 normalization of the kernel envelopes.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import bousslab.linear
 from bousslab import (BOUND_KINDS, DecaySeries, ModelParams,
                       NonlinearitySpec, PhysicalField, certify_bound,
                       decay_series, default_certify_grids, fit_rate,
                       gap_weight, gaussian_radial_data, initial_data_size,
                       linear_norm_radial, make_grid, product_estimate_check,
-                      radial_decay_series, solve, xnorm_proxy)
+                      radial_decay_series, solve,
+                      square_integrable_radial_data, xnorm_proxy)
 
 from conftest import random_smooth_field
 
@@ -153,10 +156,72 @@ class TestSeriesExtraction:
         out = radial_decay_series(data, times, (0,), 1, P, which="gap")
         assert out[0].source == "profile_gap"
 
+    def test_empty_kernel_tuple_rejected(self):
+        data = gaussian_radial_data(n=1)
+        with pytest.raises(ValueError, match="at least one kernel"):
+            radial_decay_series(data, np.geomspace(1.0, 10.0, 8), (0,), 1, P,
+                                which=())
+
     def test_short_sweep_rejected(self):
         data = gaussian_radial_data(n=1)
         with pytest.raises(ValueError, match=">= 8"):
             radial_decay_series(data, np.geomspace(1.0, 10.0, 5), (0,), 1, P)
+
+
+class TestRadialAllComponents:
+    """One sweep over every ``(which, k)``: same bits, one kernel per node set."""
+
+    TIMES = np.geomspace(3.0, 1e4, 8)
+    KS = (0, 1, 2)
+    WHICH = ("linear", "gap")
+
+    @staticmethod
+    def data(kind: str):
+        if kind == "gaussian":
+            return gaussian_radial_data(n=1)
+        # at t ~ 3-30 its components stop refining at different panel counts
+        return square_integrable_radial_data(n=1, eps=0.1)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("kind", ("gaussian", "square_integrable"))
+    def test_bitwise_equal_to_one_component_calls(self, kind, threads):
+        data = self.data(kind)
+        out = radial_decay_series(data, self.TIMES, self.KS, 1, P,
+                                  which=self.WHICH, threads=threads)
+        assert [(s.source, s.k) for s in out] == [
+            (source, k) for source in ("linear", "profile_gap") for k in self.KS]
+        for s, (which, k) in zip(out, [(w, k) for w in self.WHICH for k in self.KS]):
+            direct = [linear_norm_radial(data, float(t), k, 1, P, which=which)
+                      for t in self.TIMES]
+            assert np.array_equal(s.values, direct)
+
+    def test_one_kernel_evaluation_per_node_set(self, monkeypatch):
+        calls = []
+        real = bousslab.linear.propagator
+
+        def counting(xi2, t, params, **kw):
+            nodes = hashlib.sha1(np.ascontiguousarray(xi2).tobytes()).hexdigest()
+            calls.append((float(t), nodes))
+            return real(xi2, t, params, **kw)
+
+        monkeypatch.setattr(bousslab.linear, "propagator", counting)
+        data = self.data("square_integrable")
+        needed = {}  # t -> the (t, node set) keys of each component
+        for which in self.WHICH:
+            for k in self.KS:
+                for t in self.TIMES:
+                    calls.clear()
+                    linear_norm_radial(data, float(t), k, 1, P, which=which)
+                    needed.setdefault(float(t), []).append(set(calls))
+        union = {t: set().union(*sets) for t, sets in needed.items()}
+        # not every component needs every node set: some stop refining early
+        assert any(len(s) < len(union[t]) for t, sets in needed.items() for s in sets)
+        calls.clear()
+        radial_decay_series(data, self.TIMES, self.KS, 1, P, which=self.WHICH)
+        # every (t, node set) some component needs, each evaluated once
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set().union(*union.values())
+        assert 3 * len(calls) <= sum(len(s) for sets in needed.values() for s in sets)
 
 
 class TestDataSizeAndAmplitude:

@@ -14,8 +14,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bousslab import (ModelParams, NonlinearitySpec, PhysicalField, make_grid,
-                      radial_norm_quadrature, reference_solve)
+from bousslab import (ModelParams, NonlinearitySpec, PhysicalField, RadialData,
+                      make_grid, radial_norm_quadrature, reference_solve)
 from bousslab.cli import EXIT_BAD_CONFIG, EXIT_BLOWUP, EXIT_OK, EXIT_VERDICT_FAILED, OUT_ENV_VAR, main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "bousslab" / "schema" / "report_schema.json"
@@ -189,6 +189,20 @@ class TestExitCodes:
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_BLOWUP
         assert "radial quadrature did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_radial_integrand_returns_three(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the real linear_rates path, with a profile that is NaN beyond r = 1
+        nan_data = RadialData(u0_hat=lambda r: np.where(r > 1.0, np.nan, 1.0),
+                              u1_hat=np.zeros_like)
+        monkeypatch.setattr("bousslab.experiments._radial_data",
+                            lambda data, n: nan_data)
+        cfg = write_config(tmp_path, small_linear_config())
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert "radial quadrature did not converge: non-finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_reference_integration_failure_returns_three_and_names_it(

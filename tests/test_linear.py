@@ -16,7 +16,9 @@ from bousslab import (ModelParams, PhysicalField, RadialData, StatePair,
                       forward_transform, gaussian_radial_data, l2_norm,
                       linear_norm_radial, linear_solution, make_grid,
                       profile_solution, radial_norm_quadrature,
-                      square_integrable_radial_data, total_energy)
+                      square_integrable_profile, square_integrable_radial_data,
+                      total_energy)
+from bousslab.spectral import SPHERE_SURFACE
 
 from conftest import random_smooth_field
 
@@ -183,3 +185,32 @@ class TestRadialNorms:
             box = l2_norm(linear_solution(u0, u1, t, P).u)
             cont = linear_norm_radial(data, t, 0, 1, P, which="linear")
             assert box == pytest.approx(cont, rel=1e-3)
+
+
+class TestSquareIntegrableData:
+    """The profile r^(-(n-eps)/2) on r <= 1, for the whole range 0 < eps < 1."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("eps", (0.05, 0.1, 0.2, 0.5))
+    def test_closed_form_at_time_zero(self, eps, n):
+        # c_n int_0^1 r^(n-1) r^(eps-n) dr = c_n / eps
+        data = square_integrable_radial_data(n=n, eps=eps)
+        assert data.substitution_power == math.ceil(1.0 / eps)
+        val = linear_norm_radial(data, 0.0, 0, n, P)
+        assert val == pytest.approx(math.sqrt(SPHERE_SURFACE[n] / eps), rel=1e-12)
+
+    def test_small_eps_converges_at_late_time(self):
+        data = square_integrable_radial_data(n=1, eps=0.1)
+        for k in (0, 1):
+            v = linear_norm_radial(data, 1e4, k, 1, P)
+            assert math.isfinite(v) and v > 0.0
+
+    @pytest.mark.parametrize("eps", (0.0, 1.0, 1.5))
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="0 < eps < 1"):
+            square_integrable_profile(3, eps)
+
+    def test_substitution_power_validated(self):
+        with pytest.raises(ValueError, match="substitution power"):
+            RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like,
+                       substitution_power=0)

@@ -9,13 +9,16 @@ integrals, and trigonometric identities.
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bousslab import (NormSpec, PhysicalField, QuadratureError, SpectralField,
+from bousslab import (ModelParams, NormSpec, PhysicalField, QuadratureError,
+                      RadialData, SpectralField, linear_norm_radial,
                       forward_transform, inverse_transform, l1_norm, l2_norm,
                       linf_norm, make_grid, neg_sobolev_norm, norm,
                       radial_norm_quadrature, sobolev_norm)
@@ -241,7 +244,8 @@ class TestRadialQuadrature:
                                       cutoff=4.0) == 0.0
 
     def test_non_finite_profile_rejected(self):
-        with pytest.raises((ValueError, FloatingPointError, QuadratureError)):
+        with pytest.raises(QuadratureError,
+                           match="^radial quadrature did not converge: non-finite"):
             radial_norm_quadrature(lambda r: np.where(r > 1.0, np.nan, 1.0),
                                    k=0, n=1, cutoff=4.0)
 
@@ -266,3 +270,22 @@ class TestRadialQuadrature:
             radial_norm_quadrature(profile, k=-1, n=1, cutoff=4.0)
         with pytest.raises(ValueError):
             radial_norm_quadrature(profile, k=0, n=1, cutoff=-4.0)
+
+    def test_non_converging_late_time_integrand_stops_at_node_limit(self):
+        # r^(-0.9) at r = 0 without a substitution: each panel doubling
+        # shrinks the quadrature error only by 2^-0.1, so refinement never
+        # meets rtol.  At t = 1e4 a 2^20-node kernel evaluation peaks near
+        # 180 MiB; the next doubling would double that, and the twelve the
+        # refinement allows would need ~12 GiB
+        data = RadialData(u0_hat=lambda r: r ** -0.45, u1_hat=np.zeros_like)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(QuadratureError, match="nodes"):
+                linear_norm_radial(data, 1e4, 0, 1, ModelParams())
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**20
+        assert elapsed < 30.0
