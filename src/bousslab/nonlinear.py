@@ -34,6 +34,12 @@ formed in physical space, and one forward transform times one real weight
 (the truncation and ``-|xi|^2``) gives the spectral source.
 :func:`nonlinearity` and :func:`step_duhamel` are thin wrappers over the
 same path.
+
+The evaluator and the ETD stepper own their work arrays, built once per
+(grid, spec) and reused on every call, so a step or a right-hand side
+allocates only its result.  The evaluator returns a fresh array unless it
+is given ``out=``.  Because of the shared work arrays an evaluator or a
+stepper must not be used from two threads at once; each run builds its own.
 """
 
 from __future__ import annotations
@@ -99,19 +105,28 @@ class NonlinearitySpec:
         return self.f_kind == "none" and self.g_kind == "none"
 
 
-def _pointwise(kind: str, v: np.ndarray) -> np.ndarray:
-    if kind == "quadratic":
-        return v * v
+def _pointwise(kind: str, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``v^2`` or ``v^3`` (as ``(v v) v``) written into ``out``."""
+    if kind not in ("quadratic", "cubic"):
+        raise ValueError(kind)
+    np.multiply(v, v, out=out)
     if kind == "cubic":
-        return v * v * v
-    raise ValueError(kind)
+        np.multiply(out, v, out=out)
+    return out
 
 
 class _Source:
     """Spectral source ``-|xi|^2 F[f(u) + sign beta g(u_t)]`` with 2/3 dealiasing.
 
     Called with stacked half spectra ``y = (u_hat, ut_hat)``, shape
-    ``(2, *grid.half_shape)``; returns the half spectrum of the source.
+    ``(2, *grid.half_shape)``; returns the half spectrum of the source, in
+    ``out`` when it is given and in a fresh array otherwise.
+
+    The evaluator is a workspace built once per (grid, spec): it owns the
+    truncated pair, the physical pair, the pointwise product and the forward
+    half spectrum, and runs :func:`half_inverse`/:func:`half_forward` into
+    them, with the pointwise powers formed in place.  Because of the shared
+    workspaces one instance must not be called from two threads at once.
     """
 
     def __init__(self, grid: Grid, spec: NonlinearitySpec):
@@ -120,24 +135,40 @@ class _Source:
         mask = grid.dealias_mask_half
         self.truncate = mask.astype(np.float64)
         self.weight = np.where(mask, -grid.xi2_half, 0.0)
+        self.g_coeff = spec.g_sign * spec.beta
+        self.pair = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+        self.fields = np.empty((2,) + grid.shape)
+        self.product = np.empty(grid.shape)
+        self.finite = np.empty(grid.shape, dtype=bool)
+        self.spectrum = np.empty(grid.half_shape, dtype=np.complex128)
 
-    def __call__(self, y: np.ndarray, t: float) -> np.ndarray:
+    def __call__(self, y: np.ndarray, t: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
         spec = self.spec
+        if out is None:
+            out = np.empty(self.grid.half_shape, dtype=np.complex128)
         if spec.is_zero:
-            return np.zeros(self.grid.half_shape, dtype=np.complex128)
-        u, ut = half_inverse(self.grid, self.truncate * y)
-        w = None
+            out.fill(0.0)
+            return out
+        pair, fields, w = self.pair, self.fields, self.product
+        np.multiply(self.truncate, y, out=pair)
+        u, ut = half_inverse(self.grid, pair, out=fields, overwrite_input=True)
         # overflow in the pointwise powers is an expected failure mode: it is
         # detected right below and reported as BlowUpError, so keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.f_kind != "none":
-                w = _pointwise(spec.f_kind, u)
+                _pointwise(spec.f_kind, u, w)
             if spec.g_kind != "none":
-                gterm = spec.g_sign * spec.beta * _pointwise(spec.g_kind, ut)
-                w = gterm if w is None else w + gterm
-        if not np.all(np.isfinite(w)):
+                # u is no longer needed, so its row holds the g term
+                gterm = w if spec.f_kind == "none" else u
+                _pointwise(spec.g_kind, ut, gterm)
+                np.multiply(self.g_coeff, gterm, out=gterm)
+                if gterm is not w:
+                    np.add(w, gterm, out=w)
+        if not np.isfinite(w, out=self.finite).all():
             raise BlowUpError("state blow-up: non-finite values in the nonlinearity", t)
-        return self.weight * half_forward(self.grid, w)
+        spectrum = half_forward(self.grid, w, out=self.spectrum)
+        return np.multiply(self.weight, spectrum, out=out)
 
 
 def nonlinearity(state: StatePair, spec: NonlinearitySpec) -> SpectralField:
@@ -168,15 +199,27 @@ class Trajectory:
         return self.states[0].grid
 
 
+def _etd_integrals(xi2, dt: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``I0 = int_0^dt sine(s) ds`` and ``I1 = int_0^dt s sine(s) ds`` at ``|xi|^2``.
+
+    Closed forms in the scaled roots ``a = lambda_+ dt``, ``b = lambda_- dt``:
+    ``I0 = dt^2 dd_phi1(a, b)``, ``I1 = dt^3 (dd_phi1 - dd_phi2)(a, b)``.  The
+    values are real; the arrays are complex like the kernels.
+    """
+    roots = characteristic_roots(xi2, params)
+    a = roots.lambda_plus * dt
+    b = roots.lambda_minus * dt
+    dd1 = phi_divided_difference(1, a, b)
+    dd2 = phi_divided_difference(2, a, b)
+    return dt**2 * dd1, dt**3 * (dd1 - dd2)
+
+
 class _EtdStepper:
     """Cached per-``dt`` symbols and closed-form weights of the exponential step.
 
-    With roots ``a = lambda_+ dt``, ``b = lambda_- dt`` the needed kernel
-    integrals reduce to divided differences of the phi functions:
-
-        I0 = int_0^dt sine(s) ds          = dt^2 * dd_phi1(a, b)
-        I1 = int_0^dt s * sine(s) ds      = dt^3 * (dd_phi1 - dd_phi2)(a, b)
-        int_0^dt sine_dt(s) ds            = sine(dt)
+    The needed kernel integrals are ``I0``, ``I1`` of :func:`_etd_integrals`
+    (closed forms in the phi divided differences) and
+    ``int_0^dt sine_dt(s) ds = sine(dt)``.
 
     Predictor (source frozen at the left endpoint) and corrector (source
     linear in s between the endpoint evaluations) then read
@@ -195,28 +238,32 @@ class _EtdStepper:
         self.dt = float(dt)
         self.spec = spec
         self.source = _Source(grid, spec)
-        xi2 = grid.xi2_half
-        sym = propagator(xi2, self.dt, params)
-        roots = characteristic_roots(xi2, params)
-        a = roots.lambda_plus * self.dt
-        b = roots.lambda_minus * self.dt
-        dd1 = phi_divided_difference(1, a, b)
-        dd2 = phi_divided_difference(2, a, b)
-        i0 = self.dt**2 * dd1
-        i1 = self.dt**3 * (dd1 - dd2)
+        sym = propagator(grid.xi2_half, self.dt, params)
+        i0, i1 = _etd_integrals(grid.xi2_half, self.dt, params)
         self.from_u = np.stack([sym.cosine.real, sym.cosine_dt.real])
         self.from_ut = np.stack([sym.sine.real, sym.sine_dt.real])
         self.w_predict = np.stack([i0.real, sym.sine.real])
         self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real])
+        self.pred = np.empty((2,) + grid.half_shape, dtype=np.complex128)
+        self.scratch = np.empty_like(self.pred)
+        self.n0 = np.empty(grid.half_shape, dtype=np.complex128)
+        self.n1 = np.empty_like(self.n0)
 
     def advance(self, y: np.ndarray, t: float) -> np.ndarray:
-        """One step of the stacked half spectra ``y = (u_hat, ut_hat)`` from ``t``."""
-        n0 = self.source(y, t)
-        pred = self.from_u * y[0] + self.from_ut * y[1] + self.w_predict * n0
+        """One step of the stacked half spectra ``y = (u_hat, ut_hat)`` from ``t``.
+
+        Returns a fresh array; the intermediate stages live in the stepper.
+        """
+        pred, scratch = self.pred, self.scratch
+        n0 = self.source(y, t, out=self.n0)
+        np.multiply(self.from_u, y[0], out=pred)
+        pred += np.multiply(self.from_ut, y[1], out=scratch)
+        pred += np.multiply(self.w_predict, n0, out=scratch)
         if self.spec.is_zero:
-            return pred
-        n1 = self.source(pred, t + self.dt)
-        return pred + self.w_correct * (n1 - n0)
+            return pred.copy()
+        n1 = self.source(pred, t + self.dt, out=self.n1)
+        n1 -= n0
+        return np.add(pred, np.multiply(self.w_correct, n1, out=scratch))
 
 
 def step_duhamel(state: StatePair, dt: float, spec: NonlinearitySpec,
@@ -377,10 +424,12 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     if method not in ("RK45", "DOP853"):
         raise ValueError("oracle is restricted to explicit embedded pairs RK45/DOP853")
     g = u0.grid
-    b = damping_coefficient(g.xi2_half, params)
+    neg_b = -damping_coefficient(g.xi2_half, params)
     c = restoring_coefficient(g.xi2_half)
     source = _Source(g, spec)
     shape = (2,) + g.half_shape
+    restoring = np.empty(g.half_shape, dtype=np.complex128)
+    forcing = np.empty_like(restoring)
 
     # the RK vector is the stacked half spectra viewed as interleaved
     # (real, imag) pairs; d/dt (u, v) = (v, -b v - c u + source)
@@ -389,8 +438,13 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         z = unpack(y)
-        acc = -b * z[1] - c * z[0] + source(z, t)
-        return np.stack([z[1], acc]).view(np.float64).ravel()
+        # a fresh result per call: the integrator keeps the arrays it is given
+        dz = np.empty(shape, dtype=np.complex128)
+        dz[0] = z[1]
+        acc = np.multiply(neg_b, z[1], out=dz[1])
+        acc -= np.multiply(c, z[0], out=restoring)
+        acc += source(z, t, out=forcing)
+        return dz.view(np.float64).ravel()
 
     y0 = _half_state(u0, u1).view(np.float64).ravel()
     if t_eval is None:

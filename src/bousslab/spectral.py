@@ -32,7 +32,10 @@ Conventions used throughout the package:
   1 on the last-axis planes ``m = 0`` and ``m = N/2``, which hold their own
   conjugates, and 2 elsewhere.  :func:`half_forward` / :func:`half_inverse`
   transform over the last ``n`` axes, so a leading stack axis (for example
-  ``(u, u_t)``) is transformed in one batched call.
+  ``(u, u_t)``) is transformed in one batched call; they make the per-axis
+  ``numpy.fft`` calls of ``rfftn``/``irfftn`` themselves and can write into
+  a caller's buffer (``out=``), which the source evaluator uses to run
+  without temporaries.
 """
 
 from __future__ import annotations
@@ -123,12 +126,12 @@ class Grid:
         """Shape of a half spectrum: ``N//2 + 1`` modes on the last axis."""
         return self.shape[:-1] + (self.N // 2 + 1,)
 
-    @property
+    @cached_property
     def axes(self) -> tuple[int, ...]:
         """The spatial axes of a field array with leading stack axes."""
         return tuple(range(-self.n, 0))
 
-    @property
+    @cached_property
     def fft_scale(self) -> float:
         """Factor from ``fftn`` sums to unitary-convention coefficients."""
         return self.cell_volume * TWO_PI ** (-0.5 * self.n)
@@ -243,16 +246,36 @@ def inverse_transform(F: SpectralField) -> PhysicalField:
     return PhysicalField(g, w.real)
 
 
-def half_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Unitary half spectrum of real samples shaped ``(..., *grid.shape)``."""
-    out = np.fft.rfftn(values, axes=grid.axes)
+def half_forward(grid: Grid, values: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary half spectrum of real samples shaped ``(..., *grid.shape)``.
+
+    The per-axis ``numpy.fft`` calls that ``rfftn`` makes (``rfft`` on the
+    last axis, then ``fft`` over the other spatial axes, last first), so the
+    values are those of ``rfftn``; written into ``out`` when it is given.
+    """
+    out = np.fft.rfft(values, axis=-1, out=out)
+    for ax in reversed(grid.axes[:-1]):
+        np.fft.fft(out, axis=ax, out=out)
     out *= grid.fft_scale
     return out
 
 
-def half_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of half spectra shaped ``(..., *grid.half_shape)``."""
-    out = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes)
+def half_inverse(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
+                 overwrite_input: bool = False) -> np.ndarray:
+    """Real samples of half spectra shaped ``(..., *grid.half_shape)``.
+
+    The per-axis ``numpy.fft`` calls that ``irfftn`` makes (``ifft`` over the
+    leading spatial axes in order, then ``irfft`` on the last), so the values
+    are those of ``irfftn``; written into ``out`` when it is given.  With
+    ``overwrite_input`` a complex ``coeffs`` holds the intermediate
+    transforms and is left overwritten.
+    """
+    work = coeffs
+    for ax in grid.axes[:-1]:
+        work = np.fft.ifft(work, axis=ax, out=work if overwrite_input else None)
+        overwrite_input = True
+    out = np.fft.irfft(work, n=grid.N, axis=-1, out=out)
     out /= grid.fft_scale
     return out
 

@@ -142,21 +142,28 @@ def phi(k: int, z) -> np.ndarray:
     ``phi_0 = exp``, ``phi_{k+1}(z) = (phi_k(z) - 1/k!) / z``, equivalently
     ``phi_k(z) = sum_{m>=0} z^m / (m+k)!``.  Series for |z| < 1/2, upward
     recurrence from ``expm1`` otherwise; both branches agree to rounding at
-    the switch.
+    the switch.  Each branch is evaluated only on its own elements.
     """
     z = np.asarray(z, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
     small = np.abs(z) < _SERIES_SWITCH
-    zs = np.where(small, z, 0.0)
-    series = np.zeros_like(z)
-    for m in range(17, -1, -1):
-        series = series * zs + 1.0 / _FACTORIALS[m + k]
-    zb = np.where(small, 1.0, z)  # avoid 0/0 in the masked-out branch
-    big = _expm1c(zb) / zb
-    for j in range(1, k):
-        big = (big - 1.0 / _FACTORIALS[j]) / zb
-    if k == 0:
-        big = np.exp(zb)
-    return np.where(small, series, big)
+    if np.any(small):
+        zs = z[small]
+        series = np.zeros_like(zs)
+        for m in range(17, -1, -1):
+            series = series * zs + 1.0 / _FACTORIALS[m + k]
+        out[small] = series
+    big = ~small
+    if np.any(big):
+        zb = z[big]
+        if k == 0:
+            out[big] = np.exp(zb)
+        else:
+            val = _expm1c(zb) / zb
+            for j in range(1, k):
+                val = (val - 1.0 / _FACTORIALS[j]) / zb
+            out[big] = val
+    return out
 
 
 def phi_divided_difference(k: int, a, b) -> np.ndarray:

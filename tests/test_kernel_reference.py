@@ -6,7 +6,9 @@ digits (so their own cancellation near confluent roots costs nothing),
 compared at double-precision inputs.  Covered: alpha in {-1, -1.5, -5},
 |xi|^2 down to 1e-12, the confluent band |xi|^2 ~ (sqrt(17) - 1)/2 where
 the roots coincide at alpha = -1 (masked out of the AC1/AC2 sampling), and
-t in {0, 1e-3, 1, 50}.
+t in {0, 1e-3, 1, 50}.  The ETD step weights ``int_0^h sine`` and
+``int_0^h s sine(s) ds`` are checked against mpmath quadrature of the same
+two-exponential sine at h in {1e-3, 0.025, 0.5}.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import pytest
 
 from bousslab import (ModelParams, characteristic_roots, phi_divided_difference,
                       propagator)
+from bousslab.nonlinear import _etd_integrals
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -103,3 +106,36 @@ def test_phi_divided_difference_matches_reference(alpha, k):
             err = relative_error(phi_divided_difference(k, a, b),
                                  reference_divided_difference(k, a, b))
             assert err <= RTOL, (k, s, h, err)
+
+
+def reference_etd_integrals(s: float, h: float, alpha: float) -> tuple[complex, complex]:
+    """``int_0^h sine`` and ``int_0^h r sine(r) dr`` by mpmath quadrature."""
+    with mpmath.workdps(60):
+        s, h, a = mpmath.mpf(s), mpmath.mpf(h), mpmath.mpf(alpha)
+        b = s * s - a * s
+        c = s + s * s
+        root = mpmath.sqrt(mpmath.mpc(b * b - 4 * c))
+        lp, lm = (-b + root) / 2, (-b - root) / 2
+        d = lp - lm
+
+        def sine(r):
+            if d == 0:
+                return r * mpmath.exp(lm * r)
+            return (mpmath.exp(lp * r) - mpmath.exp(lm * r)) / d
+
+        i0 = mpmath.quad(sine, [0, h])
+        i1 = mpmath.quad(lambda r: r * sine(r), [0, h])
+        return complex(i0), complex(i1)
+
+
+@pytest.mark.parametrize("h", (1e-3, 0.025, 0.5))
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_etd_integrals_match_quadrature(alpha, h):
+    # the weights of the ETD step, evaluated on the whole sample set at once
+    # as on a grid's half lattice
+    p = ModelParams(alpha=alpha)
+    i0, i1 = _etd_integrals(np.asarray(XI2), h, p)
+    for s, num0, num1 in zip(XI2, i0, i1):
+        ref0, ref1 = reference_etd_integrals(s, h, alpha)
+        assert relative_error(num0, ref0) <= RTOL, ("I0", s, h)
+        assert relative_error(num1, ref1) <= RTOL, ("I1", s, h)

@@ -8,6 +8,7 @@ ODE system (built only from the ODE coefficients, never the kernels).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
                       picard_iterate, propagator, reference_solve, solve,
                       step_duhamel, total_energy)
 from bousslab.linear import _half_state
-from bousslab.nonlinear import _Source, _trapezoid_weights
+from bousslab.nonlinear import _EtdStepper, _Source, _trapezoid_weights
 from bousslab.spectral import half_inverse
 
 from conftest import random_smooth_field
@@ -62,6 +63,28 @@ def pairwise_picard(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
             y[1] += w[j] * lag.sine_dt.real * sources[j]
         out.append(half_inverse(g, y))
     return out
+
+
+def batched_source(y: np.ndarray, grid, spec: NonlinearitySpec) -> np.ndarray:
+    """Reference evaluator: n-D ``irfftn``/``rfftn`` on fresh arrays.
+
+    The same arithmetic in the same order as :class:`_Source`, written with
+    the whole-array transforms and out-of-place operators.
+    """
+    if spec.is_zero:
+        return np.zeros(grid.half_shape, dtype=np.complex128)
+    mask = grid.dealias_mask_half
+    u, ut = np.fft.irfftn(mask.astype(np.float64) * y, s=grid.shape,
+                          axes=grid.axes) / grid.fft_scale
+    power = {"quadratic": lambda v: v * v, "cubic": lambda v: v * v * v}
+    w = None
+    if spec.f_kind != "none":
+        w = power[spec.f_kind](u)
+    if spec.g_kind != "none":
+        gterm = spec.g_sign * spec.beta * power[spec.g_kind](ut)
+        w = gterm if w is None else w + gterm
+    spectrum = np.fft.rfftn(w, axes=grid.axes) * grid.fft_scale
+    return np.where(mask, -grid.xi2_half, 0.0) * spectrum
 
 
 def state_distance(a: Trajectory, b: Trajectory) -> float:
@@ -148,6 +171,72 @@ class TestNonlinearity:
                 nonlinearity(state, QUAD_SPEC)
 
 
+SOURCE_GRIDS = {"1d_64": (1, 30.0, 64), "1d_512": (1, 60.0, 512),
+                "2d_128": (2, 40.0, 128), "3d_16": (3, 20.0, 16)}
+SOURCE_SPECS = [
+    NonlinearitySpec("quadratic", "quadratic"),
+    NonlinearitySpec("quadratic", "quadratic", beta=0.7, g_sign=-1.0),
+    NonlinearitySpec("cubic", "quadratic", beta=1.3),
+    NonlinearitySpec("quadratic", "cubic", beta=0.7, g_sign=-1.0),
+    NonlinearitySpec("none", "cubic", beta=1.3, g_sign=-1.0),
+    NonlinearitySpec("cubic", "none"),
+    ZERO_SPEC,
+]
+
+
+class TestSource:
+    @staticmethod
+    def full_half_spectrum(grid, rng) -> np.ndarray:
+        # every mode of the stacked pair, including those above the 2/3 cut
+        # and the Nyquist planes, holds a random complex value
+        shape = (2,) + grid.half_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("spec", SOURCE_SPECS,
+                             ids=lambda s: f"{s.f_kind}-{s.g_kind}-{s.g_sign:+g}")
+    @pytest.mark.parametrize("grid", SOURCE_GRIDS)
+    def test_bitwise_equal_to_whole_array_transforms(self, grid, spec, rng):
+        g = make_grid(*SOURCE_GRIDS[grid])
+        source = _Source(g, spec)
+        for _ in range(2):  # the second call runs on used workspaces
+            y = self.full_half_spectrum(g, rng)
+            expected = batched_source(y, g, spec)
+            assert np.array_equal(source(y, 0.0), expected)
+            out = np.full(g.half_shape, np.nan + 0j)
+            assert source(y, 0.0, out=out) is out
+            assert np.array_equal(out, expected)
+
+    def test_fresh_results_do_not_alias(self, rng):
+        g = make_grid(2, 20.0, 16)
+        source = _Source(g, QUAD_SPEC)
+        y1, y2 = (self.full_half_spectrum(g, rng) for _ in range(2))
+        s1 = source(y1, 0.0)
+        kept = s1.copy()
+        s2 = source(y2, 0.0)
+        assert not np.shares_memory(s1, s2)
+        assert np.array_equal(s1, kept)
+        assert np.array_equal(s2, batched_source(y2, g, QUAD_SPEC))
+
+    def test_etd_step_heap_peak_is_at_most_two_states(self):
+        g = make_grid(2, 40.0, 128)
+        u0 = small_gaussian(g, amplitude=0.05, width=2.0)
+        stepper = _EtdStepper(g, 0.05, QUAD_SPEC, P)
+        tracemalloc.start()
+        try:
+            # trace the state in hand too, so that freeing it counts
+            y = stepper.advance(_half_state(u0, PhysicalField.zero(g)), 0.0)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for i in range(1, 11):
+                y = stepper.advance(y, 0.05 * i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the new state is the only array a step allocates; the work arrays
+        # of the evaluator and the stepper are reused
+        assert peak - start <= 2 * y.nbytes
+
+
 class TestStepAndSolve:
     def test_zero_spec_step_matches_linear_flow(self, rng):
         g = make_grid(1, 12.0, 64)
@@ -203,6 +292,23 @@ class TestStepAndSolve:
         e_fine = np.max(np.abs(finals[1] - finals[2]))
         assert e_coarse / e_fine == pytest.approx(4.0, rel=0.2)
 
+    def test_observed_order_rises_to_two_at_unit_amplitude(self):
+        # at amplitude 1 the nonlinearity is not small and the coarse steps
+        # are outside the asymptotic range: the observed order climbs toward
+        # 2 as dt is halved (about 1.55, 1.78, 1.89)
+        g = make_grid(1, 30.0, 64)
+        u0 = small_gaussian(g, amplitude=1.0)
+        u1 = PhysicalField.zero(g)
+        finals = []
+        for dt in (0.1, 0.05, 0.025, 0.0125, 0.00625):
+            run = solve(u0, u1, T=10.0, dt=dt, spec=QUAD_SPEC, params=P,
+                        out_every=int(round(10.0 / dt)))
+            finals.append(run.states[-1].u.values)
+        diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+        orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+        assert np.all(np.diff(orders) > 0.0), orders
+        assert orders[-1] >= 1.85, orders
+
     def test_matches_reference_oracle(self):
         g = make_grid(1, 30.0, 64)
         u0 = small_gaussian(g, amplitude=0.01)
@@ -250,8 +356,12 @@ class TestStepAndSolve:
                   out_every=2)
             return dict(counts)
 
+        # two source evaluations per step, each one batched inverse of the
+        # (u, u_t) pair and one forward transform; an n-D transform is n
+        # per-axis numpy.fft calls (an unbatched inverse would make 2 * 2n)
         one, two = transforms(1), transforms(2)
-        assert {k: two[k] - one[k] for k in counts} == {"forward": 2, "inverse": 2}
+        assert {k: two[k] - one[k] for k in counts} == {"forward": 2 * g.n,
+                                                        "inverse": 2 * g.n}
 
     def test_energy_non_increasing_along_linear_run(self, rng):
         g = make_grid(1, 12.0, 64)

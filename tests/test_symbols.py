@@ -80,7 +80,44 @@ class TestRoots:
                       <= 1e-10 * np.maximum(1.0, np.abs(c)))
 
 
+def both_branch_phi(k: int, z) -> np.ndarray:
+    """Reference ``phi_k``: both branches on every element, then a select."""
+    fact = np.array([math.factorial(i) for i in range(24)], dtype=np.float64)
+    z = np.asarray(z, dtype=np.complex128)
+    small = np.abs(z) < 0.5
+    zs = np.where(small, z, 0.0)
+    series = np.zeros_like(z)
+    for m in range(17, -1, -1):
+        series = series * zs + 1.0 / fact[m + k]
+    zb = np.where(small, 1.0, z)
+    x, y = zb.real, zb.imag
+    big = (np.expm1(x) + np.exp(x) * (-2.0 * np.sin(0.5 * y) ** 2
+                                      + 1j * np.sin(y))) / zb
+    for j in range(1, k):
+        big = (big - 1.0 / fact[j]) / zb
+    if k == 0:
+        big = np.exp(zb)
+    return np.where(small, series, big)
+
+
 class TestPhi:
+    @pytest.mark.parametrize("k", (0, 1, 2, 3))
+    def test_bitwise_equal_to_both_branch_formula(self, k, rng):
+        # series band, mixed, out of band, and the |z| = 1/2 switch itself
+        n = 20_000
+        angle = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        samples = [0.5 * rng.uniform(0.0, 1.0, n) * angle,
+                   3.0 * rng.uniform(0.0, 1.0, n) * angle,
+                   rng.uniform(0.5, 40.0, n) * angle,
+                   np.array([0.0, 0.5, -0.5, 0.5j, -0.5j, 1e-300,
+                             np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                             0.3 + 0.4j, -0.3 - 0.4j])]
+        for z in samples:
+            assert np.array_equal(phi(k, z), both_branch_phi(k, z))
+        for z in (0.0, 0.5, -0.5j, 1e-300, 2.0):  # 0-d inputs
+            out = phi(k, z)
+            assert out.shape == () and out == both_branch_phi(k, z)
+
     def test_base_cases(self):
         z = np.array([0.3 + 0.2j, -2.0 + 0.0j, 5.0 - 1.0j])
         assert np.allclose(phi(0, z), np.exp(z), rtol=1e-14)
