@@ -24,7 +24,7 @@ from .linear import (RadialData, StatePair, gaussian_profile,
 from .nonlinear import (BlowUpError, NonlinearitySpec,
                         ReferenceIntegrationError, StiffnessError, Trajectory,
                         linear_trajectory, nonlinearity, picard_iterate,
-                        reference_solve, solve, step_duhamel)
+                        reference_solve, solve)
 from .spectral import (Grid, NormSpec, PhysicalField, QuadratureError,
                        SpectralField, forward_transform, inverse_transform,
                        l1_norm, l2_norm, linf_norm, make_grid,
@@ -58,6 +58,6 @@ __all__ = [
     "profile_symbols", "propagator", "radial_decay_series",
     "radial_norm_quadrature", "reference_solve", "restoring_coefficient",
     "run_experiment", "sobolev_norm", "solve", "square_integrable_profile",
-    "square_integrable_radial_data", "step_duhamel", "total_energy",
+    "square_integrable_radial_data", "total_energy",
     "xnorm_proxy",
 ]

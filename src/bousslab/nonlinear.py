@@ -13,9 +13,11 @@ variation-of-constants formula applies with the propagator kernels:
 
 Three independent realisations are provided and cross-checked:
 
-* :func:`solve` -- a second-order exponential integrator
-  (predictor freezes the source, corrector interpolates it linearly in s)
-  whose weights are closed forms in the characteristic roots;
+* :func:`solve` -- the second-order multistep exponential integrator ETD2
+  of Cox & Matthews (the source is extrapolated linearly in s from the last
+  two step points, so each step evaluates it once), started by one
+  two-stage ETD2RK step; its weights are closed forms in the characteristic
+  roots;
 * :func:`picard_iterate` -- the global-in-time fixed-point map evaluated
   with trapezoid quadrature on a fixed mesh, whose iterates contract for
   small data; the Duhamel sum is taken column by column, one kernel
@@ -32,14 +34,15 @@ through one evaluator, :class:`_Source`: both fields are truncated by the 2/3
 rule and inverse-transformed in one batched call, the pointwise powers are
 formed in physical space, and one forward transform times one real weight
 (the truncation and ``-|xi|^2``) gives the spectral source.
-:func:`nonlinearity` and :func:`step_duhamel` are thin wrappers over the
-same path.
+:func:`nonlinearity` is a thin wrapper over the same path.
 
 The evaluator and the ETD stepper own their work arrays, built once per
 (grid, spec) and reused on every call, so a step or a right-hand side
 allocates only its result.  The evaluator returns a fresh array unless it
-is given ``out=``.  Because of the shared work arrays an evaluator or a
-stepper must not be used from two threads at once; each run builds its own.
+is given ``out=``.  The stepper also keeps the previous step's source in
+one of two buffers whose references it swaps after each step.  Because of
+the shared work arrays an evaluator or a stepper must not be used from two
+threads at once; each run builds its own.
 """
 
 from __future__ import annotations
@@ -215,26 +218,38 @@ def _etd_integrals(xi2, dt: float, params: ModelParams) -> tuple[np.ndarray, np.
 
 
 class _EtdStepper:
-    """Cached per-``dt`` symbols and closed-form weights of the exponential step.
+    """Multistep exponential integrator: cached per-``dt`` symbols, weights
+    and work arrays, one source evaluation per step.
 
     The needed kernel integrals are ``I0``, ``I1`` of :func:`_etd_integrals`
     (closed forms in the phi divided differences) and
-    ``int_0^dt sine_dt(s) ds = sine(dt)``.
+    ``int_0^dt sine_dt(s) ds = sine(dt)``.  With the source frozen at the
+    left endpoint the predictor reads
 
-    Predictor (source frozen at the left endpoint) and corrector (source
-    linear in s between the endpoint evaluations) then read
+        u*  = cosine u + sine v + I0 N_n           (and the _dt row for v),
 
-        u*  = cosine u + sine v + I0 N0            (and the _dt row for v)
-        u+  = u* + (N1 - N0)(I0 - I1/dt),  v+ = v* + (N1 - N0) I0/dt.
+    and a source that is linear in s with slope ``D / dt`` adds
 
-    The weights are real and evaluated once on the half lattice, each pair
-    stacked as the ``(u, u_t)`` rows that multiply the stacked state.
+        u+  = u* + D (I0 - I1/dt),  v+ = v* + D I0/dt.
+
+    Every step after the first is the multistep ETD2 of Cox & Matthews
+    (J. Comput. Phys. 176, 2002, eq. 6): the source is extrapolated through
+    the last two step points, ``D = N_n - N_{n-1}``, so a step evaluates the
+    source once, at the state it is given.  The first step has no
+    ``N_{n-1}`` and is the two-stage ETD2RK step, ``D = N(u*, t + dt) - N_n``.
+    Both are second order and share the weights, which are real and
+    evaluated once on the half lattice, each pair stacked as the
+    ``(u, u_t)`` rows that multiply the stacked state.
+
+    The stepper keeps ``N_{n-1}`` in one of two source buffers; a step
+    writes ``N_n`` into the other, forms ``D`` in place of ``N_{n-1}`` and
+    swaps the two references.  So one stepper advances one run: each call
+    must continue from the state the previous call returned, one ``dt``
+    later.
     """
 
     def __init__(self, grid: Grid, dt: float, spec: NonlinearitySpec,
                  params: ModelParams):
-        if not (dt > 0.0) or not math.isfinite(dt):
-            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = float(dt)
         self.spec = spec
         self.source = _Source(grid, spec)
@@ -246,8 +261,9 @@ class _EtdStepper:
         self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real])
         self.pred = np.empty((2,) + grid.half_shape, dtype=np.complex128)
         self.scratch = np.empty_like(self.pred)
-        self.n0 = np.empty(grid.half_shape, dtype=np.complex128)
-        self.n1 = np.empty_like(self.n0)
+        self.cur = np.empty(grid.half_shape, dtype=np.complex128)
+        self.prev = np.empty_like(self.cur)
+        self.started = False
 
     def advance(self, y: np.ndarray, t: float) -> np.ndarray:
         """One step of the stacked half spectra ``y = (u_hat, ut_hat)`` from ``t``.
@@ -255,27 +271,32 @@ class _EtdStepper:
         Returns a fresh array; the intermediate stages live in the stepper.
         """
         pred, scratch = self.pred, self.scratch
-        n0 = self.source(y, t, out=self.n0)
+        n_now = self.source(y, t, out=self.cur)
         np.multiply(self.from_u, y[0], out=pred)
         pred += np.multiply(self.from_ut, y[1], out=scratch)
-        pred += np.multiply(self.w_predict, n0, out=scratch)
+        pred += np.multiply(self.w_predict, n_now, out=scratch)
         if self.spec.is_zero:
             return pred.copy()
-        n1 = self.source(pred, t + self.dt, out=self.n1)
-        n1 -= n0
-        return np.add(pred, np.multiply(self.w_correct, n1, out=scratch))
+        if self.started:
+            diff = np.subtract(n_now, self.prev, out=self.prev)
+        else:
+            diff = self.source(pred, t + self.dt, out=self.prev)
+            diff -= n_now
+            self.started = True
+        # N_n becomes N_{n-1} of the next step; the other buffer is free
+        self.cur, self.prev = self.prev, self.cur
+        return np.add(pred, np.multiply(self.w_correct, diff, out=scratch))
 
 
-def step_duhamel(state: StatePair, dt: float, spec: NonlinearitySpec,
-                 params: ModelParams) -> StatePair:
-    """One exponential-integrator step of size ``dt`` from ``state``.
-
-    With ``spec`` absent this reproduces :func:`linear_solution` over ``dt``
-    exactly (same kernels, no quadrature error).
+def _over_guard(grid: Grid, y: np.ndarray, guard: float) -> bool:
+    """Whether ``y`` holds a non-finite value or the L^2 norm of its ``u`` row
+    exceeds ``guard``; no temporaries of the size of ``y``.
     """
-    stepper = _EtdStepper(state.grid, dt, spec, params)
-    y = stepper.advance(_half_state(state.u, state.ut), state.t)
-    return _state_pair(state.grid, y, state.t + dt)
+    flat = y.reshape(-1).view(np.float64)
+    # max and min propagate NaN, so both are finite only if every entry is
+    if not (math.isfinite(flat.max()) and math.isfinite(flat.min())):
+        return True
+    return half_l2(grid, y[0]) > guard
 
 
 def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
@@ -291,6 +312,8 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
         raise ValueError("u0 and u1 live on different grids")
     if not (T > 0.0):
         raise ValueError(f"final time must be positive, got {T}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"dt={dt} does not divide T={T}")
@@ -308,7 +331,7 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
         t_prev = (i - 1) * dt
         y = stepper.advance(y, t_prev)
         t_now = i * dt
-        if not np.all(np.isfinite(y)) or half_l2(g, y[0]) > guard:
+        if _over_guard(g, y, guard):
             raise BlowUpError(
                 f"state blow-up at t={t_now:.6g}: amplitude exceeded "
                 f"{blowup_factor:g} x initial", t_now)

@@ -281,9 +281,16 @@ def half_inverse(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
 
 
 def half_l2(grid: Grid, coeffs: np.ndarray) -> float:
-    """L^2 norm of the real field with half spectrum ``coeffs`` (Plancherel)."""
-    power = coeffs.real**2 + coeffs.imag**2
-    return math.sqrt(grid.dxi**grid.n * float(np.sum(grid.half_multiplicity * power)))
+    """L^2 norm of the real field with half spectrum ``coeffs`` (Plancherel).
+
+    The squares are summed per last-axis (real, imaginary) column and only
+    those column sums are weighted, so no temporary of the size of
+    ``coeffs`` is made.
+    """
+    pairs = np.ascontiguousarray(coeffs).view(np.float64)
+    pairs = pairs.reshape(-1, pairs.shape[-1])
+    columns = np.einsum("ij,ij->j", pairs, pairs).reshape(-1, 2).sum(axis=1)
+    return math.sqrt(grid.dxi**grid.n * float(grid.half_multiplicity @ columns))
 
 
 def half_to_full(grid: Grid, coeffs: np.ndarray) -> SpectralField:

@@ -9,21 +9,25 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import bousslab.linear
 import bousslab.nonlinear
 from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
-                      PhysicalField, StatePair, Trajectory, forward_transform,
+                      PhysicalField, StatePair, Trajectory,
+                      damping_coefficient, forward_transform,
                       inverse_transform, l2_norm, linear_solution,
                       linear_trajectory, make_grid, nonlinearity,
-                      picard_iterate, propagator, reference_solve, solve,
-                      step_duhamel, total_energy)
+                      picard_iterate, propagator, reference_solve,
+                      restoring_coefficient, solve, total_energy)
 from bousslab.linear import _half_state
-from bousslab.nonlinear import _EtdStepper, _Source, _trapezoid_weights
-from bousslab.spectral import half_inverse
+from bousslab.nonlinear import (_EtdStepper, _over_guard, _Source,
+                                _trapezoid_weights)
+from bousslab.spectral import half_inverse, half_l2
 
 from conftest import random_smooth_field
 
@@ -85,6 +89,27 @@ def batched_source(y: np.ndarray, grid, spec: NonlinearitySpec) -> np.ndarray:
         w = gterm if w is None else w + gterm
     spectrum = np.fft.rfftn(w, axes=grid.axes) * grid.fft_scale
     return np.where(mask, -grid.xi2_half, 0.0) * spectrum
+
+
+def two_stage_step(stepper: _EtdStepper, y: np.ndarray, t: float) -> np.ndarray:
+    """Reference ETD2RK step: the corrector source is evaluated at the
+    predictor, with the stepper's weights and in the order of its arithmetic.
+    """
+    n0 = stepper.source(y, t)
+    pred = stepper.from_u * y[0] + stepper.from_ut * y[1] + stepper.w_predict * n0
+    n1 = stepper.source(pred, t + stepper.dt)
+    return pred + stepper.w_correct * (n1 - n0)
+
+
+def mode_ode(b: float, c: float, z: Sequence[float], t0: float, dt: float,
+             forcing: Callable[[float], float]) -> np.ndarray:
+    """``(u, u')`` at ``t0 + dt`` of ``u'' + b u' + c u = forcing(t)`` from
+    ``z`` at ``t0``, by DOP853 at rtol 1e-13 (no propagator kernels).
+    """
+    sol = solve_ivp(lambda t, w: [w[1], -b * w[1] - c * w[0] + forcing(t)],
+                    (t0, t0 + dt), z, method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success
+    return sol.y[:, -1]
 
 
 def state_distance(a: Trajectory, b: Trajectory) -> float:
@@ -242,19 +267,20 @@ class TestStepAndSolve:
         g = make_grid(1, 12.0, 64)
         u0 = random_smooth_field(g, rng, scale=0.1)
         u1 = random_smooth_field(g, rng, scale=0.1)
-        state = StatePair(u0, u1, 0.0)
         dt = 0.3
-        stepped = step_duhamel(state, dt, ZERO_SPEC, P)
+        stepped = solve(u0, u1, T=dt, dt=dt, spec=ZERO_SPEC, params=P).states[-1]
         exact = linear_solution(u0, u1, dt, P)
         scale = max(np.max(np.abs(exact.u.values)), 1e-30)
         assert np.max(np.abs(stepped.u.values - exact.u.values)) <= 1e-12 * scale
         assert np.max(np.abs(stepped.ut.values - exact.ut.values)) <= 1e-12
 
     def test_invalid_step_rejected(self):
+        # rejected by name before the step count round(T / dt) is formed
         g = make_grid(1, 12.0, 16)
-        state = StatePair(PhysicalField.zero(g), PhysicalField.zero(g), 0.0)
-        with pytest.raises(ValueError):
-            step_duhamel(state, 0.0, ZERO_SPEC, P)
+        for dt in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                solve(PhysicalField.zero(g), PhysicalField.zero(g), T=1.0, dt=dt,
+                      spec=QUAD_SPEC, params=P)
 
     def test_zero_data_stays_zero(self):
         g = make_grid(1, 12.0, 32)
@@ -331,7 +357,8 @@ class TestStepAndSolve:
                               tol=1e-10, t_eval=run.times)
         assert state_distance(run, ref) <= 1e-6 * l2_norm(u0)
 
-    def test_one_step_makes_two_forward_and_two_inverse_transforms(self, monkeypatch):
+    def test_each_further_step_makes_one_forward_and_one_inverse_transform(
+            self, monkeypatch):
         counts = {"forward": 0, "inverse": 0}
 
         def counted(fn, kind):
@@ -350,18 +377,87 @@ class TestStepAndSolve:
 
         def transforms(n_steps: int) -> dict:
             counts.update(forward=0, inverse=0)
-            # both runs record only the initial and the final state, so the
-            # difference is the cost of one step
+            # every run records only the initial and the final state, so a
+            # difference of runs is the cost of the extra steps
             solve(u0, u1, T=0.1 * n_steps, dt=0.1, spec=QUAD_SPEC, params=P,
-                  out_every=2)
+                  out_every=100)
             return dict(counts)
 
-        # two source evaluations per step, each one batched inverse of the
-        # (u, u_t) pair and one forward transform; an n-D transform is n
-        # per-axis numpy.fft calls (an unbatched inverse would make 2 * 2n)
-        one, two = transforms(1), transforms(2)
-        assert {k: two[k] - one[k] for k in counts} == {"forward": 2 * g.n,
-                                                        "inverse": 2 * g.n}
+        # after the two-stage first step, one source evaluation per step: one
+        # batched inverse of the (u, u_t) pair and one forward transform; an
+        # n-D transform is n per-axis numpy.fft calls (an unbatched inverse
+        # would make 2n, a second evaluation another n of each)
+        runs = [transforms(k) for k in (1, 2, 3, 4)]
+        for fewer, more in zip(runs, runs[1:]):
+            assert {k: more[k] - fewer[k] for k in counts} == {"forward": g.n,
+                                                               "inverse": g.n}
+
+    def test_n_steps_make_n_plus_one_source_evaluations(self, monkeypatch):
+        calls = [0]
+        evaluate = _Source.__call__
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Source, "__call__", counted)
+        g = make_grid(1, 30.0, 64)
+        u0 = small_gaussian(g, amplitude=0.01)
+        # 0.1 * i is not (i - 1) * 0.1 + 0.1 for many i, so a history that
+        # compared float times would fall back to two evaluations there
+        for n_steps in (1, 2, 37):
+            calls[0] = 0
+            solve(u0, PhysicalField.zero(g), T=0.1 * n_steps, dt=0.1,
+                  spec=QUAD_SPEC, params=P, out_every=10)
+            assert calls[0] == n_steps + 1
+
+    def test_one_step_solve_is_the_two_stage_step(self):
+        g = make_grid(2, 20.0, 16)
+        u0 = small_gaussian(g, amplitude=0.05, width=2.0)
+        u1 = small_gaussian(g, amplitude=0.02, width=3.0)
+        dt = 0.1
+        run = solve(u0, u1, T=dt, dt=dt, spec=QUAD_SPEC, params=P)
+        expected = half_inverse(g, two_stage_step(_EtdStepper(g, dt, QUAD_SPEC, P),
+                                                  _half_state(u0, u1), 0.0))
+        assert np.array_equal(run.states[-1].u.values, expected[0])
+        assert np.array_equal(run.states[-1].ut.values, expected[1])
+
+    @pytest.mark.parametrize("coeffs", [(0.3, -0.8, 0.0), (0.3, -0.8, 1.5)],
+                             ids=["affine", "quadratic"])
+    def test_time_only_source_steps_match_mode_ode(self, coeffs):
+        # with a source S(t) on one mode, a step is exact for the linear model
+        # of S that it assumes: through t and t + dt on the first step, through
+        # t - dt and t on every later one; both models are S when S is affine
+        g = make_grid(1, 2.0 * math.pi, 16)
+        k, dt = 1, 0.1
+        b = float(damping_coefficient(g.xi2_half[k], P))
+        c = float(restoring_coefficient(g.xi2_half[k]))
+        forcing = np.polynomial.Polynomial(coeffs)
+
+        def source(y, t, out=None):
+            out.fill(0.0)
+            out[k] = forcing(t)
+            return out
+
+        stepper = _EtdStepper(g, dt, QUAD_SPEC, P)
+        stepper.source = source
+        z = np.array([0.2, -0.1])
+        for n in range(12):
+            t = n * dt
+            y = np.zeros((2,) + g.half_shape, dtype=np.complex128)
+            y[:, k] = z
+            stepped = stepper.advance(y, t)[:, k]
+            node = t + dt if n == 0 else t - dt
+            slope = (forcing(node) - forcing(t)) / (node - t)
+            model = mode_ode(b, c, z, t, dt, lambda s: forcing(t) + slope * (s - t))
+            assert np.max(np.abs(stepped - model)) <= 1e-12, n
+            z = mode_ode(b, c, z, t, dt, forcing)
+            local_error = np.max(np.abs(stepped - z))
+            if coeffs[2] == 0.0:
+                assert local_error <= 1e-12, n
+            else:
+                # O(dt^3) in the velocity row, far above the match above
+                assert 1e-5 <= local_error <= 10.0 * dt**3, n
 
     def test_energy_non_increasing_along_linear_run(self, rng):
         g = make_grid(1, 12.0, 64)
@@ -384,6 +480,28 @@ class TestStepAndSolve:
             solve(u0, u1, T=1.0, dt=0.1, spec=ZERO_SPEC, params=P,
                   blowup_factor=1e-12)
         assert exc.value.time > 0.0
+
+    def test_guard_trips_on_nan_in_velocity_row_only(self):
+        g = make_grid(2, 20.0, 16)
+        y = _half_state(small_gaussian(g), small_gaussian(g))
+        assert not _over_guard(g, y, 1e6)
+        y[1, 3, 2] = complex(0.0, math.nan)
+        assert _over_guard(g, y, 1e6)
+
+    def test_guard_trips_on_inf_in_displacement_row(self):
+        g = make_grid(1, 12.0, 32)
+        y = _half_state(small_gaussian(g), PhysicalField.zero(g))
+        y[0, 5] = -math.inf
+        assert _over_guard(g, y, 1e6)
+
+    def test_guard_trips_just_over_the_amplitude(self):
+        g = make_grid(2, 20.0, 16)
+        y = _half_state(small_gaussian(g), small_gaussian(g, amplitude=1.0))
+        amplitude = half_l2(g, y[0])
+        # the velocity row is not amplitude-checked
+        assert half_l2(g, y[1]) > 2.0 * amplitude
+        assert _over_guard(g, y, amplitude * (1.0 - 1e-12))
+        assert not _over_guard(g, y, amplitude * (1.0 + 1e-12))
 
 
 class TestPicard:
