@@ -22,7 +22,7 @@ from .linear import (RadialData, StatePair, gaussian_profile,
                      square_integrable_profile, square_integrable_radial_data,
                      total_energy)
 from .nonlinear import (BlowUpError, NonlinearitySpec,
-                        ReferenceIntegrationError, StiffnessError, Trajectory,
+                        ReferenceIntegrationError, Trajectory,
                         linear_trajectory, nonlinearity, picard_iterate,
                         reference_solve, solve)
 from .spectral import (Grid, NormSpec, PhysicalField, QuadratureError,
@@ -46,7 +46,7 @@ __all__ = [
     "NormSpec", "PhysicalField", "ProductCheck", "PropagatorSymbols",
     "QuadratureError", "RadialData", "RateFit", "ReferenceIntegrationError",
     "RunReport", "SpectralField",
-    "StatePair", "StiffnessError", "Trajectory", "certify_bound", "characteristic_roots",
+    "StatePair", "Trajectory", "certify_bound", "characteristic_roots",
     "damping_coefficient", "decay_envelope", "decay_series",
     "default_certify_grids", "fit_rate", "forward_transform", "gap_weight",
     "gaussian_profile", "gaussian_radial_data", "initial_data_size",

@@ -9,9 +9,8 @@ plots from a previously written series table.
 Exit codes: 0 all verdicts pass; 1 at least one verdict failed; 2 invalid
 configuration (message names the offending field or JSON location); 3 the
 run failed numerically: it blew up (amplitude guard tripped or non-finite
-state), the explicit reference oracle hit its stiffness limit or otherwise
-failed ("reference integration failed"), or a radial quadrature did not
-converge (the message says which).
+state), the reference oracle failed ("reference integration failed", with
+its cause), or a radial quadrature did not converge (the message says which).
 """
 
 from __future__ import annotations

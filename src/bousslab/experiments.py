@@ -569,7 +569,7 @@ def run_oracle_crosscheck(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     n_steps = int(round(d.T / d.dt))
     out_every = max(1, n_steps // 10)
     run = solve(u0, u1, d.T, d.dt, spec, params, out_every=out_every)
-    ref = reference_solve(u0, u1, d.T, spec, params, tol=1e-10,
+    ref = reference_solve(u0, u1, d.T, spec, params, tol=1e-12,
                           t_eval=run.times)
     err = 0.0
     for st, sr in zip(run.states[1:], ref.states[1:]):

@@ -24,9 +24,9 @@ Three independent realisations are provided and cross-checked:
   evaluation over the lags ``t_i - tau_j`` of all later mesh times per
   source time ``tau_j``, plus one over all mesh times for the linear part;
 * :func:`reference_solve` -- a method-of-lines oracle that never touches the
-  closed-form kernels: the spectral mode system integrated by an adaptive
-  embedded Runge-Kutta pair, whose state vector holds the real and imaginary
-  parts of the half spectra.
+  closed-form kernels: the spectral mode system integrated by the implicit
+  Radau IIA method given the exact Jacobian of the linear part, whose state
+  vector holds the real and imaginary parts of the half spectra.
 
 All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
 (``rfftn`` layout, see :mod:`bousslab.spectral`) and evaluate the source
@@ -53,6 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.sparse import csc_matrix
 
 from .linear import StatePair, _apply_symbols, _half_state, _state_pair
 from .spectral import (Grid, PhysicalField, SpectralField, half_forward,
@@ -70,11 +71,7 @@ class BlowUpError(RuntimeError):
 
 
 class ReferenceIntegrationError(RuntimeError):
-    """The Runge-Kutta oracle of :func:`reference_solve` did not finish."""
-
-
-class StiffnessError(ReferenceIntegrationError):
-    """The explicit Runge-Kutta oracle cannot resolve the high-mode damping."""
+    """The Radau IIA oracle of :func:`reference_solve` did not finish."""
 
 
 _KINDS = ("quadratic", "cubic", "none")
@@ -425,18 +422,37 @@ def linear_trajectory(u0: PhysicalField, u1: PhysicalField, times: Sequence[floa
 # ---------------------------------------------------------------------------
 
 
+def _linear_jacobian(neg_b: np.ndarray, c: np.ndarray) -> csc_matrix:
+    """Jacobian of ``d/dt (u, v) = (v, -b v - c u)`` in the oracle's layout.
+
+    The state vector is the stacked half spectra viewed as interleaved
+    (real, imag) pairs, ``u`` block first; each mode contributes the block
+    ``[[0, 1], [-c, -b]]`` to its real and to its imaginary part.
+    """
+    m = 2 * neg_b.size
+    k = np.arange(m)
+    rows = np.concatenate([k, m + k, m + k])
+    cols = np.concatenate([m + k, m + k, k])
+    data = np.concatenate([np.ones(m), np.repeat(neg_b.ravel(), 2),
+                           -np.repeat(c.ravel(), 2)])
+    return csc_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
+
+
 def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
                     spec: NonlinearitySpec, params: ModelParams,
-                    tol: float = 1e-10, t_eval: Sequence[float] | None = None,
-                    method: str = "DOP853") -> Trajectory:
-    """Adaptive embedded Runge-Kutta integration of the spectral mode system.
+                    tol: float = 1e-10,
+                    t_eval: Sequence[float] | None = None) -> Trajectory:
+    """Radau IIA integration of the spectral mode system.
 
     The right-hand side uses only the ODE coefficients (never the propagator
     kernels), so agreement with :func:`solve` checks the closed forms
-    end to end.  Explicit RK methods only; stiff high-frequency damping can
-    drive the step size to underflow or overflow a trial stage, which
-    surfaces as a :class:`StiffnessError` advising a smaller grid or horizon.
-    Any other integrator failure raises :class:`ReferenceIntegrationError`.
+    end to end.  The implicit method (Hairer & Wanner, *Solving ODEs II*,
+    section IV.8) is given the exact, constant Jacobian of the linear part,
+    so the stiff ``|xi|^4`` damping of the high modes costs no step-size
+    reduction; the source term is left out of the Jacobian, which suits
+    small data.  ``t_eval`` must start at 0, strictly increase and end at or
+    before ``T`` (default: 11 equispaced times).  Every integrator failure,
+    a non-finite source included, raises :class:`ReferenceIntegrationError`.
     """
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
@@ -444,8 +460,13 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
     if not (T > 0.0):
         raise ValueError(f"final time must be positive, got {T}")
-    if method not in ("RK45", "DOP853"):
-        raise ValueError("oracle is restricted to explicit embedded pairs RK45/DOP853")
+    if t_eval is None:
+        t_eval = np.linspace(0.0, T, 11)
+    t_eval = np.asarray(t_eval, dtype=np.float64)
+    if (t_eval.ndim != 1 or t_eval.size == 0 or t_eval[0] != 0.0
+            or not np.all(np.diff(t_eval) > 0.0) or not t_eval[-1] <= T):
+        raise ValueError("t_eval must start at 0, strictly increase and end "
+                         f"at or before T={T}")
     g = u0.grid
     neg_b = -damping_coefficient(g.xi2_half, params)
     c = restoring_coefficient(g.xi2_half)
@@ -454,8 +475,8 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     restoring = np.empty(g.half_shape, dtype=np.complex128)
     forcing = np.empty_like(restoring)
 
-    # the RK vector is the stacked half spectra viewed as interleaved
-    # (real, imag) pairs; d/dt (u, v) = (v, -b v - c u + source)
+    # the integrator's vector is the stacked half spectra viewed as
+    # interleaved (real, imag) pairs; d/dt (u, v) = (v, -b v - c u + source)
     def unpack(y: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(y).view(np.complex128).reshape(shape)
 
@@ -470,23 +491,16 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         return dz.view(np.float64).ravel()
 
     y0 = _half_state(u0, u1).view(np.float64).ravel()
-    if t_eval is None:
-        t_eval = np.linspace(0.0, T, 11)
-    t_eval = np.asarray(t_eval, dtype=np.float64)
     try:
-        sol = solve_ivp(rhs, (0.0, float(T)), y0, method=method, rtol=tol, atol=tol,
-                        t_eval=t_eval, dense_output=False)
+        sol = solve_ivp(rhs, (0.0, float(T)), y0, method="Radau", rtol=tol,
+                        atol=tol, jac=_linear_jacobian(neg_b, c), t_eval=t_eval)
     except BlowUpError as exc:
-        # the ETD run of the same problem is guarded separately; an overflow
-        # here comes from an explicit trial stage on the stiff high modes
-        raise StiffnessError(
-            f"oracle stiffness limit at t={exc.time:.6g}: an explicit {method} "
-            f"trial stage overflowed on the stiff high modes; reduce N or T") from exc
+        raise ReferenceIntegrationError(
+            f"reference integration failed: non-finite source at t={exc.time:.6g}"
+        ) from exc
     if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StiffnessError(f"oracle stiffness limit; reduce N or T ({msg})")
-        raise ReferenceIntegrationError(f"reference integration failed: {msg}")
+        raise ReferenceIntegrationError(
+            f"reference integration failed: {sol.message or 'integration failed'}")
 
     states = [_state_pair(g, unpack(sol.y[:, j]), t) for j, t in enumerate(sol.t)]
     return Trajectory(times=sol.t.copy(), states=states)

@@ -162,8 +162,10 @@ class TestExitCodes:
         assert rc == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
 
-    def test_oracle_stiffness_returns_three_and_names_it(self, tmp_path, capsys):
-        # the ETD solve finishes; the explicit oracle overflows a trial stage
+    def test_oracle_on_stiff_512_mode_grid_passes(self, tmp_path):
+        # |xi|^4 damping on 512 modes: an explicit oracle overflows here, the
+        # implicit one is not limited by it
+        out = tmp_path / "o"
         cfg = write_config(tmp_path, {
             "experiment": "oracle_crosscheck",
             "seed": 12345,
@@ -172,11 +174,28 @@ class TestExitCodes:
             "discretization": {"n": 1, "L": 30.0, "N": 512, "dt": 0.005, "T": 5.0},
             "data": {"kind": "gaussian", "amplitude": 0.01, "width": 1.0},
         })
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        [ac9] = [v for v in report["verdicts"]
+                 if v["name"] == "integrator_vs_reference"]
+        assert ac9["status"] == "pass" and ac9["value"] <= 2e-8
+
+    def test_non_finite_oracle_source_returns_three_and_names_it(
+            self, tmp_path, capsys, monkeypatch):
+        def run_experiment(cfg, threads=1):
+            g = make_grid(1, 30.0, 64)
+            huge = PhysicalField.from_function(g, lambda x: 1e200 * np.exp(-0.5 * x**2))
+            reference_solve(huge, PhysicalField.zero(g), T=1.0,
+                            spec=NonlinearitySpec(), params=ModelParams())
+
+        monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
+        cfg = write_config(tmp_path, small_linear_config())
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_BLOWUP
         err = capsys.readouterr().err
-        assert "oracle stiffness" in err
-        assert "non-finite values in the nonlinearity" not in err
+        assert "reference integration failed: non-finite source at t=0" in err
+        assert "stiffness" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_quadrature_failure_returns_three_and_names_it(self, tmp_path, capsys,
                                                            monkeypatch):

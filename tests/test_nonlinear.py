@@ -2,12 +2,13 @@
 
 Oracles: trigonometric closed forms for the source term, the exact linear
 flow for the zero-nonlinearity integrator, Richardson self-convergence for
-the order check, and an adaptive Runge-Kutta integration of the raw spectral
-ODE system (built only from the ODE coefficients, never the kernels).
+the order check, and a Radau IIA integration of the raw spectral ODE system
+(built only from the ODE coefficients, never the kernels).
 """
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from typing import Callable, Sequence
 
@@ -18,7 +19,8 @@ from scipy.integrate import solve_ivp
 import bousslab.linear
 import bousslab.nonlinear
 from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
-                      PhysicalField, StatePair, Trajectory,
+                      PhysicalField, ReferenceIntegrationError,
+                      StatePair, Trajectory,
                       damping_coefficient, forward_transform,
                       inverse_transform, l2_norm, linear_solution,
                       linear_trajectory, make_grid, nonlinearity,
@@ -615,6 +617,111 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="tolerance"):
             reference_solve(PhysicalField.zero(g), PhysicalField.zero(g),
                             T=1.0, spec=ZERO_SPEC, params=P, tol=tol)
+
+
+def crosscheck_problem(T: float):
+    """The ``oracle_crosscheck`` data on its grid, with the AC9 output times
+    (spacing 0.5) up to ``T``.
+    """
+    g = make_grid(1, 30.0, 64)
+    return (small_gaussian(g, amplitude=0.01), PhysicalField.zero(g),
+            np.linspace(0.0, T, int(round(T / 0.5)) + 1))
+
+
+def dop853_mode_system(u0: PhysicalField, u1: PhysicalField,
+                       t_eval: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Physical ``u`` at ``t_eval`` of the spectral mode system under
+    :data:`QUAD_SPEC`, by DOP853 at rtol = atol = ``tol`` with the reference
+    evaluator :func:`batched_source` (no propagator kernels).
+    """
+    g = u0.grid
+    b = damping_coefficient(g.xi2_half, P)
+    c = restoring_coefficient(g.xi2_half)
+    shape = (2,) + g.half_shape
+
+    def unpack(y):
+        return np.ascontiguousarray(y).view(np.complex128).reshape(shape)
+
+    def rhs(t, y):
+        z = unpack(y)
+        dz = np.stack([z[1], -b * z[1] - c * z[0] + batched_source(z, g, QUAD_SPEC)])
+        return dz.view(np.float64).ravel()
+
+    y0 = _half_state(u0, u1).view(np.float64).ravel()
+    sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="DOP853", rtol=tol,
+                    atol=tol, t_eval=t_eval)
+    assert sol.success
+    return [half_inverse(g, unpack(sol.y[:, j]))[0] for j in range(t_eval.size)]
+
+
+class TestRadauOracle:
+    """The Radau IIA oracle on the ``oracle_crosscheck`` problem."""
+
+    def test_agrees_with_an_explicit_integration_of_the_mode_system(self):
+        u0, u1, times = crosscheck_problem(T=2.0)
+        ref = reference_solve(u0, u1, T=2.0, spec=QUAD_SPEC, params=P,
+                              tol=1e-12, t_eval=times)
+        explicit = dop853_mode_system(u0, u1, times, tol=1e-12)
+        g = u0.grid
+        err = max(l2_norm(PhysicalField(g, s.u.values - e))
+                  / l2_norm(PhysicalField(g, e))
+                  for s, e in zip(ref.states[1:], explicit[1:]))
+        assert err <= 1e-9
+
+    def test_tightest_tolerance_needs_few_source_evaluations(self, monkeypatch):
+        # an explicit pair is held to the |xi|^4 stability limit: DOP853
+        # makes about 19 500 evaluations here
+        calls = [0]
+        evaluate = _Source.__call__
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Source, "__call__", counted)
+        u0, u1, times = crosscheck_problem(T=5.0)
+        reference_solve(u0, u1, T=5.0, spec=QUAD_SPEC, params=P, tol=1e-12,
+                        t_eval=times)
+        assert 0 < calls[0] <= 5000
+
+    def test_never_evaluates_the_closed_form_kernels(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle evaluated a closed-form kernel")
+
+        names = ("propagator", "phi_divided_difference", "_etd_integrals")
+        for module in [m for key, m in sys.modules.items()
+                       if key == "bousslab" or key.startswith("bousslab.")]:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        u0, u1, times = crosscheck_problem(T=1.0)
+        ref = reference_solve(u0, u1, T=1.0, spec=QUAD_SPEC, params=P,
+                              tol=1e-12, t_eval=times)
+        assert np.all(np.isfinite(ref.states[-1].u.values))
+
+    def test_non_finite_source_is_named_and_chained(self):
+        g = make_grid(1, 30.0, 64)
+        with pytest.raises(ReferenceIntegrationError,
+                           match=r"^reference integration failed: non-finite "
+                                 r"source at t=0$") as info:
+            reference_solve(small_gaussian(g, amplitude=1e200),
+                            PhysicalField.zero(g), T=1.0, spec=QUAD_SPEC,
+                            params=P)
+        assert isinstance(info.value.__cause__, BlowUpError)
+
+    @pytest.mark.parametrize("t_eval", [[0.5, 1.0], [0.0, 1.0, 0.5],
+                                        [0.0, 2.5, 5.5]],
+                             ids=["not_from_zero", "unsorted", "past_T"])
+    def test_bad_output_times_rejected_before_integrating(self, t_eval,
+                                                          monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("the source was evaluated")
+
+        monkeypatch.setattr(_Source, "__call__", forbidden)
+        u0, u1, _ = crosscheck_problem(T=5.0)
+        with pytest.raises(ValueError, match="t_eval"):
+            reference_solve(u0, u1, T=5.0, spec=QUAD_SPEC, params=P,
+                            t_eval=t_eval)
 
 
 class TestTrajectory:
