@@ -275,10 +275,10 @@ def _bound_log_ratio(which: str, xi: np.ndarray, t: np.ndarray,
         sym = propagator(xi2, t_row, params)
         g0, h0 = profile_symbols(xi2, t_row, params)
         if which == "profile_remainder_sine":
-            lhs = np.abs(sym.sine.real - g0)
+            lhs = np.abs(sym.sine - g0)
             weight = np.ones_like(lhs)
         else:
-            lhs = np.abs(sym.cosine.real - h0)
+            lhs = np.abs(sym.cosine - h0)
             weight = np.broadcast_to(xi_col, lhs.shape)
         env = xi2 * t_row
     with np.errstate(divide="ignore"):

@@ -67,10 +67,8 @@ def _apply_symbols(grid: Grid, y0: np.ndarray, t,
     """
     t = np.asarray(t, dtype=np.float64)
     sym = propagator(grid.xi2_half, t.reshape(t.shape + (1,) * grid.n), params)
-    # kernels are real up to rounding (real or conjugate root pairs); dropping
-    # the rounding-level imaginary part keeps the fields real
-    return np.stack([sym.sine.real * y0[1] + sym.cosine.real * y0[0],
-                     sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]],
+    return np.stack([sym.sine * y0[1] + sym.cosine * y0[0],
+                     sym.sine_dt * y0[1] + sym.cosine_dt * y0[0]],
                     axis=-grid.n - 1)
 
 
@@ -237,7 +235,7 @@ def _radial_norms(data: RadialData, t: float, components: Sequence[tuple[str, in
         kernels = {}
         if need & {"linear", "gap"}:
             sym = propagator(xi2, t, params)
-            sine, cosine = sym.sine.real, sym.cosine.real
+            sine, cosine = sym.sine, sym.cosine
         if need & {"profile", "gap"}:
             g0, h0 = profile_symbols(xi2, t, params)
         if "linear" in need:

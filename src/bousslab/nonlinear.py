@@ -204,7 +204,7 @@ def _etd_integrals(xi2, dt: float, params: ModelParams) -> tuple[np.ndarray, np.
 
     Closed forms in the scaled roots ``a = lambda_+ dt``, ``b = lambda_- dt``:
     ``I0 = dt^2 dd_phi1(a, b)``, ``I1 = dt^3 (dd_phi1 - dd_phi2)(a, b)``.  The
-    values are real; the arrays are complex like the kernels.
+    values are real; the arrays are complex, like the roots they come from.
     """
     roots = characteristic_roots(xi2, params)
     a = roots.lambda_plus * dt
@@ -252,9 +252,9 @@ class _EtdStepper:
         self.source = _Source(grid, spec)
         sym = propagator(grid.xi2_half, self.dt, params)
         i0, i1 = _etd_integrals(grid.xi2_half, self.dt, params)
-        self.from_u = np.stack([sym.cosine.real, sym.cosine_dt.real])
-        self.from_ut = np.stack([sym.sine.real, sym.sine_dt.real])
-        self.w_predict = np.stack([i0.real, sym.sine.real])
+        self.from_u = np.stack([sym.cosine, sym.cosine_dt])
+        self.from_ut = np.stack([sym.sine, sym.sine_dt])
+        self.w_predict = np.stack([i0.real, sym.sine])
         self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real])
         self.pred = np.empty((2,) + grid.half_shape, dtype=np.complex128)
         self.scratch = np.empty_like(self.pred)
@@ -402,8 +402,8 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
         w_j = np.full(times.size - j, weights[j])
         w_j[0] = endpoint[j]
         w_j = w_j.reshape(column)
-        y[j:, 0] += w_j * lag.sine.real * s_j
-        y[j:, 1] += w_j * lag.sine_dt.real * s_j
+        y[j:, 0] += w_j * lag.sine * s_j
+        y[j:, 1] += w_j * lag.sine_dt * s_j
     return _mesh_trajectory(u0, u1, times, y)
 
 

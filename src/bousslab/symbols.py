@@ -14,10 +14,14 @@ whose characteristic roots are
     cosine = (lambda_+ exp(lambda_- t) - lambda_- exp(lambda_+ t)) / (lambda_+ - lambda_-),
 
 the damped analogues of ``sin(|xi| t)/|xi|`` and ``cos(|xi| t)`` (the "sine
-and cosine families" of second-order Cauchy problems).  Everything is
-evaluated in complex arithmetic through a single code path; near-confluent
-roots go through a stable ``expm1``-style divided difference rather than a
-separate formula, so the two regimes agree to rounding in the switch band.
+and cosine families" of second-order Cauchy problems).  The kernels are
+evaluated in float64 on the sign of the discriminant ``D = b^2 - 4c``:
+conjugate and confluent roots (``D <= 0``) through the damped sinc
+``exp(-bt/2) t sinc(omega t / pi)``, which is exact at confluence, and real
+roots through the Vieta small root with a ``phi_1`` series near confluence,
+so no complex root is taken and the two regimes meet without cancellation.
+The complex roots and the phi functions of complex argument remain for the
+exponential integrator weights.
 
 Low frequencies behave like a damped wave,
 ``lambda_pm = +-i|xi| + (alpha/2)|xi|^2 + O(|xi|^3)``, which motivates the
@@ -39,14 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-#: relative root separation below which the root pair is flagged confluent
-DEGENERATE_RTOL = 1e-6
-
 #: |(lambda_+ - lambda_-) * t| below which the divided difference of the
-#: exponential is evaluated by series/expm1 instead of direct subtraction
+#: exponential is evaluated by its phi_1 series instead of direct subtraction
 _SERIES_SWITCH = 0.5
 
 
@@ -86,8 +88,6 @@ class RootPair:
 
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
-    discriminant: np.ndarray
-    degenerate: np.ndarray
 
 
 def characteristic_roots(xi2, params: ModelParams) -> RootPair:
@@ -111,13 +111,11 @@ def characteristic_roots(xi2, params: ModelParams) -> RootPair:
     real_pair = (disc > 0.0) & (b > 0.0)
     if np.any(real_pair):
         lam_p = np.where(real_pair, c / np.where(real_pair, lam_m, 1.0), lam_p)
-    degenerate = np.abs(lam_p - lam_m) < DEGENERATE_RTOL * np.maximum(1.0, np.abs(lam_p))
-    return RootPair(lambda_plus=lam_p, lambda_minus=lam_m,
-                    discriminant=disc, degenerate=degenerate)
+    return RootPair(lambda_plus=lam_p, lambda_minus=lam_m)
 
 
 # ---------------------------------------------------------------------------
-# stable elementary pieces: expm1 and the phi functions for complex arguments
+# stable elementary pieces: expm1, the phi functions and the masked branch split
 # ---------------------------------------------------------------------------
 
 
@@ -136,6 +134,47 @@ def _expm1c(z: np.ndarray) -> np.ndarray:
 _FACTORIALS = np.array([math.factorial(i) for i in range(24)], dtype=np.float64)
 
 
+def _phi_series(k: int, z: np.ndarray) -> np.ndarray:
+    """Power series of ``phi_k`` (Horner, 18 terms), real or complex like
+    ``z``; accurate to rounding for ``|z| <= 1/2``."""
+    series = np.zeros_like(z)
+    for m in range(17, -1, -1):
+        series = series * z + 1.0 / _FACTORIALS[m + k]
+    return series
+
+
+def _phi_recurrence(k: int, z: np.ndarray) -> np.ndarray:
+    """``phi_k`` by upward recurrence from ``expm1``, for ``|z| >= 1/2``."""
+    if k == 0:
+        return np.exp(z)
+    val = _expm1c(z) / z
+    for j in range(1, k):
+        val = (val - 1.0 / _FACTORIALS[j]) / z
+    return val
+
+
+def _split(mask: np.ndarray, on_true, on_false, *args) -> tuple[np.ndarray, ...]:
+    """``on_true`` on the elements of ``args`` where ``mask`` holds, ``on_false``
+    on the rest, their tuples of results stitched back into ``mask``'s shape.
+
+    Each function sees only its own elements; a mask that is all one value
+    hands the arrays through whole, with no gather or scatter.
+    """
+    if mask.all():
+        return on_true(*args)
+    if not mask.any():
+        return on_false(*args)
+    inside = on_true(*(a[mask] for a in args))
+    outside = on_false(*(a[~mask] for a in args))
+    stitched = []
+    for x, y in zip(inside, outside):
+        out = np.empty(mask.shape, dtype=np.result_type(x, y))
+        out[mask] = x
+        out[~mask] = y
+        stitched.append(out)
+    return tuple(stitched)
+
+
 def phi(k: int, z) -> np.ndarray:
     """Exponential remainder function ``phi_k``.
 
@@ -145,24 +184,8 @@ def phi(k: int, z) -> np.ndarray:
     the switch.  Each branch is evaluated only on its own elements.
     """
     z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    small = np.abs(z) < _SERIES_SWITCH
-    if np.any(small):
-        zs = z[small]
-        series = np.zeros_like(zs)
-        for m in range(17, -1, -1):
-            series = series * zs + 1.0 / _FACTORIALS[m + k]
-        out[small] = series
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        if k == 0:
-            out[big] = np.exp(zb)
-        else:
-            val = _expm1c(zb) / zb
-            for j in range(1, k):
-                val = (val - 1.0 / _FACTORIALS[j]) / zb
-            out[big] = val
+    (out,) = _split(np.abs(z) < _SERIES_SWITCH, lambda z: (_phi_series(k, z),),
+                    lambda z: (_phi_recurrence(k, z),), z)
     return out
 
 
@@ -221,76 +244,103 @@ def phi_divided_difference(k: int, a, b) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class PropagatorSymbols:
-    """Per-frequency solution kernels and their time derivatives.
+    """Per-frequency solution kernels and their time derivatives, in float64.
 
     ``sine`` maps initial velocity to displacement, ``cosine`` maps initial
     displacement to displacement; ``*_dt`` are their t-derivatives, so the
     per-mode state evolves by the 2x2 matrix [[cosine, sine],
-    [cosine_dt, sine_dt]].  Values are complex dtype but real up to rounding
-    (the root pair is either real or conjugate), with exact initial values
-    sine=0, cosine=1, sine_dt=1, cosine_dt=0 at t=0.
+    [cosine_dt, sine_dt]], with exact initial values sine=0, cosine=1,
+    sine_dt=1, cosine_dt=0 at t=0.  ``sine`` and ``cosine`` are evaluated
+    up front; the derivatives are built on first access from the branch
+    pieces ``sine_dt = base + rate * sine`` and ``cosine_dt = -c * sine``,
+    so a caller that reads only the kernels never pays for them.
     """
 
-    sine: np.ndarray
-    cosine: np.ndarray
-    sine_dt: np.ndarray
-    cosine_dt: np.ndarray
+    def __init__(self, sine: np.ndarray, cosine: np.ndarray, base: np.ndarray,
+                 rate: np.ndarray, c: np.ndarray):
+        self.sine = sine
+        self.cosine = cosine
+        self._base, self._rate, self._c = base, rate, c
+
+    @cached_property
+    def sine_dt(self) -> np.ndarray:
+        return self._base + self._rate * self.sine
+
+    @cached_property
+    def cosine_dt(self) -> np.ndarray:
+        return -self._c * self.sine
 
 
-def _exp_divided_difference(lam_p: np.ndarray, lam_m: np.ndarray, t: np.ndarray,
-                            force: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(exp(lam_p t) - exp(lam_m t)) / (lam_p - lam_m)`` and ``exp(lam_m t)``.
+def _conjugate_kernels(b, disc, t):
+    """``(sine, cosine, base, rate)`` for conjugate or confluent roots."""
+    rate = -0.5 * b
+    base = np.exp(rate * t)
+    wt = 0.5 * np.sqrt(-disc) * t
+    sine = base * t * np.sinc(wt / math.pi)
+    base *= np.cos(wt)
+    return sine, base - rate * sine, base, rate
 
-    When ``|(lam_p - lam_m) t| <= 1/2`` the difference is written as
-    ``t exp(lam_m t) phi_1((lam_p - lam_m) t)``, which is exact at confluent
-    roots and at t = 0; otherwise the direct quotient is safe.  Each branch
-    is evaluated only on its own elements, and ``exp(lam_m t)``, which both
-    branches and the derived kernels use, once.  ``force``
-    ("series"/"direct") pins a branch, for branch-agreement checks only.
-    """
+
+def _series_sine(t, em, z, lam_p, delta):
+    return (t * em * _phi_series(1, z),)
+
+
+def _direct_sine(t, em, z, lam_p, delta):
+    return ((np.exp(lam_p * t) - em) / delta,)
+
+
+def _real_kernels(b, disc, c, t, force: str | None):
+    """``(sine, cosine, base, rate)`` for real roots."""
+    lam_m = -0.5 * (b + np.sqrt(disc))
+    lam_p = c / lam_m
     delta = lam_p - lam_m
     z = delta * t
     em = np.exp(lam_m * t)
-    if force == "series":
-        small = np.ones(np.shape(z), dtype=bool)
-    elif force == "direct":
-        small = np.zeros(np.shape(z), dtype=bool)
-    else:
-        small = np.abs(z) <= _SERIES_SWITCH
-    out = np.empty(np.shape(z), dtype=np.complex128)
-    if np.any(small):
-        out[small] = t[small] * em[small] * phi(1, z[small])
-    direct = ~small
-    if np.any(direct):
-        out[direct] = (np.exp(lam_p[direct] * t[direct]) - em[direct]) / delta[direct]
-    return out, em
+    series = z <= _SERIES_SWITCH if force is None else np.full(z.shape, force == "series")
+    (sine,) = _split(series, _series_sine, _direct_sine, t, em, z, lam_p, delta)
+    return sine, em - lam_m * sine, em, lam_p
 
 
 def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) -> PropagatorSymbols:
     """Solution kernels of the mode ODE at (possibly arrays of) ``|xi|^2, t >= 0``.
 
-    Derived quantities reuse the one stable divided difference ``sine`` and
-    ``exp(lam_- t)``:
-    ``sine_dt = lam_+ sine + exp(lam_- t)``,
-    ``cosine = exp(lam_- t) - lam_- sine``,
-    ``cosine_dt = -c sine``  (c = restoring coefficient).
+    Real arithmetic throughout, split on the discriminant ``D = b^2 - 4c``;
+    with ``base`` and ``rate`` per branch, ``cosine = base - (-b - rate) sine``
+    and ``sine_dt = base + rate * sine``.
+
+    Conjugate or confluent roots (``D <= 0``), ``omega = sqrt(-D) / 2``:
+    ``sine = exp(-bt/2) t sinc(omega t / pi)``, exact at ``omega = 0`` and at
+    ``t = 0``; ``base = exp(-bt/2) cos(omega t)`` and ``rate = -b/2``.
+
+    Real roots (``D > 0``): ``lam_- = -(b + sqrt(D)) / 2`` and the small root
+    ``lam_+ = c / lam_-`` (Vieta, no cancellation).  With
+    ``z = (lam_+ - lam_-) t``, ``sine = t exp(lam_- t) phi_1(z)`` when
+    ``z <= 1/2``, exact at confluent roots and at t = 0, and the direct
+    quotient ``(exp(lam_+ t) - exp(lam_- t)) / (lam_+ - lam_-)`` otherwise;
+    ``base = exp(lam_- t)`` and ``rate = lam_+``.  So ``sine_dt`` carries the
+    small root explicitly; the equal ``cosine - b sine`` subtracts two terms
+    of size ``|lam_-| sine`` and cancels at high frequency.
+
+    ``cosine_dt = -c sine`` on both.  ``_force_branch`` ("series"/"direct")
+    pins the real-root branch, for branch-agreement checks only.
     """
     xi2 = np.asarray(xi2, dtype=np.float64)
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0):
         raise ValueError("time must be nonnegative")
-    roots = characteristic_roots(xi2, params)
-    lam_p, lam_m, t_b = np.broadcast_arrays(roots.lambda_plus, roots.lambda_minus, t_arr)
-    c = restoring_coefficient(np.broadcast_arrays(xi2, t_arr)[0])
-
-    sine, em = _exp_divided_difference(lam_p, lam_m, t_b, force=_force_branch)
-    sine_dt = lam_p * sine + em
-    cosine = em - lam_m * sine
-    cosine_dt = -c * sine
-    return PropagatorSymbols(sine=sine, cosine=cosine,
-                             sine_dt=sine_dt, cosine_dt=cosine_dt)
+    if np.any(xi2 < 0.0):
+        raise ValueError("|xi|^2 must be nonnegative")
+    b = damping_coefficient(xi2, params)
+    c = restoring_coefficient(xi2)
+    disc = b * b - 4.0 * c
+    b_b, disc_b, c_b, t_b = np.broadcast_arrays(b, disc, c, t_arr)
+    sine, cosine, base, rate = _split(
+        disc_b <= 0.0,
+        lambda b, disc, c, t: _conjugate_kernels(b, disc, t),
+        lambda b, disc, c, t: _real_kernels(b, disc, c, t, _force_branch),
+        b_b, disc_b, c_b, t_b)
+    return PropagatorSymbols(sine, cosine, base, rate, c)
 
 
 def profile_symbols(xi2, t, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,11 @@ Oracle: the textbook two-exponential formulas for the sine/cosine families
 and the phi-function divided differences, evaluated in mpmath at 60-80
 digits (so their own cancellation near confluent roots costs nothing),
 compared at double-precision inputs.  Covered: alpha in {-1, -1.5, -5},
-|xi|^2 down to 1e-12, the confluent band |xi|^2 ~ (sqrt(17) - 1)/2 where
-the roots coincide at alpha = -1 (masked out of the AC1/AC2 sampling), and
-t in {0, 1e-3, 1, 50}.  The ETD step weights ``int_0^h sine`` and
+|xi|^2 from 1e-12 up to 1e4 (where the roots are ~1e8 apart and a kernel
+derivative written as a difference of two large terms cancels), the
+confluent band |xi|^2 ~ (sqrt(17) - 1)/2 where the roots coincide at
+alpha = -1 (masked out of the AC1/AC2 sampling), and t in {0, 1e-3, 1, 50}.
+The four kernels are real and must come back as float64.  The ETD step weights ``int_0^h sine`` and
 ``int_0^h s sine(s) ds`` are checked against mpmath quadrature of the same
 two-exponential sine at h in {1e-3, 0.025, 0.5}.
 """
@@ -25,7 +27,7 @@ mpmath = pytest.importorskip("mpmath")
 
 #: |xi|^2 where b^2 = 4c at alpha = -1 (b = c = s + s^2 = 4)
 CONFLUENT = (math.sqrt(17.0) - 1.0) / 2.0
-XI2 = ([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0]
+XI2 = ([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4]
        + [CONFLUENT * (1.0 + d) for d in
           (0.0, 1e-10, -1e-10, 1e-7, -1e-7, 1e-4, -1e-4, 1e-2, -1e-2)])
 TIMES = (0.0, 1e-3, 1.0, 50.0)
@@ -76,6 +78,7 @@ def test_propagator_matches_reference(alpha):
         for t in TIMES:
             sym = propagator(s, t, p)
             for name, ref in reference_kernels(s, t, alpha).items():
+                assert getattr(sym, name).dtype == np.float64, name
                 err = relative_error(getattr(sym, name), ref)
                 assert err <= RTOL, (name, s, t, err)
 

@@ -59,14 +59,14 @@ def pairwise_picard(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
     for i in range(1, times.size):
         t_i = times[i]
         sym = propagator(g.xi2_half, t_i, params)
-        y = np.stack([sym.sine.real * y0[1] + sym.cosine.real * y0[0],
-                      sym.sine_dt.real * y0[1] + sym.cosine_dt.real * y0[0]])
+        y = np.stack([sym.sine * y0[1] + sym.cosine * y0[0],
+                      sym.sine_dt * y0[1] + sym.cosine_dt * y0[0]])
         tau = times[: i + 1]
         w = _trapezoid_weights(tau)
         for j in range(i + 1):
             lag = propagator(g.xi2_half, t_i - tau[j], params)
-            y[0] += w[j] * lag.sine.real * sources[j]
-            y[1] += w[j] * lag.sine_dt.real * sources[j]
+            y[0] += w[j] * lag.sine * sources[j]
+            y[1] += w[j] * lag.sine_dt * sources[j]
         out.append(half_inverse(g, y))
     return out
 
