@@ -63,20 +63,29 @@ class RateFit:
     n_points: int
 
 
+def _fit_points(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Mask of the ``times`` inside ``window`` (inclusive); ValueError unless
+    the window is nonempty and holds at least 6 of them.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if not (lo < hi):
+        raise ValueError(f"empty fit window {window}")
+    sel = (times >= lo) & (times <= hi)
+    count = int(np.count_nonzero(sel))
+    if count < 6:
+        raise ValueError(f"need at least 6 points in the fit window, got {count}")
+    return sel
+
+
 def fit_rate(series: DecaySeries, window: tuple[float, float]) -> RateFit:
     """Fit the decay exponent of a series inside ``window`` (inclusive).
 
     Requires at least 6 window points with strictly positive values;
     zero or negative values make the logarithm meaningless and raise.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (lo < hi):
-        raise ValueError(f"empty fit window {window}")
-    sel = (series.times >= lo) & (series.times <= hi)
+    sel = _fit_points(series.times, window)
     t = series.times[sel]
     v = series.values[sel]
-    if t.size < 6:
-        raise ValueError(f"need at least 6 points in the fit window, got {t.size}")
     if np.any(v <= 0.0):
         raise ValueError("cannot take log of non-positive series values")
     x = np.log1p(t)
@@ -89,7 +98,7 @@ def fit_rate(series: DecaySeries, window: tuple[float, float]) -> RateFit:
     dof = max(t.size - 2, 1)
     stderr = float(math.sqrt(float(np.sum(resid**2)) / dof / sxx))
     return RateFit(slope=slope, intercept=intercept, stderr=stderr,
-                   window=(lo, hi), n_points=int(t.size))
+                   window=(float(window[0]), float(window[1])), n_points=int(t.size))
 
 
 def gap_weight(t, n: int):
@@ -117,6 +126,12 @@ def gap_weight(t, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _check_series_length(size: int) -> None:
+    """ValueError unless a trajectory of ``size`` output times can be fitted."""
+    if size < 8:
+        raise ValueError(f"trajectory has {size} output times, need >= 8")
+
+
 def decay_series(run: Trajectory, k_list: Sequence[int],
                  norm_kind: str = "sobolev2", source: str = "nonlinear") -> list[DecaySeries]:
     """Norms of the displacement along a trajectory, one series per ``k``.
@@ -127,8 +142,7 @@ def decay_series(run: Trajectory, k_list: Sequence[int],
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    if run.times.size < 8:
-        raise ValueError(f"trajectory has {run.times.size} output times, need >= 8")
+    _check_series_length(run.times.size)
     out = []
     spectra = None
     for k in k_list:

@@ -14,6 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .analysis import _check_series_length, _fit_points
+from .nonlinear import _output_times, _step_count
+
 EXPERIMENTS = ("linear_rates", "nonlinear_rates", "profile_gap",
                "nl_vs_linear_gap", "lemma_certify", "oracle_crosscheck")
 
@@ -216,13 +219,49 @@ class ExperimentConfig:
             if not isinstance(raw, Mapping):
                 raise ConfigError(f"{name}: expected a JSON object, got {raw!r}")
             sections[name] = sub.from_dict(raw)
-        return cls(experiment=exp, seed=seed, **sections)
+        cfg = cls(experiment=exp, seed=seed, **sections)
+        _check_box_schedule(cfg)
+        return cfg
 
     def to_dict(self) -> dict[str, Any]:
         raw = asdict(self)
         raw["analysis"]["k_list"] = list(self.analysis.k_list)
         raw["analysis"]["fit_window"] = list(self.analysis.fit_window)
         return raw
+
+
+def _check_box_schedule(cfg: ExperimentConfig) -> None:
+    """Cross-field constraints of the time-stepping experiments.
+
+    Checked with the predicates the run applies itself, so a config that
+    would fail there is rejected here, naming the field: ``dt`` must divide
+    ``T`` (:func:`~bousslab.nonlinear.solve`), the decay series of
+    ``nonlinear_rates`` needs 8 output times
+    (:func:`~bousslab.analysis.decay_series`), and the fit window must hold
+    6 of them (:func:`~bousslab.analysis.fit_rate`).  ``oracle_crosscheck``
+    picks its own output cadence and fits nothing.  The output times are
+    materialised: 8 bytes each, against the state pair per output time that
+    the run itself keeps.
+    """
+    if cfg.experiment not in ("nonlinear_rates", "nl_vs_linear_gap", "oracle_crosscheck"):
+        return
+    d = cfg.discretization
+    try:
+        n_steps = _step_count(d.T, d.dt)
+    except ValueError as exc:
+        raise ConfigError(f"discretization.dt: {exc}") from exc
+    if cfg.experiment == "oracle_crosscheck":
+        return
+    times = _output_times(n_steps, d.dt, d.out_every)
+    if cfg.experiment == "nonlinear_rates":
+        try:
+            _check_series_length(times.size)
+        except ValueError as exc:
+            raise ConfigError(f"discretization.out_every: {exc}") from exc
+    try:
+        _fit_points(times, cfg.analysis.fit_window)
+    except ValueError as exc:
+        raise ConfigError(f"analysis.fit_window: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

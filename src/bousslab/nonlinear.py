@@ -33,7 +33,11 @@ All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
 through one evaluator, :class:`_Source`: both fields are truncated by the 2/3
 rule and inverse-transformed in one batched call, the pointwise powers are
 formed in physical space, and one forward transform times one real weight
-(the truncation and ``-|xi|^2``) gives the spectral source.
+(the truncation and ``-|xi|^2``) gives the spectral source.  Both transforms
+are pruned to the modes the truncation keeps: the leading-axis passes skip
+the half-spectrum columns above ``N//3`` (in 3-D also the outer pass over
+the masked middle-axis rows), which hold zeros on input and are zeroed on
+output, so the kept modes are bitwise those of the whole-array transforms.
 :func:`nonlinearity` is a thin wrapper over the same path.
 
 The evaluator and the ETD stepper own their work arrays, built once per
@@ -56,8 +60,8 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import csc_matrix
 
 from .linear import StatePair, _apply_symbols, _half_state, _state_pair
-from .spectral import (Grid, PhysicalField, SpectralField, half_forward,
-                       half_inverse, half_l2, half_to_full)
+from .spectral import (Grid, PhysicalField, SpectralField, half_inverse,
+                       half_l2, half_to_full)
 from .symbols import (ModelParams, characteristic_roots, damping_coefficient,
                       phi_divided_difference, propagator, restoring_coefficient)
 
@@ -124,23 +128,53 @@ class _Source:
 
     The evaluator is a workspace built once per (grid, spec): it owns the
     truncated pair, the physical pair, the pointwise product and the forward
-    half spectrum, and runs :func:`half_inverse`/:func:`half_forward` into
-    them, with the pointwise powers formed in place.  Because of the shared
-    workspaces one instance must not be called from two threads at once.
+    half spectrum, and makes the per-axis ``numpy.fft`` calls of
+    :func:`half_inverse`/:func:`half_forward` into them, with the pointwise
+    powers formed in place.  Because of the shared workspaces one instance
+    must not be called from two threads at once.
+
+    The transforms are pruned to the kept modes (Markel's FFT pruning of
+    the 2/3 rule).  After the truncation the last-axis columns ``m > N//3``
+    hold zeros, and the weight zeroes them again on output, so the
+    leading-axis transforms run on the first ``N//3 + 1`` columns only; in
+    3-D the outer axis also runs on the kept rows of the middle axis alone.
+    The last-axis ``irfft``/``rfft`` still cover every column.  Per
+    transformed line the arithmetic is that of the whole-array transform,
+    so the kept modes are bitwise those of ``irfftn``/``rfftn``.  The scale
+    and the weight act on the whole contiguous spectrum, which is faster
+    than on the strided kept block, and the modes left untransformed are
+    then overwritten with exact zeros, so nothing computed from them (not
+    even ``0 x inf = NaN``) reaches the result.  The truncation still
+    multiplies the whole state, so a non-finite value in any mode reaches
+    the physical fields and raises :class:`BlowUpError`.
     """
 
     def __init__(self, grid: Grid, spec: NonlinearitySpec):
         self.grid = grid
         self.spec = spec
         mask = grid.dealias_mask_half
-        self.truncate = mask.astype(np.float64)
-        self.weight = np.where(mask, -grid.xi2_half, 0.0)
+        # real factors stored as complex: numpy multiplies complex by real by
+        # casting the real factor to complex on every call, so the products
+        # are bitwise the same and the cast is made once
+        self.truncate = mask.astype(np.complex128)
+        self.weight = np.where(mask, -grid.xi2_half, 0.0).astype(np.complex128)
         self.g_coeff = spec.g_sign * spec.beta
         self.pair = np.empty((2,) + grid.half_shape, dtype=np.complex128)
         self.fields = np.empty((2,) + grid.shape)
         self.product = np.empty(grid.shape)
         self.finite = np.empty(grid.shape, dtype=bool)
         self.spectrum = np.empty(grid.half_shape, dtype=np.complex128)
+        # leading-axis transforms on the kept columns, and in 3-D the outer
+        # axis on the two blocks of kept middle-axis rows (modes 0..N//3 and
+        # -N//3..-1); ``dropped`` holds the modes this leaves untransformed
+        N, keep = grid.N, grid.N // 3 + 1
+        cols = (Ellipsis, slice(0, keep))
+        self.leading = [(-2, cols)] if grid.n >= 2 else []
+        self.dropped = [(Ellipsis, slice(keep, None))] if grid.n >= 2 else []
+        if grid.n == 3:
+            self.leading[:0] = [(-3, (Ellipsis, rows, slice(0, keep)))
+                                for rows in (slice(0, keep), slice(N - keep + 1, N))]
+            self.dropped.append((Ellipsis, slice(keep, N - keep + 1), slice(0, keep)))
 
     def __call__(self, y: np.ndarray, t: float,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -150,9 +184,13 @@ class _Source:
         if spec.is_zero:
             out.fill(0.0)
             return out
-        pair, fields, w = self.pair, self.fields, self.product
+        grid, pair, fields, w = self.grid, self.pair, self.fields, self.product
         np.multiply(self.truncate, y, out=pair)
-        u, ut = half_inverse(self.grid, pair, out=fields, overwrite_input=True)
+        # irfftn order: the leading axes outermost first, then the last axis
+        for ax, blk in self.leading:
+            np.fft.ifft(pair[blk], axis=ax, out=pair[blk])
+        u, ut = np.fft.irfft(pair, n=grid.N, axis=-1, out=fields)
+        fields /= grid.fft_scale
         # overflow in the pointwise powers is an expected failure mode: it is
         # detected right below and reported as BlowUpError, so keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
@@ -162,13 +200,21 @@ class _Source:
                 # u is no longer needed, so its row holds the g term
                 gterm = w if spec.f_kind == "none" else u
                 _pointwise(spec.g_kind, ut, gterm)
-                np.multiply(self.g_coeff, gterm, out=gterm)
+                if self.g_coeff != 1.0:  # x * 1.0 is x, bitwise
+                    np.multiply(self.g_coeff, gterm, out=gterm)
                 if gterm is not w:
                     np.add(w, gterm, out=w)
         if not np.isfinite(w, out=self.finite).all():
             raise BlowUpError("state blow-up: non-finite values in the nonlinearity", t)
-        spectrum = half_forward(self.grid, w, out=self.spectrum)
-        return np.multiply(self.weight, spectrum, out=out)
+        # rfftn order: the last axis, then the leading axes innermost first
+        spectrum = np.fft.rfft(w, axis=-1, out=self.spectrum)
+        for ax, blk in reversed(self.leading):
+            np.fft.fft(spectrum[blk], axis=ax, out=spectrum[blk])
+        spectrum *= grid.fft_scale
+        np.multiply(self.weight, spectrum, out=out)
+        for blk in self.dropped:
+            out[blk] = 0.0
+        return out
 
 
 def nonlinearity(state: StatePair, spec: NonlinearitySpec) -> SpectralField:
@@ -236,7 +282,8 @@ class _EtdStepper:
     ``N_{n-1}`` and is the two-stage ETD2RK step, ``D = N(u*, t + dt) - N_n``.
     Both are second order and share the weights, which are real and
     evaluated once on the half lattice, each pair stacked as the
-    ``(u, u_t)`` rows that multiply the stacked state.
+    ``(u, u_t)`` rows that multiply the stacked state and stored as complex
+    (a zero imaginary part) so that no step casts them.
 
     The stepper keeps ``N_{n-1}`` in one of two source buffers; a step
     writes ``N_n`` into the other, forms ``D`` in place of ``N_{n-1}`` and
@@ -252,10 +299,12 @@ class _EtdStepper:
         self.source = _Source(grid, spec)
         sym = propagator(grid.xi2_half, self.dt, params)
         i0, i1 = _etd_integrals(grid.xi2_half, self.dt, params)
-        self.from_u = np.stack([sym.cosine, sym.cosine_dt])
-        self.from_ut = np.stack([sym.sine, sym.sine_dt])
-        self.w_predict = np.stack([i0.real, sym.sine])
-        self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real])
+        c128 = np.complex128
+        self.from_u = np.stack([sym.cosine, sym.cosine_dt], dtype=c128)
+        self.from_ut = np.stack([sym.sine, sym.sine_dt], dtype=c128)
+        self.w_predict = np.stack([i0.real, sym.sine], dtype=c128)
+        self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real],
+                                  dtype=c128)
         self.pred = np.empty((2,) + grid.half_shape, dtype=np.complex128)
         self.scratch = np.empty_like(self.pred)
         self.cur = np.empty(grid.half_shape, dtype=np.complex128)
@@ -285,15 +334,62 @@ class _EtdStepper:
         return np.add(pred, np.multiply(self.w_correct, diff, out=scratch))
 
 
+#: OpenBLAS spreads a dot product of more than 10 000 elements over its
+#: threads, which a busy host can stall for milliseconds (on a 2-core host
+#: with a second busy process, a 2-D 128^2 run with one dot product per row
+#: took 28 s instead of 2 s); shorter chunks stay on the calling thread
+_DOT_CHUNK = 8192
+
+
+def _squares(z: np.ndarray) -> float:
+    """``sum |z|^2`` over a complex array, by single-threaded BLAS ``vdot``."""
+    flat = z.reshape(-1)
+    total = 0.0
+    for start in range(0, flat.size, _DOT_CHUNK):
+        chunk = flat[start:start + _DOT_CHUNK]
+        total += np.vdot(chunk, chunk).real
+    return total
+
+
 def _over_guard(grid: Grid, y: np.ndarray, guard: float) -> bool:
     """Whether ``y`` holds a non-finite value or the L^2 norm of its ``u`` row
-    exceeds ``guard``; no temporaries of the size of ``y``.
+    exceeds ``guard``.
+
+    One pass over ``y``: the sums of squares of its rows are finite unless
+    an entry is not or the squares overflow; only then are the entries
+    tested one by one, which allocates.  The amplitude is the Plancherel sum
+    of :func:`half_l2`, every mode counted twice less once the last-axis
+    planes ``m = 0`` and ``m = N/2`` that hold their own conjugates,
+    ``2 |u|^2 - |u_0|^2 - |u_{N/2}|^2``, and agrees with :func:`half_l2` to
+    rounding.
     """
-    flat = y.reshape(-1).view(np.float64)
-    # max and min propagate NaN, so both are finite only if every entry is
-    if not (math.isfinite(flat.max()) and math.isfinite(flat.min())):
+    squares = _squares(y[0])
+    if not math.isfinite(squares + _squares(y[1])) and not np.isfinite(y).all():
         return True
-    return half_l2(grid, y[0]) > guard
+    # last-axis columns 0 and N/2, the planes that hold their own conjugates
+    power = 2.0 * squares - _squares(y[0, ..., ::grid.N // 2])
+    # squares that overflowed leave inf - inf = NaN here, which is over too
+    return not math.sqrt(grid.dxi**grid.n * power) <= guard
+
+
+def _step_count(T: float, dt: float) -> int:
+    """Number of steps ``dt`` to ``T``; ValueError unless ``dt`` divides ``T``."""
+    if not (T > 0.0):
+        raise ValueError(f"final time must be positive, got {T}")
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    n_steps = round(T / dt)
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"dt={dt} does not divide T={T}")
+    return n_steps
+
+
+def _output_times(n_steps: int, dt: float, out_every: int) -> np.ndarray:
+    """The times :func:`solve` records: 0, every ``out_every``-th step, the last."""
+    steps = np.arange(out_every, n_steps + 1, out_every)
+    if n_steps % out_every:
+        steps = np.append(steps, n_steps)
+    return np.concatenate([[0.0], steps * dt])
 
 
 def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
@@ -307,13 +403,7 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     """
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
-    if not (T > 0.0):
-        raise ValueError(f"final time must be positive, got {T}")
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"dt={dt} does not divide T={T}")
+    n_steps = _step_count(T, dt)
     if out_every < 1 or int(out_every) != out_every:
         raise ValueError("output cadence must be a positive integer")
 
@@ -322,7 +412,6 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     y = _half_state(u0, u1)
     guard = blowup_factor * max(half_l2(g, y[0]), half_l2(g, y[1]), 1e-30)
 
-    times = [0.0]
     states = [StatePair(u=u0, ut=u1, t=0.0)]
     for i in range(1, n_steps + 1):
         t_prev = (i - 1) * dt
@@ -333,9 +422,8 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
                 f"state blow-up at t={t_now:.6g}: amplitude exceeded "
                 f"{blowup_factor:g} x initial", t_now)
         if i % out_every == 0 or i == n_steps:
-            times.append(t_now)
             states.append(_state_pair(g, y, t_now))
-    return Trajectory(times=np.asarray(times), states=states)
+    return Trajectory(times=_output_times(n_steps, dt, out_every), states=states)
 
 
 # ---------------------------------------------------------------------------

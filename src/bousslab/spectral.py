@@ -33,9 +33,8 @@ Conventions used throughout the package:
   conjugates, and 2 elsewhere.  :func:`half_forward` / :func:`half_inverse`
   transform over the last ``n`` axes, so a leading stack axis (for example
   ``(u, u_t)``) is transformed in one batched call; they make the per-axis
-  ``numpy.fft`` calls of ``rfftn``/``irfftn`` themselves and can write into
-  a caller's buffer (``out=``), which the source evaluator uses to run
-  without temporaries.
+  ``numpy.fft`` calls of ``rfftn``/``irfftn`` themselves, the same calls the
+  source evaluator of :mod:`bousslab.nonlinear` prunes to the 2/3 band.
 """
 
 from __future__ import annotations
@@ -246,36 +245,31 @@ def inverse_transform(F: SpectralField) -> PhysicalField:
     return PhysicalField(g, w.real)
 
 
-def half_forward(grid: Grid, values: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def half_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unitary half spectrum of real samples shaped ``(..., *grid.shape)``.
 
     The per-axis ``numpy.fft`` calls that ``rfftn`` makes (``rfft`` on the
     last axis, then ``fft`` over the other spatial axes, last first), so the
-    values are those of ``rfftn``; written into ``out`` when it is given.
+    values are those of ``rfftn``.
     """
-    out = np.fft.rfft(values, axis=-1, out=out)
+    out = np.fft.rfft(values, axis=-1)
     for ax in reversed(grid.axes[:-1]):
         np.fft.fft(out, axis=ax, out=out)
     out *= grid.fft_scale
     return out
 
 
-def half_inverse(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
-                 overwrite_input: bool = False) -> np.ndarray:
+def half_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half spectra shaped ``(..., *grid.half_shape)``.
 
     The per-axis ``numpy.fft`` calls that ``irfftn`` makes (``ifft`` over the
     leading spatial axes in order, then ``irfft`` on the last), so the values
-    are those of ``irfftn``; written into ``out`` when it is given.  With
-    ``overwrite_input`` a complex ``coeffs`` holds the intermediate
-    transforms and is left overwritten.
+    are those of ``irfftn``; ``coeffs`` is left unchanged.
     """
     work = coeffs
     for ax in grid.axes[:-1]:
-        work = np.fft.ifft(work, axis=ax, out=work if overwrite_input else None)
-        overwrite_input = True
-    out = np.fft.irfft(work, n=grid.N, axis=-1, out=out)
+        work = np.fft.ifft(work, axis=ax, out=None if work is coeffs else work)
+    out = np.fft.irfft(work, n=grid.N, axis=-1)
     out /= grid.fft_scale
     return out
 

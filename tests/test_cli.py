@@ -8,17 +8,22 @@ written to a temp directory, then inspects exit codes and the artifact set
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import bousslab
 from bousslab import (ModelParams, NonlinearitySpec, PhysicalField, RadialData,
                       make_grid, radial_norm_quadrature, reference_solve)
 from bousslab.cli import EXIT_BAD_CONFIG, EXIT_BLOWUP, EXIT_OK, EXIT_VERDICT_FAILED, OUT_ENV_VAR, main
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "bousslab" / "schema" / "report_schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "src" / "bousslab" / "schema" / "report_schema.json"
 
 EXPERIMENT_IDS = (
     "linear_rates",
@@ -262,6 +267,29 @@ class TestExitCodes:
         assert rc == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert "data.path" in err and "u1" in err
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("discretization", "dt", 0.07, "dt=0.07 does not divide T"),
+        ("analysis", "fit_window", [1000, 2000], "need at least 6 points"),
+        ("discretization", "out_every", 100000, "2 output times, need >= 8"),
+    ], ids=["dt_not_dividing_T", "fit_window_past_T", "too_few_output_times"])
+    def test_cross_field_defect_returns_two_and_names_the_field(
+            self, tmp_path, section, key, value, message):
+        cfg = json.loads((ROOT / "configs" / "nonlinear_rates_1d.json").read_text())
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        env = dict(os.environ)
+        src = str(Path(bousslab.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "bousslab.cli", "run", str(path),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_BAD_CONFIG, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"error: {section}.{key}: " in done.stderr
+        assert message in done.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -97,6 +97,48 @@ class TestValidation:
         with pytest.raises(ConfigError, match="path"):
             ExperimentConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("experiment", ["nonlinear_rates", "nl_vs_linear_gap",
+                                            "oracle_crosscheck"])
+    def test_time_step_must_divide_the_final_time(self, experiment):
+        bad = {**VALID, "experiment": experiment,
+               "discretization": {**VALID["discretization"], "dt": 0.07}}
+        with pytest.raises(ConfigError, match=r"^discretization\.dt: dt=0\.07 "
+                                              r"does not divide T=30\.0$"):
+            ExperimentConfig.from_dict(bad)
+
+    def test_radial_experiments_do_not_step_in_time(self):
+        # linear_rates never reads dt, T or out_every against its fit window
+        cfg = {**VALID, "discretization": {**VALID["discretization"], "dt": 0.07}}
+        assert ExperimentConfig.from_dict(cfg).discretization.dt == 0.07
+
+    def test_fit_window_counts_the_recorded_output_times(self):
+        # T = 30, dt = 0.02, every 5th step: outputs every 0.1 and the fit
+        # window holds those in [lo, hi], ends included
+        box = {**VALID, "experiment": "nl_vs_linear_gap"}
+        for window, ok in (([29.5, 30.0], True), ([29.55, 30.0], False)):
+            cfg = {**box, "analysis": {**VALID["analysis"], "fit_window": window}}
+            if ok:
+                ExperimentConfig.from_dict(cfg)
+            else:
+                with pytest.raises(ConfigError, match=r"^analysis\.fit_window: "
+                                                      r"need at least 6 points"):
+                    ExperimentConfig.from_dict(cfg)
+
+    def test_decay_series_needs_eight_output_times(self):
+        # 1500 steps: every 215th gives 0, six multiples and the last step;
+        # every 250th ends on a multiple, one output time fewer
+        box = {**VALID, "experiment": "nonlinear_rates",
+               "analysis": {**VALID["analysis"], "fit_window": [0.0, 30.0]}}
+        for out_every, ok in ((215, True), (250, False)):
+            cfg = {**box, "discretization": {**VALID["discretization"],
+                                             "out_every": out_every}}
+            if ok:
+                ExperimentConfig.from_dict(cfg)
+            else:
+                with pytest.raises(ConfigError, match=r"^discretization\.out_every: "
+                                                      r"trajectory has 7 output times"):
+                    ExperimentConfig.from_dict(cfg)
+
 
 class TestFileDiagnostics:
     def test_invalid_json_reports_line_and_column(self, tmp_path):

@@ -233,6 +233,56 @@ class TestSource:
             assert source(y, 0.0, out=out) is out
             assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("grid", SOURCE_GRIDS)
+    def test_masked_out_input_modes_do_not_change_the_source(self, grid, rng):
+        g = make_grid(*SOURCE_GRIDS[grid])
+        source = _Source(g, QUAD_SPEC)
+        y = self.full_half_spectrum(g, rng)
+        truncated = np.where(g.dealias_mask_half, y, 0.0)
+        assert np.array_equal(source(y, 0.0), source(truncated, 0.0))
+
+    @pytest.mark.parametrize("grid", SOURCE_GRIDS)
+    def test_every_masked_out_output_mode_is_exactly_zero(self, grid, rng):
+        # the leading-axis transforms skip the masked-out columns (and, in
+        # 3-D, rows): a stale or NaN-filled ``out`` must not show through
+        g = make_grid(*SOURCE_GRIDS[grid])
+        source = _Source(g, QUAD_SPEC)
+        out = np.full(g.half_shape, np.nan + 0j)
+        source(self.full_half_spectrum(g, rng), 0.0, out=out)
+        masked = out[~g.dealias_mask_half]
+        assert masked.size > 0 and np.all(masked == 0.0)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("grid", ["1d_64", "2d_128", "3d_16"])
+    def test_nan_in_a_masked_out_mode_still_blows_up(self, grid, monkeypatch):
+        g = make_grid(*SOURCE_GRIDS[grid])
+        # the largest last-axis mode is above the 2/3 cut on every grid
+        masked = (1,) + (0,) * (g.n - 1) + (-1,)
+        assert not g.dealias_mask_half[masked[1:]]
+        u0 = small_gaussian(g, amplitude=0.01, width=2.0)
+        y = _half_state(u0, PhysicalField.zero(g))
+        y[masked] = math.nan
+        with pytest.raises(BlowUpError, match="non-finite values") as info:
+            _Source(g, QUAD_SPEC)(y, 0.7)
+        assert info.value.time == 0.7
+
+        # in a run, the state of the step that made the NaN trips the guard
+        advance = _EtdStepper.advance
+        steps = [0]
+
+        def poisoned(self, y, t):
+            out = advance(self, y, t)
+            steps[0] += 1
+            if steps[0] == 3:
+                out[masked] = math.nan
+            return out
+
+        monkeypatch.setattr(_EtdStepper, "advance", poisoned)
+        with pytest.raises(BlowUpError, match="amplitude exceeded") as info:
+            solve(u0, PhysicalField.zero(g), T=0.5, dt=0.1, spec=QUAD_SPEC,
+                  params=P)
+        assert steps[0] == 3 and info.value.time == 3 * 0.1
+
     def test_fresh_results_do_not_alias(self, rng):
         g = make_grid(2, 20.0, 16)
         source = _Source(g, QUAD_SPEC)
@@ -504,6 +554,18 @@ class TestStepAndSolve:
         assert half_l2(g, y[1]) > 2.0 * amplitude
         assert _over_guard(g, y, amplitude * (1.0 - 1e-12))
         assert not _over_guard(g, y, amplitude * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("n, L, N", [(1, 60.0, 512), (2, 40.0, 128),
+                                         (3, 20.0, 16)])
+    def test_guard_amplitude_matches_half_l2(self, n, L, N, rng):
+        # the guard's dot-product amplitude trips within 1e-13 of half_l2
+        g = make_grid(n, L, N)
+        for _ in range(5):
+            shape = (2,) + g.half_shape
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            amplitude = half_l2(g, y[0])
+            assert _over_guard(g, y, amplitude * (1.0 - 1e-13))
+            assert not _over_guard(g, y, amplitude * (1.0 + 1e-13))
 
 
 class TestPicard:

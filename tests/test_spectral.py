@@ -146,8 +146,8 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("n, N", [(1, 64), (1, 512), (2, 128), (3, 16)])
     def test_per_axis_transforms_equal_rfftn_and_irfftn(self, rng, n, N):
-        # bitwise, on a stacked pair, with and without a caller's buffer; the
-        # inverse input is an arbitrary half spectrum, Nyquist planes included
+        # bitwise, on a stacked pair; the inverse input is an arbitrary half
+        # spectrum, Nyquist planes included, and is left unchanged
         g = make_grid(n, 7.0, N)
         values = rng.standard_normal((2,) + g.shape)
         coeffs = (rng.standard_normal((2,) + g.half_shape)
@@ -155,16 +155,9 @@ class TestHalfSpectrum:
         forward = np.fft.rfftn(values, axes=g.axes) * g.fft_scale
         inverse = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes) / g.fft_scale
         assert np.array_equal(half_forward(g, values), forward)
-        out = np.full_like(forward, np.nan)
-        assert half_forward(g, values, out=out) is out
-        assert np.array_equal(out, forward)
-
         kept = coeffs.copy()
         assert np.array_equal(half_inverse(g, coeffs), inverse)
         assert np.array_equal(coeffs, kept)
-        out = np.full_like(inverse, np.nan)
-        assert half_inverse(g, coeffs, out=out, overwrite_input=True) is out
-        assert np.array_equal(out, inverse)
 
 
 class TestFieldTypes:
