@@ -16,20 +16,16 @@ from .config import (AnalysisConfig, ConfigError, DataConfig,
                      DiscretizationConfig, ExperimentConfig, ModelConfig,
                      load_config)
 from .experiments import RunReport, list_experiments, run_experiment
-from .linear import (RadialData, StatePair, gaussian_profile,
-                     gaussian_radial_data, linear_norm_radial,
-                     linear_solution, profile_solution,
-                     square_integrable_profile, square_integrable_radial_data,
-                     total_energy)
+from .linear import (RadialData, gaussian_profile, gaussian_radial_data,
+                     linear_norm_radial, linear_solution,
+                     square_integrable_profile, square_integrable_radial_data)
 from .nonlinear import (BlowUpError, NonlinearitySpec,
                         ReferenceIntegrationError, Trajectory,
-                        linear_trajectory, nonlinearity, picard_iterate,
-                        reference_solve, solve)
-from .spectral import (Grid, NormSpec, PhysicalField, QuadratureError,
-                       SpectralField, forward_transform, inverse_transform,
-                       l1_norm, l2_norm, linf_norm, make_grid,
-                       neg_sobolev_norm, norm, radial_norm_quadrature,
-                       sobolev_norm)
+                        linear_trajectory, picard_iterate, reference_solve,
+                        solve)
+from .spectral import (Grid, PhysicalField, QuadratureError,
+                       forward_transform, inverse_transform, l1_norm, l2_norm,
+                       linf_norm, make_grid, neg_sobolev_norm, sobolev_norm)
 from .symbols import (ModeEnergy, ModelParams, PropagatorSymbols,
                       characteristic_roots, damping_coefficient,
                       decay_envelope, mode_energy, phi,
@@ -43,21 +39,19 @@ __all__ = [
     "BoundCertificate", "ConfigError",
     "DataConfig", "DecaySeries", "DiscretizationConfig", "ExperimentConfig",
     "Grid", "ModeEnergy", "ModelConfig", "ModelParams", "NonlinearitySpec",
-    "NormSpec", "PhysicalField", "ProductCheck", "PropagatorSymbols",
+    "PhysicalField", "ProductCheck", "PropagatorSymbols",
     "QuadratureError", "RadialData", "RateFit", "ReferenceIntegrationError",
-    "RunReport", "SpectralField",
-    "StatePair", "Trajectory", "certify_bound", "characteristic_roots",
+    "RunReport", "Trajectory", "certify_bound", "characteristic_roots",
     "damping_coefficient", "decay_envelope", "decay_series",
     "default_certify_grids", "fit_rate", "forward_transform", "gap_weight",
     "gaussian_profile", "gaussian_radial_data", "initial_data_size",
     "inverse_transform", "l1_norm", "l2_norm", "linear_norm_radial",
     "linear_solution", "linear_trajectory", "linf_norm", "list_experiments",
     "load_config", "make_grid", "mode_energy", "neg_sobolev_norm",
-    "nonlinearity", "norm", "phi", "phi_divided_difference",
-    "picard_iterate", "product_estimate_check", "profile_solution",
+    "phi", "phi_divided_difference",
+    "picard_iterate", "product_estimate_check",
     "profile_symbols", "propagator", "radial_decay_series",
-    "radial_norm_quadrature", "reference_solve", "restoring_coefficient",
+    "reference_solve", "restoring_coefficient",
     "run_experiment", "sobolev_norm", "solve", "square_integrable_profile",
-    "square_integrable_radial_data", "total_energy",
-    "xnorm_proxy",
+    "square_integrable_radial_data", "xnorm_proxy",
 ]

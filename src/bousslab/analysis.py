@@ -19,9 +19,8 @@ import numpy as np
 
 from .linear import RadialData, _radial_norms
 from .nonlinear import Trajectory
-from .spectral import (NormSpec, PhysicalField, SpectralField, forward_transform,
-                       inverse_transform, l1_norm, l2_norm, linf_norm,
-                       neg_sobolev_norm, norm)
+from .spectral import (TWO_PI, PhysicalField, forward_transform, inverse_transform,
+                       l1_norm, l2_norm, linf_norm, neg_sobolev_norm, sobolev_norm)
 from .symbols import ModelParams, decay_envelope, profile_symbols, propagator
 
 
@@ -133,33 +132,20 @@ def _check_series_length(size: int) -> None:
 
 
 def decay_series(run: Trajectory, k_list: Sequence[int],
-                 norm_kind: str = "sobolev2", source: str = "nonlinear") -> list[DecaySeries]:
-    """Norms of the displacement along a trajectory, one series per ``k``.
+                 source: str = "nonlinear") -> list[DecaySeries]:
+    """Sobolev norms of the displacement along a trajectory, one series per ``k``.
 
-    ``sobolev2`` is the L^2 norm of the order-k radial derivative; ``l1`` and
-    ``linf`` are available for k = 0 only.  Needs at least 8 output times so
-    downstream fits are meaningful.
+    The L^2 norm of the order-k radial derivative, a Plancherel sum over the
+    stored half spectra.  Needs at least 8 output times so downstream fits
+    are meaningful.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
     _check_series_length(run.times.size)
-    out = []
-    spectra = None
-    for k in k_list:
-        if norm_kind == "sobolev2":
-            if spectra is None:
-                spectra = [forward_transform(s.u) for s in run.states]
-            vals = [norm(F, NormSpec("sobolev", k=int(k))) for F in spectra]
-        elif norm_kind in ("l1", "linf"):
-            if k != 0:
-                raise ValueError(f"{norm_kind} series only defined for k = 0")
-            fn = l1_norm if norm_kind == "l1" else linf_norm
-            vals = [fn(s.u) for s in run.states]
-        else:
-            raise ValueError(f"unknown norm kind {norm_kind!r}")
-        out.append(DecaySeries(times=run.times.copy(), values=np.asarray(vals),
-                               k=int(k), norm_kind=norm_kind, source=source))
-    return out
+    u_hat = run.spectra[:, 0]
+    return [DecaySeries(times=run.times.copy(), values=sobolev_norm(run.grid, u_hat, k),
+                        k=int(k), norm_kind="sobolev2", source=source)
+            for k in k_list]
 
 
 _RADIAL_SOURCE = {"linear": "linear", "profile": "profile", "gap": "profile_gap"}
@@ -207,13 +193,9 @@ def xnorm_proxy(run: Trajectory, n: int, k_list: Sequence[int] = (0, 1, 2)) -> n
     small-data theory; boundedness along a run is the practical check that
     the iteration stayed in the contraction regime.
     """
-    vals = np.zeros(run.times.size)
-    for i, s in enumerate(run.states):
-        F = forward_transform(s.u)
-        weight_t = 1.0 + run.times[i]
-        vals[i] = max(weight_t ** (0.25 * n + 0.5 * k) * norm(F, NormSpec("sobolev", k=int(k)))
-                      for k in k_list)
-    return vals
+    u_hat = run.spectra[:, 0]
+    return np.max([(1.0 + run.times) ** (0.25 * n + 0.5 * k)
+                   * sobolev_norm(run.grid, u_hat, k) for k in k_list], axis=0)
 
 
 def initial_data_size(u0: PhysicalField, u1: PhysicalField, k_max: int = 2) -> float:
@@ -226,24 +208,23 @@ def initial_data_size(u0: PhysicalField, u1: PhysicalField, k_max: int = 2) -> f
     H^(k_max) norm.  Used to gate smallness before a nonlinear run.
     """
     g = u0.grid
-    u0_hat = forward_transform(u0)
-    u1_hat = forward_transform(u1)
+    u0_hat, u1_hat = forward_transform(g, np.stack([u0.values, u1.values]))
     total = l1_norm(u0)
-    total += sum(norm(u0_hat, NormSpec("sobolev", k=k)) for k in range(k_max + 1))
-    mean_scale = g.dxi ** (g.n / 2.0) * abs(u1_hat.coeffs.flat[0])
-    if mean_scale > 1e-12 * max(l2_norm(u1), 1e-300):
+    total += sum(sobolev_norm(g, u0_hat, k) for k in range(k_max + 1))
+    mean_scale = g.dxi ** (g.n / 2.0) * abs(u1_hat[(0,) * g.n])
+    if mean_scale > 1e-12 * max(sobolev_norm(g, u1_hat), 1e-300):
         raise ValueError("velocity must have zero mean for the negative-order norm")
     if g.n == 1:
-        xi = g.xi_axis
-        inv = np.zeros_like(u1_hat.coeffs)
+        xi = TWO_PI * np.fft.rfftfreq(g.N, d=g.dx)
+        inv = np.zeros_like(u1_hat)
         nz = xi != 0.0
-        inv[nz] = u1_hat.coeffs[nz] / (1j * xi[nz])
-        anti = inverse_transform(SpectralField(g, inv))
-        neg_part = max(neg_sobolev_norm(u1_hat), l1_norm(anti))
+        inv[nz] = u1_hat[nz] / (1j * xi[nz])
+        anti = PhysicalField(g, inverse_transform(g, inv))
+        neg_part = max(neg_sobolev_norm(g, u1_hat), l1_norm(anti))
     else:
-        neg_part = neg_sobolev_norm(u1_hat)
+        neg_part = neg_sobolev_norm(g, u1_hat)
     total += neg_part
-    total += sum(norm(u1_hat, NormSpec("sobolev", k=k)) for k in range(k_max + 1))
+    total += sum(sobolev_norm(g, u1_hat, k) for k in range(k_max + 1))
     return float(total)
 
 
@@ -399,8 +380,8 @@ def product_estimate_check(v, w, m: int) -> list[ProductCheck]:
     def deriv(f: PhysicalField, order: int) -> PhysicalField:
         if order == 0:
             return f
-        coeffs = forward_transform(f).coeffs * np.sqrt(g.xi2) ** order
-        return inverse_transform(SpectralField(g, coeffs))
+        coeffs = forward_transform(g, f.values) * np.sqrt(g.xi2_half) ** order
+        return PhysicalField(g, inverse_transform(g, coeffs))
 
     def sq(f: PhysicalField) -> PhysicalField:
         return PhysicalField(g, f.values**2)

@@ -14,8 +14,13 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .analysis import _check_series_length, _fit_points
+from .analysis import _check_series_length, _fit_points, default_certify_grids
 from .nonlinear import _output_times, _step_count
+
+#: largest magnitude (and, for box and data sizes, its inverse the smallest)
+#: of a scale parameter: squares and cubes of it, such as cell volumes,
+#: |xi|^4 alpha^2 or width^n, stay finite nonzero doubles
+_SCALE_LIMIT = 1e100
 
 EXPERIMENTS = ("linear_rates", "nonlinear_rates", "profile_gap",
                "nl_vs_linear_gap", "lemma_certify", "oracle_crosscheck")
@@ -60,7 +65,8 @@ class ModelConfig:
         out: dict[str, Any] = {}
         if "alpha" in data:
             out["alpha"] = float(_require(section, "alpha", data["alpha"], (int, float),
-                                          lambda a: a <= -1.0, "must be <= -1"))
+                                          lambda a: -_SCALE_LIMIT <= a <= -1.0,
+                                          f"must lie in [-{_SCALE_LIMIT:g}, -1]"))
         if "beta" in data:
             out["beta"] = float(_require(section, "beta", data["beta"], (int, float),
                                          lambda b: b > 0.0, "must be > 0"))
@@ -96,7 +102,8 @@ class DiscretizationConfig:
                                 lambda v: v in (1, 2, 3), "1, 2, or 3")
         if "L" in data:
             out["L"] = float(_require(section, "L", data["L"], (int, float),
-                                      lambda v: 0 < v < math.inf, "must be positive and finite"))
+                                      lambda v: 1 / _SCALE_LIMIT <= v <= _SCALE_LIMIT,
+                                      f"must lie in [{1 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"))
         if "N" in data:
             out["N"] = _require(section, "N", data["N"], int,
                                 lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")
@@ -132,7 +139,8 @@ class DataConfig:
                                    lambda s: s in ("gaussian", "radial_L2", "custom_file"),
                                    "one of gaussian, radial_L2, custom_file")
         for key, pred, what in (("amplitude", lambda v: math.isfinite(v), "must be finite"),
-                                ("width", lambda v: v > 0, "must be > 0"),
+                                ("width", lambda v: 1 / _SCALE_LIMIT <= v <= _SCALE_LIMIT,
+                                 f"must lie in [{1 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"),
                                 ("velocity_amplitude", lambda v: math.isfinite(v), "must be finite"),
                                 ("eps", lambda v: 0 < v < 1, "must lie in (0, 1)")):
             if key in data:
@@ -172,8 +180,10 @@ class AnalysisConfig:
         if "fit_window" in data:
             raw = _require(section, "fit_window", data["fit_window"], list,
                            lambda v: len(v) == 2, "must be [lo, hi]")
-            lo = float(_require(section, "fit_window[0]", raw[0], (int, float)))
-            hi = float(_require(section, "fit_window[1]", raw[1], (int, float)))
+            lo = float(_require(section, "fit_window[0]", raw[0], (int, float),
+                                math.isfinite, "must be finite"))
+            hi = float(_require(section, "fit_window[1]", raw[1], (int, float),
+                                math.isfinite, "must be finite"))
             if not (0 <= lo < hi):
                 raise ConfigError(f"{section}fit_window: need 0 <= lo < hi, got {raw}")
             out["fit_window"] = (lo, hi)
@@ -221,6 +231,7 @@ class ExperimentConfig:
             sections[name] = sub.from_dict(raw)
         cfg = cls(experiment=exp, seed=seed, **sections)
         _check_box_schedule(cfg)
+        _check_certify_band(cfg)
         return cfg
 
     def to_dict(self) -> dict[str, Any]:
@@ -238,7 +249,9 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
     ``T`` (:func:`~bousslab.nonlinear.solve`), the decay series of
     ``nonlinear_rates`` needs 8 output times
     (:func:`~bousslab.analysis.decay_series`), and the fit window must hold
-    6 of them (:func:`~bousslab.analysis.fit_rate`).  ``oracle_crosscheck``
+    6 of them (:func:`~bousslab.analysis.fit_rate`), after t = 0 for
+    ``nl_vs_linear_gap``, whose nonlinear-minus-linear gap is exactly 0
+    there (both runs start from the same spectra).  ``oracle_crosscheck``
     picks its own output cadence and fits nothing.  The output times are
     materialised: 8 bytes each, against the state pair per output time that
     the run itself keeps.
@@ -259,9 +272,25 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
         except ValueError as exc:
             raise ConfigError(f"discretization.out_every: {exc}") from exc
     try:
-        _fit_points(times, cfg.analysis.fit_window)
+        sel = _fit_points(times, cfg.analysis.fit_window)
     except ValueError as exc:
         raise ConfigError(f"analysis.fit_window: {exc}") from exc
+    if cfg.experiment == "nl_vs_linear_gap" and times[sel][0] == 0.0:
+        raise ConfigError("analysis.fit_window: must start after t = 0, where the "
+                          "nonlinear-minus-linear gap is 0")
+
+
+def _check_certify_band(cfg: ExperimentConfig) -> None:
+    """``lemma_certify`` certifies the profile remainders on the frequencies
+    of :func:`~bousslab.analysis.default_certify_grids` up to ``r0``, so at
+    least one of them must lie there.
+    """
+    if cfg.experiment != "lemma_certify":
+        return
+    xi, _ = default_certify_grids()
+    if not (xi <= cfg.analysis.r0).any():
+        raise ConfigError(f"analysis.r0: no certification frequency at or below "
+                          f"r0={cfg.analysis.r0:g} (the grid starts at {xi.min():g})")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -2,8 +2,10 @@
 
 Two complementary evaluation routes for the same linear flow:
 
-* :func:`linear_solution` applies the propagator symbols to the half-spectrum
-  lattice of a periodic box (exact in time, spectral in space);
+* :func:`linear_solution` applies the propagator symbols to the stacked
+  half spectra ``(u_hat, ut_hat)`` of a periodic box (exact in time,
+  spectral in space), at one time or at a vector of times in one kernel
+  evaluation;
 * :func:`linear_norm_radial` evaluates L^2-type norms of the evolution of
   radially symmetric data directly as one-dimensional continuum integrals
   over ``|xi|``, free of any box truncation, which is what makes decay-rate
@@ -22,85 +24,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import (Grid, PhysicalField, SpectralField, SPHERE_SURFACE,
-                       forward_transform, half_forward, half_inverse,
-                       inverse_transform, _radial_integral)
-from .symbols import ModelParams, mode_energy, profile_symbols, propagator
+from .spectral import SPHERE_SURFACE, Grid, _radial_integral
+from .symbols import ModelParams, profile_symbols, propagator
 
 
-@dataclass(frozen=True)
-class StatePair:
-    """Displacement/velocity pair ``(u, u_t)`` at one time."""
-
-    u: PhysicalField
-    ut: PhysicalField
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.u.grid != self.ut.grid:
-            raise ValueError("u and u_t live on different grids")
-        if self.t < 0.0 or not math.isfinite(self.t):
-            raise ValueError(f"time must be nonnegative and finite, got {self.t}")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-
-def _half_state(u: PhysicalField, ut: PhysicalField) -> np.ndarray:
-    """Stacked half spectra ``(u_hat, ut_hat)`` from one batched transform."""
-    return half_forward(u.grid, np.stack([u.values, ut.values]))
-
-
-def _state_pair(grid: Grid, y: np.ndarray, t: float) -> StatePair:
-    """The physical state of stacked half spectra (one batched transform)."""
-    u, ut = half_inverse(grid, y)
-    return StatePair(u=PhysicalField(grid, u), ut=PhysicalField(grid, ut), t=float(t))
-
-
-def _apply_symbols(grid: Grid, y0: np.ndarray, t,
-                   params: ModelParams) -> np.ndarray:
-    """Linear flow over ``t`` of the stacked half spectra ``(u0_hat, u1_hat)``.
+def linear_solution(grid: Grid, y0: np.ndarray, t, params: ModelParams) -> np.ndarray:
+    """Linear flow over ``t`` of the stacked half spectra ``y0 = (u0_hat, u1_hat)``.
 
     A scalar ``t`` gives shape ``(2, *grid.half_shape)``; a vector of ``M``
     times gives ``(M, 2, *grid.half_shape)`` from one kernel evaluation.
+    Times must be nonnegative.
     """
     t = np.asarray(t, dtype=np.float64)
     sym = propagator(grid.xi2_half, t.reshape(t.shape + (1,) * grid.n), params)
     return np.stack([sym.sine * y0[1] + sym.cosine * y0[0],
                      sym.sine_dt * y0[1] + sym.cosine_dt * y0[0]],
                     axis=-grid.n - 1)
-
-
-def linear_solution(u0: PhysicalField, u1: PhysicalField, t: float,
-                    params: ModelParams) -> StatePair:
-    """Evolve ``(u0, u1)`` to time ``t`` under the linear flow (exact in time)."""
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 live on different grids")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    g = u0.grid
-    return _state_pair(g, _apply_symbols(g, _half_state(u0, u1), t, params), t)
-
-
-def profile_solution(u0: PhysicalField, u1: PhysicalField, t: float,
-                     params: ModelParams) -> PhysicalField:
-    """Leading-order asymptotic evolution (damped sinc/cosine kernels)."""
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 live on different grids")
-    g = u0.grid
-    g0, h0 = profile_symbols(g.xi2, t, params)
-    u_hat = g0 * forward_transform(u1).coeffs + h0 * forward_transform(u0).coeffs
-    return inverse_transform(SpectralField(g, u_hat))
-
-
-def total_energy(u: SpectralField, ut: SpectralField, params: ModelParams) -> float:
-    """Frequency-summed mode energy (non-increasing along the linear flow)."""
-    if u.grid != ut.grid:
-        raise ValueError("fields live on different grids")
-    g = u.grid
-    e = mode_energy(g.xi2, u.coeffs, ut.coeffs, params)
-    return float(g.dxi**g.n * np.sum(e.energy))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +216,6 @@ def linear_norm_radial(data: RadialData, t: float, k: int, n: int,
     is still verified by the doubling tail check.  The integration variable
     is ``r = s^q`` with ``q = data.substitution_power``.  This is the
     one-component case of the all-components evaluation behind
-    :func:`bousslab.analysis.radial_decay_series`, with the same integrator
-    as :func:`bousslab.spectral.radial_norm_quadrature`.
+    :func:`bousslab.analysis.radial_decay_series`.
     """
     return _radial_norms(data, t, ((which, k),), n, params, rtol)[0]

@@ -29,8 +29,9 @@ Three independent realisations are provided and cross-checked:
   vector holds the real and imaginary parts of the half spectra.
 
 All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
-(``rfftn`` layout, see :mod:`bousslab.spectral`) and evaluate the source
-through one evaluator, :class:`_Source`: both fields are truncated by the 2/3
+(``rfftn`` layout, see :mod:`bousslab.spectral`), return those spectra at
+the output times as a :class:`Trajectory`, and evaluate the source through
+one evaluator, :class:`_Source`: both fields are truncated by the 2/3
 rule and inverse-transformed in one batched call, the pointwise powers are
 formed in physical space, and one forward transform times one real weight
 (the truncation and ``-|xi|^2``) gives the spectral source.  Both transforms
@@ -38,7 +39,6 @@ are pruned to the modes the truncation keeps: the leading-axis passes skip
 the half-spectrum columns above ``N//3`` (in 3-D also the outer pass over
 the masked middle-axis rows), which hold zeros on input and are zeroed on
 output, so the kept modes are bitwise those of the whole-array transforms.
-:func:`nonlinearity` is a thin wrapper over the same path.
 
 The evaluator and the ETD stepper own their work arrays, built once per
 (grid, spec) and reused on every call, so a step or a right-hand side
@@ -59,9 +59,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse import csc_matrix
 
-from .linear import StatePair, _apply_symbols, _half_state, _state_pair
-from .spectral import (Grid, PhysicalField, SpectralField, half_inverse,
-                       half_l2, half_to_full)
+from .linear import linear_solution
+from .spectral import Grid, PhysicalField, forward_transform, sobolev_norm
 from .symbols import (ModelParams, characteristic_roots, damping_coefficient,
                       phi_divided_difference, propagator, restoring_coefficient)
 
@@ -129,8 +128,9 @@ class _Source:
     The evaluator is a workspace built once per (grid, spec): it owns the
     truncated pair, the physical pair, the pointwise product and the forward
     half spectrum, and makes the per-axis ``numpy.fft`` calls of
-    :func:`half_inverse`/:func:`half_forward` into them, with the pointwise
-    powers formed in place.  Because of the shared workspaces one instance
+    :func:`~bousslab.spectral.inverse_transform` and
+    :func:`~bousslab.spectral.forward_transform` into them, with the
+    pointwise powers formed in place.  Because of the shared workspaces one instance
     must not be called from two threads at once.
 
     The transforms are pruned to the kept modes (Markel's FFT pruning of
@@ -217,32 +217,36 @@ class _Source:
         return out
 
 
-def nonlinearity(state: StatePair, spec: NonlinearitySpec) -> SpectralField:
-    """Spectral Laplacian-of-source evaluated at one state."""
-    g = state.grid
-    return half_to_full(g, _Source(g, spec)(_half_state(state.u, state.ut), state.t))
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded along a run, ``times[0] == 0`` and strictly increasing."""
+    """Stacked half spectra ``(u_hat, ut_hat)`` recorded along a run.
+
+    ``spectra[i]`` is the state at ``times[i]``, shape
+    ``(times.size, 2, *grid.half_shape)``; ``times[0] == 0`` and the times
+    strictly increase.
+    """
 
     times: np.ndarray
-    states: list[StatePair]
+    grid: Grid
+    spectra: np.ndarray
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=np.float64)
-        if len(self.states) != t.size:
-            raise ValueError("times and states length mismatch")
-        if t.size == 0:
+        if t.ndim != 1 or t.size == 0:
             raise ValueError("empty trajectory")
+        if self.spectra.shape != (t.size, 2) + self.grid.half_shape:
+            raise ValueError(f"spectra shape {self.spectra.shape} != "
+                             f"{(t.size, 2) + self.grid.half_shape}")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must start at 0 and strictly increase")
         object.__setattr__(self, "times", t)
 
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+
+def _initial_state(u0: PhysicalField, u1: PhysicalField) -> np.ndarray:
+    """Stacked half spectra ``(u0_hat, u1_hat)`` from one batched transform."""
+    if u0.grid != u1.grid:
+        raise ValueError("u0 and u1 live on different grids")
+    return forward_transform(u0.grid, np.stack([u0.values, u1.values]))
 
 
 def _etd_integrals(xi2, dt: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -358,10 +362,10 @@ def _over_guard(grid: Grid, y: np.ndarray, guard: float) -> bool:
     One pass over ``y``: the sums of squares of its rows are finite unless
     an entry is not or the squares overflow; only then are the entries
     tested one by one, which allocates.  The amplitude is the Plancherel sum
-    of :func:`half_l2`, every mode counted twice less once the last-axis
-    planes ``m = 0`` and ``m = N/2`` that hold their own conjugates,
-    ``2 |u|^2 - |u_0|^2 - |u_{N/2}|^2``, and agrees with :func:`half_l2` to
-    rounding.
+    of :func:`~bousslab.spectral.sobolev_norm`, every mode counted twice
+    less once the last-axis planes ``m = 0`` and ``m = N/2`` that hold
+    their own conjugates, ``2 |u|^2 - |u_0|^2 - |u_{N/2}|^2``, and agrees
+    with it to rounding.
     """
     squares = _squares(y[0])
     if not math.isfinite(squares + _squares(y[1])) and not np.isfinite(y).all():
@@ -401,18 +405,19 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     :class:`BlowUpError` if the spectral L^2 amplitude of the state exceeds
     ``blowup_factor`` times its initial value.
     """
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 live on different grids")
     n_steps = _step_count(T, dt)
     if out_every < 1 or int(out_every) != out_every:
         raise ValueError("output cadence must be a positive integer")
 
     g = u0.grid
+    y = _initial_state(u0, u1)
     stepper = _EtdStepper(g, dt, spec, params)
-    y = _half_state(u0, u1)
-    guard = blowup_factor * max(half_l2(g, y[0]), half_l2(g, y[1]), 1e-30)
+    guard = blowup_factor * max(*sobolev_norm(g, y), 1e-30)
 
-    states = [StatePair(u=u0, ut=u1, t=0.0)]
+    times = _output_times(n_steps, dt, out_every)
+    spectra = np.empty((times.size,) + y.shape, dtype=np.complex128)
+    spectra[0] = y
+    row = 1
     for i in range(1, n_steps + 1):
         t_prev = (i - 1) * dt
         y = stepper.advance(y, t_prev)
@@ -422,8 +427,9 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
                 f"state blow-up at t={t_now:.6g}: amplitude exceeded "
                 f"{blowup_factor:g} x initial", t_now)
         if i % out_every == 0 or i == n_steps:
-            states.append(_state_pair(g, y, t_now))
-    return Trajectory(times=_output_times(n_steps, dt, out_every), states=states)
+            spectra[row] = y
+            row += 1
+    return Trajectory(times=times, grid=g, spectra=spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -438,22 +444,6 @@ def _trapezoid_weights(tau: np.ndarray) -> np.ndarray:
         w[:-1] += 0.5 * d
         w[1:] += 0.5 * d
     return w
-
-
-def _mesh_trajectory(u0: PhysicalField, u1: PhysicalField, times: np.ndarray,
-                     y: np.ndarray) -> Trajectory:
-    """Trajectory of the initial data at ``times[0] = 0`` and the stacked half
-    spectra ``y[i]`` (shape ``(M, 2, *half_shape)``) at ``times[i]``, ``i >= 1``.
-
-    Row 0 of ``y`` is ignored; the other rows go to physical space in one
-    batched inverse transform.
-    """
-    g = u0.grid
-    fields = half_inverse(g, y[1:])
-    states = [StatePair(u=u0, ut=u1, t=0.0)]
-    states += [StatePair(u=PhysicalField(g, f[0]), ut=PhysicalField(g, f[1]), t=float(t))
-               for f, t in zip(fields, times[1:])]
-    return Trajectory(times=times.copy(), states=states)
 
 
 def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
@@ -477,14 +467,14 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
         raise ValueError("initial data live on a different grid than the trajectory")
     times = base.times
     source = _Source(g, spec)
-    sources = [source(_half_state(s.u, s.ut), s.t) for s in base.states]
+    sources = [source(y, t) for y, t in zip(base.spectra, times)]
     # the weight of tau_j in the sum for t_i (> tau_j) is its whole-mesh
     # trapezoid weight; for t_i = tau_j it is the right-endpoint half step
     weights = _trapezoid_weights(times)
     endpoint = np.concatenate([[0.0], 0.5 * np.diff(times)])
     column = (-1,) + (1,) * g.n
 
-    y = _apply_symbols(g, _half_state(u0, u1), times, params)
+    y = linear_solution(g, _initial_state(u0, u1), times, params)
     for j, s_j in enumerate(sources):
         lag = propagator(g.xi2_half, (times[j:] - times[j]).reshape(column), params)
         w_j = np.full(times.size - j, weights[j])
@@ -492,17 +482,15 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
         w_j = w_j.reshape(column)
         y[j:, 0] += w_j * lag.sine * s_j
         y[j:, 1] += w_j * lag.sine_dt * s_j
-    return _mesh_trajectory(u0, u1, times, y)
+    return Trajectory(times=times.copy(), grid=g, spectra=y)
 
 
 def linear_trajectory(u0: PhysicalField, u1: PhysicalField, times: Sequence[float],
                       params: ModelParams) -> Trajectory:
     """Exact linear evolution sampled on a mesh (the usual Picard seed)."""
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 live on different grids")
-    t_arr = np.asarray(times, dtype=np.float64)
-    y = _apply_symbols(u0.grid, _half_state(u0, u1), t_arr, params)
-    return _mesh_trajectory(u0, u1, t_arr, y)
+    t_arr = np.array(times, dtype=np.float64)
+    y = linear_solution(u0.grid, _initial_state(u0, u1), t_arr, params)
+    return Trajectory(times=t_arr, grid=u0.grid, spectra=y)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +530,6 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     before ``T`` (default: 11 equispaced times).  Every integrator failure,
     a non-finite source included, raises :class:`ReferenceIntegrationError`.
     """
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 live on different grids")
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
     if not (T > 0.0):
@@ -578,7 +564,7 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         acc += source(z, t, out=forcing)
         return dz.view(np.float64).ravel()
 
-    y0 = _half_state(u0, u1).view(np.float64).ravel()
+    y0 = _initial_state(u0, u1).view(np.float64).ravel()
     try:
         sol = solve_ivp(rhs, (0.0, float(T)), y0, method="Radau", rtol=tol,
                         atol=tol, jac=_linear_jacobian(neg_b, c), t_eval=t_eval)
@@ -590,5 +576,7 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         raise ReferenceIntegrationError(
             f"reference integration failed: {sol.message or 'integration failed'}")
 
-    states = [_state_pair(g, unpack(sol.y[:, j]), t) for j, t in enumerate(sol.t)]
-    return Trajectory(times=sol.t.copy(), states=states)
+    # one state vector per column: rows of the transpose are the spectra
+    spectra = np.ascontiguousarray(sol.y.T).view(np.complex128)
+    return Trajectory(times=sol.t.copy(), grid=g,
+                      spectra=spectra.reshape((sol.t.size,) + shape))

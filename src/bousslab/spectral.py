@@ -1,40 +1,43 @@
-"""Periodic grids, unitary Fourier transforms, and norm evaluation.
+"""Periodic grids, unitary Fourier transforms on the half lattice, and norms.
 
 Conventions used throughout the package:
 
+* Real fields are carried as half spectra, the one spectral format of the
+  package (``rfftn`` layout): the full lattice on the first ``n - 1`` axes
+  and ``m = 0 .. N/2`` on the last, shape :attr:`Grid.half_shape`.  The
+  other half is the complex conjugate of the mode ``-m``, so Hermitian
+  symmetry holds by construction and every half spectrum is the transform
+  of a real field.
 * Forward transform (continuum normalisation):
   ``F[u](xi) = (2 pi)^(-n/2) * integral u(x) exp(-i xi.x) dx``,
   realised on the discrete box by the rectangle rule,
-  ``coeffs = (L/N)^n * (2 pi)^(-n/2) * fftn(values)``.
+  ``coeffs = (L/N)^n * (2 pi)^(-n/2) * rfftn(values)``
+  (:func:`forward_transform`; :func:`inverse_transform` undoes it).
   With this convention the unit-width Gaussian ``exp(-|x|^2/2)`` is its own
   transform, and the surface constants of the radial norm quadrature are
-  ``c_1 = 2``, ``c_2 = 2 pi``, ``c_3 = 4 pi``.
-* Parseval holds exactly on the lattice:
-  ``(L/N)^n * sum |values|^2 == (2 pi / L)^n * sum |coeffs|^2``
-  up to rounding, which makes Plancherel-based Sobolev norms and physical
-  quadrature interchangeable.
+  ``c_1 = 2``, ``c_2 = 2 pi``, ``c_3 = 4 pi``.  Both transforms act on the
+  last ``n`` axes, so a leading stack axis (for example ``(u, u_t)``, or
+  the output times of a trajectory) is transformed in one batched call;
+  they make the per-axis ``numpy.fft`` calls of ``rfftn``/``irfftn``
+  themselves, the same calls the source evaluator of
+  :mod:`bousslab.nonlinear` prunes to the 2/3 band.
+* Parseval holds exactly on the lattice once each half-lattice mode is
+  weighed by its multiplicity (:attr:`Grid.half_multiplicity`): 1 on the
+  last-axis planes ``m = 0`` and ``m = N/2``, which hold their own
+  conjugates, and 2 elsewhere,
+  ``(L/N)^n * sum |values|^2 == (2 pi / L)^n * sum mult |coeffs|^2``
+  up to rounding, so the Sobolev norms are Plancherel sums on the half
+  spectrum (:func:`sobolev_norm`) and only the Lebesgue norms
+  (:func:`l1_norm` and friends) read physical samples.
 * Frequencies are ``xi = 2 pi m / L`` with integer multi-index ``m`` in
   ``[-N/2, N/2)`` per axis, stored in ``numpy.fft`` ordering; ``xi = 0``
-  occurs exactly once.  ``N`` even keeps the Nyquist mode unpaired but the
-  radial multipliers ``|xi|^k`` used for derivatives are even in ``xi``, so
-  real fields round-trip exactly.
+  occurs exactly once.  On the half lattice the last-axis index ``N/2``
+  holds the Nyquist mode, whose ``|xi|`` is that of ``-N/2``; the 2/3 mask
+  and ``|xi|^2`` restrict unchanged to the half lattice.
 * Physical coordinates are centred, ``x in [-L/2, L/2)`` per axis, which is
   convenient for compactly supported data.  Coefficient phases refer to the
   FFT sample ordering; everything downstream (norms, radial multipliers)
   depends only on ``|coeffs|`` and ``|xi|``.
-* The solvers carry real fields as half spectra (``rfftn`` layout): the full
-  lattice on the first ``n - 1`` axes and ``m = 0 .. N/2`` on the last, shape
-  :attr:`Grid.half_shape`.  The other half is the complex conjugate of the
-  mode ``-m``, so Hermitian symmetry holds by construction and
-  :func:`half_to_full` rebuilds the full spectrum exactly.  The 2/3 mask and
-  ``|xi|^2`` restrict unchanged to the half lattice.  Parseval on the half
-  lattice weighs each mode by its multiplicity (:attr:`Grid.half_multiplicity`):
-  1 on the last-axis planes ``m = 0`` and ``m = N/2``, which hold their own
-  conjugates, and 2 elsewhere.  :func:`half_forward` / :func:`half_inverse`
-  transform over the last ``n`` axes, so a leading stack axis (for example
-  ``(u, u_t)``) is transformed in one batched call; they make the per-axis
-  ``numpy.fft`` calls of ``rfftn``/``irfftn`` themselves, the same calls the
-  source evaluator of :mod:`bousslab.nonlinear` prunes to the 2/3 band.
 """
 
 from __future__ import annotations
@@ -204,49 +207,8 @@ class PhysicalField:
         return cls(grid, np.zeros(grid.shape))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients on a grid, immutable after construction."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coef = np.asarray(self.coeffs, dtype=np.complex128)
-        if coef.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {coef.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("spectrum contains non-finite values")
-        object.__setattr__(self, "coeffs", _frozen(coef))
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """Unitary-convention forward transform (rectangle-rule Fourier integral)."""
-    g = f.grid
-    return SpectralField(g, g.fft_scale * np.fft.fftn(f.values))
-
-
-def inverse_transform(F: SpectralField) -> PhysicalField:
-    """Inverse of :func:`forward_transform`; rejects non-Hermitian spectra."""
-    g = F.grid
-    scale = TWO_PI ** (0.5 * g.n) / g.cell_volume
-    w = scale * np.fft.ifftn(F.coeffs)
-    re_scale = float(np.max(np.abs(w.real))) if w.size else 0.0
-    im_max = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if im_max > 1e-8 * (re_scale + 1e-300):
-        raise ValueError(
-            "coefficients are not Hermitian-symmetric; inverse transform "
-            "would produce a complex field"
-        )
-    return PhysicalField(g, w.real)
-
-
-def half_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Unitary half spectrum of real samples shaped ``(..., *grid.shape)``.
+def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary half spectra of real samples shaped ``(..., *grid.shape)``.
 
     The per-axis ``numpy.fft`` calls that ``rfftn`` makes (``rfft`` on the
     last axis, then ``fft`` over the other spatial axes, last first), so the
@@ -259,7 +221,7 @@ def half_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of half spectra shaped ``(..., *grid.half_shape)``.
 
     The per-axis ``numpy.fft`` calls that ``irfftn`` makes (``ifft`` over the
@@ -274,129 +236,73 @@ def half_inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_l2(grid: Grid, coeffs: np.ndarray) -> float:
-    """L^2 norm of the real field with half spectrum ``coeffs`` (Plancherel).
-
-    The squares are summed per last-axis (real, imaginary) column and only
-    those column sums are weighted, so no temporary of the size of
-    ``coeffs`` is made.
-    """
-    pairs = np.ascontiguousarray(coeffs).view(np.float64)
-    pairs = pairs.reshape(-1, pairs.shape[-1])
-    columns = np.einsum("ij,ij->j", pairs, pairs).reshape(-1, 2).sum(axis=1)
-    return math.sqrt(grid.dxi**grid.n * float(grid.half_multiplicity @ columns))
-
-
-def half_to_full(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """The full spectrum of a half spectrum, completed by conjugate symmetry."""
-    h = grid.N // 2 + 1
-    # full index N - k on the last axis is the conjugate of half index k, and
-    # index j on every other axis pairs with (-j) mod N
-    mirror = coeffs[..., h - 2:0:-1]
-    for ax in range(grid.n - 1):
-        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
-    return SpectralField(grid, np.concatenate([coeffs, np.conj(mirror)], axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-_NORM_KINDS = ("lp", "linf", "sobolev", "neg_sobolev")
 
+def _plancherel(grid: Grid, coeffs: np.ndarray, weight: np.ndarray):
+    """``sqrt((2 pi / L)^n sum weight |coeffs|^2)`` over the spatial axes.
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Which norm to evaluate.
-
-    kind:
-      * ``lp``          -- Lebesgue norm, ``p`` in {1, 2, inf}, rectangle rule
-      * ``linf``        -- sup norm (same as lp with p=inf)
-      * ``sobolev``     -- ``|| |xi|^k u ||_{L^2}`` via Plancherel (p fixed to 2)
-      * ``neg_sobolev`` -- homogeneous negative norm ``|| |xi|^{-1} u ||_{L^2}``,
-        requires the mean (xi = 0 coefficient) to vanish
+    ``weight`` (shape ``grid.half_shape``) carries the half-lattice
+    multiplicity.  The sums run in ``einsum``'s own loops over the real and
+    imaginary parts, so no temporary of the size of ``coeffs`` is made and
+    no BLAS call (whose summation order follows its thread count) is.
     """
-
-    kind: str
-    k: int = 0
-    p: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.k < 0 or int(self.k) != self.k:
-            raise ValueError(f"derivative order must be a nonnegative integer, got {self.k}")
-        if self.kind == "lp" and self.p not in (1.0, 2.0, math.inf):
-            raise ValueError(f"only p in {{1, 2, inf}} is supported, got {self.p}")
-        if self.kind == "sobolev" and self.p != 2.0:
-            raise ValueError("Sobolev norms are L^2-based (p must be 2)")
-        if self.kind in ("lp", "linf", "neg_sobolev") and self.k != 0:
-            raise ValueError(f"norm kind {self.kind!r} does not take a derivative order")
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.shape[c.ndim - grid.n:] != grid.half_shape:
+        raise ValueError(f"coeffs shape {c.shape} does not end in the half "
+                         f"spectrum shape {grid.half_shape}")
+    axes = "ijk"[:grid.n]
+    rule = f"...{axes},...{axes},{axes}->..."
+    total = np.einsum(rule, c.real, c.real, weight) + np.einsum(rule, c.imag, c.imag, weight)
+    out = np.sqrt(grid.dxi**grid.n * total)
+    return float(out) if out.ndim == 0 else out
 
 
-def _as_physical(field) -> PhysicalField:
-    if isinstance(field, PhysicalField):
-        return field
-    if isinstance(field, SpectralField):
-        return inverse_transform(field)
-    raise TypeError(f"expected a field, got {type(field).__name__}")
+def sobolev_norm(grid: Grid, coeffs: np.ndarray, k: int = 0):
+    """``|| |xi|^k u ||_{L^2}`` of real fields from their half spectra (Plancherel).
+
+    ``coeffs`` has shape ``(..., *grid.half_shape)``; the result is a float
+    for one spectrum and an array over the leading (stack) axes otherwise.
+    ``k = 0`` is the L^2 norm, ``k > 0`` the radial pseudo-derivative of
+    order ``k``.
+    """
+    if k < 0 or int(k) != k:
+        raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
+    mult = np.broadcast_to(grid.half_multiplicity, grid.half_shape)
+    return _plancherel(grid, coeffs, grid.xi2_half ** int(k) * mult if k else mult)
 
 
-def _as_spectral(field) -> SpectralField:
-    if isinstance(field, SpectralField):
-        return field
-    if isinstance(field, PhysicalField):
-        return forward_transform(field)
-    raise TypeError(f"expected a field, got {type(field).__name__}")
+def neg_sobolev_norm(grid: Grid, coeffs: np.ndarray) -> float:
+    """Homogeneous negative norm ``|| |xi|^{-1} u ||_{L^2}`` of one half spectrum.
 
-
-def norm(field, spec: NormSpec) -> float:
-    """Evaluate a norm of a physical or spectral field (transforms as needed)."""
-    g = field.grid
-    if spec.kind == "linf" or (spec.kind == "lp" and spec.p == math.inf):
-        v = _as_physical(field).values
-        return float(np.max(np.abs(v)))
-    if spec.kind == "lp":
-        v = _as_physical(field).values
-        if spec.p == 1.0:
-            return float(g.cell_volume * np.sum(np.abs(v)))
-        return float(math.sqrt(g.cell_volume * float(np.sum(v * v))))
-    c = _as_spectral(field).coeffs
-    power = np.abs(c) ** 2
-    if spec.kind == "sobolev":
-        w = g.xi2 ** spec.k if spec.k else 1.0
-        return float(math.sqrt(g.dxi**g.n * float(np.sum(w * power))))
-    # neg_sobolev
-    l2 = math.sqrt(g.dxi**g.n * float(np.sum(power)))
-    zero_index = (0,) * g.n
-    mean_weight = g.dxi ** (0.5 * g.n) * abs(c[zero_index])
-    if mean_weight > 1e-10 * l2:
+    The field must have zero mean (its ``xi = 0`` coefficient vanishes, up
+    to 1e-10 of its L^2 norm).
+    """
+    mean = grid.dxi ** (0.5 * grid.n) * abs(coeffs[(0,) * grid.n])
+    if mean > 1e-10 * sobolev_norm(grid, coeffs):
         raise ValueError("not in homogeneous negative space (nonzero mean)")
+    xi2 = grid.xi2_half
     with np.errstate(divide="ignore"):
-        inv = np.where(g.xi2 > 0.0, 1.0 / np.where(g.xi2 > 0.0, g.xi2, 1.0), 0.0)
-    return float(math.sqrt(g.dxi**g.n * float(np.sum(inv * power))))
+        inv = np.where(xi2 > 0.0, 1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
+    return _plancherel(grid, coeffs, inv * grid.half_multiplicity)
 
 
-def l1_norm(field) -> float:
-    return norm(field, NormSpec("lp", p=1.0))
+def l1_norm(field: PhysicalField) -> float:
+    """``int |u| dx`` by the rectangle rule."""
+    return float(field.grid.cell_volume * np.sum(np.abs(field.values)))
 
 
-def l2_norm(field) -> float:
-    return norm(field, NormSpec("lp", p=2.0))
+def l2_norm(field: PhysicalField) -> float:
+    """``(int u^2 dx)^(1/2)`` by the rectangle rule."""
+    v = field.values
+    return float(math.sqrt(field.grid.cell_volume * float(np.sum(v * v))))
 
 
-def linf_norm(field) -> float:
-    return norm(field, NormSpec("linf"))
-
-
-def sobolev_norm(field, k: int) -> float:
-    """``|| |xi|^k u ||_{L^2}`` (radial pseudo-derivative of order k)."""
-    return norm(field, NormSpec("sobolev", k=k))
-
-
-def neg_sobolev_norm(field) -> float:
-    """Homogeneous negative norm ``|| |xi|^{-1} u ||_{L^2}`` (mean-zero fields)."""
-    return norm(field, NormSpec("neg_sobolev"))
+def linf_norm(field: PhysicalField) -> float:
+    """``max |u|`` over the samples."""
+    return float(np.max(np.abs(field.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,35 +419,3 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
         f"radial quadrature did not converge: tail check failed after "
         f"{max_doublings} cutoff doublings (last cutoff {c:g})"
     )
-
-
-def radial_norm_quadrature(spectral_profile: Callable[[np.ndarray], np.ndarray],
-                           k: int, n: int, cutoff: float, points: int = 96,
-                           rtol: float = 1e-9, substitution_power: int = 1,
-                           max_doublings: int = 3) -> float:
-    """Continuum norm of a radial spectrum: ``sqrt(c_n int_0^inf r^(2k+n-1) |P(r)|^2 dr)``.
-
-    ``c_n`` is the unit-sphere surface measure (2, 2*pi, 4*pi for n = 1, 2, 3),
-    so the result equals the L^2 norm of the order-``k`` radial derivative of
-    the field whose (unitary-convention) transform has radial profile ``P``.
-    The cutoff truncation is verified by integrating ``[cutoff, 2*cutoff]``;
-    a relative tail above 1e-12 doubles the cutoff, at most ``max_doublings``
-    times.  This is the one-component case of the integrator behind
-    :func:`bousslab.linear.linear_norm_radial`.
-    """
-    if n not in SPHERE_SURFACE:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
-    if not (cutoff > 0.0):
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    weight = 2 * int(k) + n - 1
-
-    def integrand(r: np.ndarray, live: np.ndarray) -> np.ndarray:
-        p = np.asarray(spectral_profile(r))
-        return (r**weight * np.abs(p) ** 2)[None, :]
-
-    panels0 = max(4, int(points) // 12)
-    (value,) = _radial_integral(integrand, 1, cutoff, panels0, rtol,
-                                substitution_power, max_doublings)
-    return math.sqrt(SPHERE_SURFACE[n] * max(value, 0.0))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bousslab import PhysicalField, make_grid
+from bousslab import PhysicalField, make_grid, mode_energy
 from bousslab.experiments import _random_smooth_field
 
 
@@ -21,3 +21,13 @@ def grid_1d():
 def random_smooth_field(grid, rng, scale: float = 1.0) -> PhysicalField:
     """A random real field with a smooth (Gaussian-damped) spectrum."""
     return PhysicalField(grid, scale * _random_smooth_field(grid, rng).values)
+
+
+def total_energy(grid, y: np.ndarray, params) -> np.ndarray:
+    """Frequency-summed mode energy of stacked half spectra ``(..., 2, *half_shape)``,
+    each half-lattice mode counted with its multiplicity; non-increasing
+    along the linear flow.
+    """
+    u, ut = np.moveaxis(y, -grid.n - 1, 0)
+    e = mode_energy(grid.xi2_half, u, ut, params).energy
+    return grid.dxi**grid.n * np.sum(grid.half_multiplicity * e, axis=grid.axes)

@@ -118,20 +118,15 @@ def small_run():
 
 class TestSeriesExtraction:
     def test_one_series_per_derivative_order(self, small_run):
-        out = decay_series(small_run, k_list=(0, 1), norm_kind="sobolev2")
+        out = decay_series(small_run, k_list=(0, 1))
         assert [s.k for s in out] == [0, 1]
+        assert all(s.norm_kind == "sobolev2" for s in out)
         assert all(s.times.size == small_run.times.size for s in out)
         assert all(s.source == "nonlinear" for s in out)
 
     def test_empty_k_list_rejected(self, small_run):
         with pytest.raises(ValueError, match="k_list"):
             decay_series(small_run, k_list=())
-
-    def test_l1_and_linf_limited_to_zeroth_order(self, small_run):
-        out = decay_series(small_run, k_list=(0,), norm_kind="linf")
-        assert out[0].norm_kind == "linf"
-        with pytest.raises(ValueError, match="k = 0"):
-            decay_series(small_run, k_list=(1,), norm_kind="l1")
 
     def test_radial_series_matches_pointwise_evaluation(self):
         data = gaussian_radial_data(n=1)

@@ -19,7 +19,7 @@ import pytest
 
 import bousslab
 from bousslab import (ModelParams, NonlinearitySpec, PhysicalField, RadialData,
-                      make_grid, radial_norm_quadrature, reference_solve)
+                      linear_norm_radial, make_grid, reference_solve)
 from bousslab.cli import EXIT_BAD_CONFIG, EXIT_BLOWUP, EXIT_OK, EXIT_VERDICT_FAILED, OUT_ENV_VAR, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -206,7 +206,8 @@ class TestExitCodes:
                                                            monkeypatch):
         def run_experiment(cfg, threads=1):
             # a flat spectral profile never passes the cutoff tail check
-            radial_norm_quadrature(np.ones_like, k=0, n=1, cutoff=1.0)
+            flat = RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, cutoff_hint=1.0)
+            linear_norm_radial(flat, 0.0, 0, 1, ModelParams())
 
         monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
         cfg = write_config(tmp_path, small_linear_config())
@@ -313,6 +314,29 @@ class TestDeterminism:
         assert main(["run", str(cfg), "--out", str(a), "--threads", "1"]) == EXIT_OK
         assert main(["run", str(cfg), "--out", str(b), "--threads", "4"]) == EXIT_OK
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
+
+    def test_box_run_csvs_identical_across_blas_thread_counts(self, tmp_path):
+        # a reduced 2-D nonlinear_rates run: its half spectra hold more
+        # elements than OpenBLAS sums on one thread, so a BLAS reduction in
+        # the norms or the guard would follow the thread count
+        cfg = json.loads((ROOT / "configs" / "nonlinear_rates_1d.json").read_text())
+        cfg["discretization"] = {"n": 2, "L": 40.0, "N": 256, "dt": 0.05, "T": 2.0,
+                                 "out_every": 5}
+        cfg["analysis"]["fit_window"] = [0.5, 2.0]
+        path = write_config(tmp_path, cfg)
+        src = str(Path(bousslab.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / f"blas{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "bousslab.cli", "run", str(path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode in (EXIT_OK, EXIT_VERDICT_FAILED), done.stderr
+            outputs.append(out)
+        for name in ("series.csv", "rates.csv"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 class TestReplot:

@@ -85,6 +85,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(bad)
 
+    # scale parameters whose squares or cubes leave the double range (an
+    # overflowing cell volume, a Gaussian of zero width) and non-finite
+    # window ends, found by the config fuzz test
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "alpha", -1e300), ("model", "alpha", float("-inf")),
+        ("discretization", "L", 1e300), ("discretization", "L", 1e-300),
+        ("data", "width", 1e300), ("data", "width", 1e-300),
+        ("analysis", "fit_window", [10.0, float("inf")]),
+    ])
+    def test_values_outside_the_float_range_rejected(self, section, key, value):
+        bad = json.loads(json.dumps(VALID))
+        bad[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}(\[1\])?: "):
+            ExperimentConfig.from_dict(bad)
+
+    def test_certify_band_must_hold_a_grid_frequency(self):
+        cfg = {"experiment": "lemma_certify", "analysis": {"r0": 1e-3}}
+        assert ExperimentConfig.from_dict(cfg).analysis.r0 == 1e-3
+        cfg["analysis"]["r0"] = 9e-4
+        with pytest.raises(ConfigError, match=r"^analysis\.r0: no certification "
+                                              r"frequency at or below r0=0\.0009"):
+            ExperimentConfig.from_dict(cfg)
+
+    def test_gap_fit_window_must_start_after_time_zero(self):
+        # the nonlinear-minus-linear gap is exactly 0 at t = 0
+        box = {**VALID, "experiment": "nl_vs_linear_gap"}
+        cfg = {**box, "analysis": {**VALID["analysis"], "fit_window": [0.1, 30.0]}}
+        ExperimentConfig.from_dict(cfg)
+        cfg["analysis"]["fit_window"] = [0.0, 30.0]
+        with pytest.raises(ConfigError, match=r"^analysis\.fit_window: must start "
+                                              r"after t = 0"):
+            ExperimentConfig.from_dict(cfg)
+
     def test_booleans_are_not_numbers(self):
         bad = json.loads(json.dumps(VALID))
         bad["discretization"]["N"] = True

@@ -2,8 +2,8 @@
 
 Oracles: single-mode data reduce the PDE to the scalar mode ODE whose solution
 at |xi| = 1 is elementary; radial-quadrature norms are checked against the
-discrete box solution inside the pre-wrap-around window and against the
-quadrature primitive at t = 0.
+discrete box solution inside the pre-wrap-around window and against closed
+forms at t = 0.
 """
 from __future__ import annotations
 
@@ -12,15 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from bousslab import (ModelParams, PhysicalField, RadialData, StatePair,
-                      forward_transform, gaussian_radial_data, l2_norm,
-                      linear_norm_radial, linear_solution, make_grid,
-                      profile_solution, radial_norm_quadrature,
-                      square_integrable_profile, square_integrable_radial_data,
-                      total_energy)
+from bousslab import (ModelParams, PhysicalField, RadialData, forward_transform,
+                      gaussian_radial_data, inverse_transform, linear_norm_radial,
+                      linear_solution, linear_trajectory, make_grid,
+                      profile_symbols, sobolev_norm, solve,
+                      square_integrable_profile, square_integrable_radial_data)
+from bousslab.nonlinear import NonlinearitySpec
 from bousslab.spectral import SPHERE_SURFACE
 
-from conftest import random_smooth_field
+from conftest import random_smooth_field, total_energy
 
 P = ModelParams(alpha=-1.0)
 
@@ -31,17 +31,25 @@ def cosine_data(grid, velocity: bool):
     return (zero, mode) if velocity else (mode, zero)
 
 
+def state(u0: PhysicalField, u1: PhysicalField) -> np.ndarray:
+    """Stacked half spectra ``(u0_hat, u1_hat)``."""
+    return forward_transform(u0.grid, np.stack([u0.values, u1.values]))
+
+
 class TestStatePair:
+    """The stacked state pair ``(u_hat, ut_hat)`` the box solvers carry."""
+
     def test_grid_mismatch_rejected(self):
         a = PhysicalField.zero(make_grid(1, 1.0, 8))
         b = PhysicalField.zero(make_grid(1, 2.0, 8))
         with pytest.raises(ValueError, match="grid"):
-            StatePair(a, b, 0.0)
+            solve(a, b, T=1.0, dt=0.5, spec=NonlinearitySpec(), params=P)
 
     def test_negative_time_rejected(self):
         g = make_grid(1, 1.0, 8)
         with pytest.raises(ValueError):
-            StatePair(PhysicalField.zero(g), PhysicalField.zero(g), -1.0)
+            linear_solution(g, state(PhysicalField.zero(g), PhysicalField.zero(g)),
+                            -1.0, P)
 
 
 class TestLinearSolution:
@@ -49,71 +57,70 @@ class TestLinearSolution:
         g = make_grid(1, 10.0, 64)
         u0 = random_smooth_field(g, rng)
         u1 = random_smooth_field(g, rng)
-        out = linear_solution(u0, u1, 0.0, P)
-        assert np.allclose(out.u.values, u0.values, atol=1e-14)
-        assert np.allclose(out.ut.values, u1.values, atol=1e-14)
-        assert out.t == 0.0
+        y0 = state(u0, u1)
+        out = linear_solution(g, y0, 0.0, P)
+        assert np.array_equal(out, y0)
+        u, ut = inverse_transform(g, out)
+        assert np.allclose(u, u0.values, atol=1e-14)
+        assert np.allclose(ut, u1.values, atol=1e-14)
 
     def test_single_mode_velocity_data(self):
         g = make_grid(1, 2.0 * math.pi, 64)
         u0, u1 = cosine_data(g, velocity=True)
-        out = linear_solution(u0, u1, 1.0, P)
+        u, ut = inverse_transform(g, linear_solution(g, state(u0, u1), 1.0, P))
         expect_u = math.exp(-1.0) * math.sin(1.0) * u1.values
         expect_ut = math.exp(-1.0) * (math.cos(1.0) - math.sin(1.0)) * u1.values
-        assert np.max(np.abs(out.u.values - expect_u)) <= 1e-10
-        assert np.max(np.abs(out.ut.values - expect_ut)) <= 1e-10
+        assert np.max(np.abs(u - expect_u)) <= 1e-10
+        assert np.max(np.abs(ut - expect_ut)) <= 1e-10
 
     def test_single_mode_displacement_data(self):
         g = make_grid(1, 2.0 * math.pi, 64)
         u0, u1 = cosine_data(g, velocity=False)
-        out = linear_solution(u0, u1, 1.0, P)
+        u, _ = inverse_transform(g, linear_solution(g, state(u0, u1), 1.0, P))
         expect_u = math.exp(-1.0) * (math.cos(1.0) + math.sin(1.0)) * u0.values
-        assert np.max(np.abs(out.u.values - expect_u)) <= 1e-10
+        assert np.max(np.abs(u - expect_u)) <= 1e-10
 
     def test_grid_mismatch_rejected(self):
         u0 = PhysicalField.zero(make_grid(1, 1.0, 8))
         u1 = PhysicalField.zero(make_grid(1, 1.0, 16))
         with pytest.raises(ValueError, match="grid"):
-            linear_solution(u0, u1, 1.0, P)
+            linear_trajectory(u0, u1, [0.0, 1.0], P)
 
     def test_scaling_linearity(self, rng):
         g = make_grid(1, 10.0, 64)
-        u0 = random_smooth_field(g, rng)
-        u1 = random_smooth_field(g, rng)
-        base = linear_solution(u0, u1, 2.0, P)
-        scaled = linear_solution(PhysicalField(g, 3.0 * u0.values),
-                                 PhysicalField(g, 3.0 * u1.values), 2.0, P)
-        assert np.allclose(scaled.u.values, 3.0 * base.u.values, rtol=1e-13,
-                           atol=1e-300)
+        y0 = state(random_smooth_field(g, rng), random_smooth_field(g, rng))
+        base = linear_solution(g, y0, 2.0, P)
+        scaled = linear_solution(g, 3.0 * y0, 2.0, P)
+        assert np.allclose(scaled, 3.0 * base, rtol=1e-13, atol=1e-300)
 
     def test_semigroup_on_state(self, rng):
         g = make_grid(1, 10.0, 64)
-        u0 = random_smooth_field(g, rng)
-        u1 = random_smooth_field(g, rng)
-        direct = linear_solution(u0, u1, 2.0, P)
-        mid = linear_solution(u0, u1, 0.7, P)
-        relay = linear_solution(mid.u, mid.ut, 1.3, P)
-        scale = max(np.max(np.abs(direct.u.values)), 1e-30)
-        assert np.max(np.abs(relay.u.values - direct.u.values)) <= 1e-9 * scale
-        assert relay.t == pytest.approx(1.3)
+        y0 = state(random_smooth_field(g, rng), random_smooth_field(g, rng))
+        direct = linear_solution(g, y0, 2.0, P)
+        relay = linear_solution(g, linear_solution(g, y0, 0.7, P), 1.3, P)
+        u_direct = inverse_transform(g, direct[0])
+        scale = max(np.max(np.abs(u_direct)), 1e-30)
+        assert np.max(np.abs(inverse_transform(g, relay[0]) - u_direct)) <= 1e-9 * scale
 
     def test_energy_non_increasing(self, rng):
         g = make_grid(1, 12.0, 64)
         for _ in range(20):
-            u0 = random_smooth_field(g, rng)
-            u1 = random_smooth_field(g, rng)
-            energies = []
-            for t in np.linspace(0.0, 4.0, 9):
-                s = linear_solution(u0, u1, float(t), P)
-                energies.append(total_energy(forward_transform(s.u),
-                                             forward_transform(s.ut), P))
-            e = np.array(energies)
+            y0 = state(random_smooth_field(g, rng), random_smooth_field(g, rng))
+            e = total_energy(g, linear_solution(g, y0, np.linspace(0.0, 4.0, 9), P), P)
             assert np.all(np.diff(e) <= 1e-10 * e[0])
 
     def test_zero_state_energy(self):
         g = make_grid(1, 12.0, 32)
-        z = forward_transform(PhysicalField.zero(g))
-        assert total_energy(z, z, P) == 0.0
+        z = state(PhysicalField.zero(g), PhysicalField.zero(g))
+        assert total_energy(g, z, P) == 0.0
+
+
+def profile_evolution(u0: PhysicalField, u1: PhysicalField, t: float) -> np.ndarray:
+    """Leading-order asymptotic displacement (damped sinc/cosine kernels)."""
+    g = u0.grid
+    g0, h0 = profile_symbols(g.xi2_half, t, P)
+    y0 = state(u0, u1)
+    return inverse_transform(g, g0 * y0[1] + h0 * y0[0])
 
 
 class TestProfileSolution:
@@ -121,15 +128,13 @@ class TestProfileSolution:
         g = make_grid(1, 10.0, 64)
         u0 = random_smooth_field(g, rng)
         u1 = random_smooth_field(g, rng)
-        out = profile_solution(u0, u1, 0.0, P)
-        assert np.allclose(out.values, u0.values, atol=1e-14)
+        assert np.allclose(profile_evolution(u0, u1, 0.0), u0.values, atol=1e-14)
 
     def test_single_mode_velocity_data(self):
         g = make_grid(1, 2.0 * math.pi, 64)
         u0, u1 = cosine_data(g, velocity=True)
-        out = profile_solution(u0, u1, 1.0, P)
         expect = math.exp(-0.5) * math.sin(1.0) * u1.values
-        assert np.max(np.abs(out.values - expect)) <= 1e-10
+        assert np.max(np.abs(profile_evolution(u0, u1, 1.0) - expect)) <= 1e-10
 
     def test_profile_tracks_linear_solution(self):
         # the gap norm decays faster than the solution norm
@@ -149,8 +154,8 @@ class TestRadialNorms:
         profile = lambda r: np.exp(-(r**2))
         data = RadialData(u0_hat=profile, u1_hat=lambda r: np.zeros_like(r))
         val = linear_norm_radial(data, 0.0, 0, 1, P, which="linear")
-        direct = radial_norm_quadrature(profile, k=0, n=1, cutoff=12.0)
-        assert val == pytest.approx(direct, rel=1e-9)
+        # c_1 int_0^inf e^(-2 r^2) dr = 2 sqrt(pi / 8)
+        assert val**2 == pytest.approx(2.0 * math.sqrt(math.pi / 8.0), rel=1e-9)
 
     def test_gap_vanishes_at_time_zero(self):
         data = gaussian_radial_data(n=1, velocity_amplitude=0.7)
@@ -179,10 +184,10 @@ class TestRadialNorms:
         # that no wrap-around reaches the data before t = (L/2 - R0)/1.1
         g = make_grid(1, 120.0, 512)
         u0 = PhysicalField.from_function(g, lambda x: np.exp(-x**2 / 2.0))
-        u1 = PhysicalField.zero(g)
+        y0 = state(u0, PhysicalField.zero(g))
         data = gaussian_radial_data(n=1)
         for t in (0.0, 5.0, 20.0, 40.0):
-            box = l2_norm(linear_solution(u0, u1, t, P).u)
+            box = sobolev_norm(g, linear_solution(g, y0, t, P)[0])
             cont = linear_norm_radial(data, t, 0, 1, P, which="linear")
             assert box == pytest.approx(cont, rel=1e-3)
 

@@ -184,6 +184,23 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator(-1.0, 1.0, ModelParams())
 
+    @pytest.mark.parametrize("force", [None, "series", "direct"])
+    def test_time_column_equals_elementwise_evaluation(self, force):
+        # a column of times splits the roots on |xi|^2's own shape; the
+        # same values broadcast out element by element split on the whole
+        # (time, frequency) shape, and must give the same bits, both root
+        # branches and t = 0 included
+        xi = np.fft.fftfreq(32, d=20.0 / 32) * 2.0 * math.pi
+        xi2 = xi[:, None] ** 2 + xi[None, :17] ** 2
+        t = np.linspace(0.0, 3.0, 7).reshape(-1, 1, 1)
+        p = ModelParams(alpha=-1.5)
+        column = propagator(xi2, t, p, _force_branch=force)
+        flat = [np.broadcast_to(a, (7,) + xi2.shape).ravel() for a in (xi2, t)]
+        elementwise = propagator(*flat, p, _force_branch=force)
+        assert (damping_coefficient(xi2, p) ** 2 > 4 * restoring_coefficient(xi2)).any()
+        for f in ("sine", "cosine", "sine_dt", "cosine_dt"):
+            assert np.array_equal(getattr(column, f).ravel(), getattr(elementwise, f))
+
     def test_displacement_kernel_identity(self, rng):
         # cosine kernel = d(sine)/dt + damping * sine, an algebraic identity
         xi2 = rng.uniform(1e-3, 30.0, size=200)
