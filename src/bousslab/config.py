@@ -15,12 +15,16 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .analysis import _check_series_length, _fit_points, default_certify_grids
-from .nonlinear import _output_times, _step_count
+from .nonlinear import _oracle_modules, _output_times, _step_count
 
 #: largest magnitude (and, for box and data sizes, its inverse the smallest)
 #: of a scale parameter: squares and cubes of it, such as cell volumes,
 #: |xi|^4 alpha^2 or width^n, stay finite nonzero doubles
 _SCALE_LIMIT = 1e100
+
+#: most time steps ``T/dt`` a box run may take: 250 times the largest
+#: shipped run (``nonlinear_rates_1d``, 4 000 steps)
+MAX_STEPS = 1_000_000
 
 EXPERIMENTS = ("linear_rates", "nonlinear_rates", "profile_gap",
                "nl_vs_linear_gap", "lemma_certify", "oracle_crosscheck")
@@ -252,18 +256,25 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
     6 of them (:func:`~bousslab.analysis.fit_rate`), after t = 0 for
     ``nl_vs_linear_gap``, whose nonlinear-minus-linear gap is exactly 0
     there (both runs start from the same spectra).  ``oracle_crosscheck``
-    picks its own output cadence and fits nothing.  The output times are
-    materialised: 8 bytes each, against the state pair per output time that
-    the run itself keeps.
+    picks its own output cadence and fits nothing; loading it imports the
+    Radau oracle's modules, so their import is paid here, not in the run.
+    A run may take at most ``MAX_STEPS`` steps, checked before the output
+    times are materialised: 8 bytes each, against the state pair per output
+    time that the run itself keeps.
     """
     if cfg.experiment not in ("nonlinear_rates", "nl_vs_linear_gap", "oracle_crosscheck"):
         return
     d = cfg.discretization
+    # round(T / dt) > MAX_STEPS, or T / dt overflowed to inf
+    if not d.T / d.dt <= MAX_STEPS + 0.5:
+        raise ConfigError(f"discretization.dt: T/dt = {d.T / d.dt:.6g} steps is over "
+                          f"the ceiling of {MAX_STEPS} steps")
     try:
         n_steps = _step_count(d.T, d.dt)
     except ValueError as exc:
         raise ConfigError(f"discretization.dt: {exc}") from exc
     if cfg.experiment == "oracle_crosscheck":
+        _oracle_modules()
         return
     times = _output_times(n_steps, d.dt, d.out_every)
     if cfg.experiment == "nonlinear_rates":

@@ -26,7 +26,10 @@ Three independent realisations are provided and cross-checked:
 * :func:`reference_solve` -- a method-of-lines oracle that never touches the
   closed-form kernels: the spectral mode system integrated by the implicit
   Radau IIA method given the exact Jacobian of the linear part, whose state
-  vector holds the real and imaginary parts of the half spectra.
+  vector holds the real and imaginary parts of the half spectra.  It is the
+  only user of scipy, which this module does not import: the oracle's scipy
+  modules are imported only when an ``oracle_crosscheck`` config loads (or
+  at the first call), see :func:`_oracle_modules`.
 
 All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
 (``rfftn`` layout, see :mod:`bousslab.spectral`), return those spectra at
@@ -56,8 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse import csc_matrix
 
 from .linear import linear_solution
 from .spectral import Grid, PhysicalField, forward_transform, sobolev_norm
@@ -498,7 +499,21 @@ def linear_trajectory(u0: PhysicalField, u1: PhysicalField, times: Sequence[floa
 # ---------------------------------------------------------------------------
 
 
-def _linear_jacobian(neg_b: np.ndarray, c: np.ndarray) -> csc_matrix:
+def _oracle_modules():
+    """Import and return ``(scipy.integrate, scipy.sparse)``, the oracle's modules.
+
+    Only :func:`reference_solve` uses scipy, and its import costs more than
+    most runs, so it is imported here and not with this module.  Loading an
+    ``oracle_crosscheck`` config calls this (see
+    :func:`bousslab.config.load_config`), so that run pays for the import
+    when its config loads, before the run starts.
+    """
+    import scipy.integrate
+    import scipy.sparse
+    return scipy.integrate, scipy.sparse
+
+
+def _linear_jacobian(neg_b: np.ndarray, c: np.ndarray) -> "scipy.sparse.csc_matrix":
     """Jacobian of ``d/dt (u, v) = (v, -b v - c u)`` in the oracle's layout.
 
     The state vector is the stacked half spectra viewed as interleaved
@@ -511,7 +526,8 @@ def _linear_jacobian(neg_b: np.ndarray, c: np.ndarray) -> csc_matrix:
     cols = np.concatenate([m + k, m + k, k])
     data = np.concatenate([np.ones(m), np.repeat(neg_b.ravel(), 2),
                            -np.repeat(c.ravel(), 2)])
-    return csc_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
+    _, sparse = _oracle_modules()
+    return sparse.csc_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
 
 
 def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
@@ -529,6 +545,8 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     small data.  ``t_eval`` must start at 0, strictly increase and end at or
     before ``T`` (default: 11 equispaced times).  Every integrator failure,
     a non-finite source included, raises :class:`ReferenceIntegrationError`.
+    Integrates with ``scipy.integrate``, imported by the first call unless an
+    ``oracle_crosscheck`` config has loaded it already.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
@@ -565,9 +583,11 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         return dz.view(np.float64).ravel()
 
     y0 = _initial_state(u0, u1).view(np.float64).ravel()
+    integrate, _ = _oracle_modules()
     try:
-        sol = solve_ivp(rhs, (0.0, float(T)), y0, method="Radau", rtol=tol,
-                        atol=tol, jac=_linear_jacobian(neg_b, c), t_eval=t_eval)
+        sol = integrate.solve_ivp(rhs, (0.0, float(T)), y0, method="Radau",
+                                  rtol=tol, atol=tol, jac=_linear_jacobian(neg_b, c),
+                                  t_eval=t_eval)
     except BlowUpError as exc:
         raise ReferenceIntegrationError(
             f"reference integration failed: non-finite source at t={exc.time:.6g}"

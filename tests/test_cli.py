@@ -241,7 +241,7 @@ class TestExitCodes:
             reference_solve(PhysicalField.zero(g), PhysicalField.zero(g), T=1.0,
                             spec=NonlinearitySpec(), params=ModelParams())
 
-        monkeypatch.setattr("bousslab.nonlinear.solve_ivp", lambda *a, **k: Failed())
+        monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: Failed())
         monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
         cfg = write_config(tmp_path, small_linear_config())
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])

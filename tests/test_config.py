@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from bousslab import (AnalysisConfig, ConfigError, DataConfig,
                       DiscretizationConfig, ExperimentConfig, ModelConfig,
                       load_config)
+from bousslab.config import MAX_STEPS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 VALID = {
     "experiment": "linear_rates",
@@ -138,6 +142,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^discretization\.dt: dt=0\.07 "
                                               r"does not divide T=30\.0$"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("dt", [1e-12, 1e-300, 5e-324])
+    def test_step_count_over_the_ceiling_is_rejected_at_load(self, tmp_path, dt):
+        # rejected before any array is built: at dt = 1e-12 the output times
+        # alone would take 36.4 TiB, and at 5e-324 T/dt overflows to inf
+        cfg = json.loads((ROOT / "configs" / "nonlinear_rates_1d.json").read_text())
+        cfg["discretization"]["dt"] = dt
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=r"^discretization\.dt: T/dt = .* steps is "
+                                              r"over the ceiling of 1000000 steps$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("experiment", ["nonlinear_rates", "nl_vs_linear_gap",
+                                            "oracle_crosscheck"])
+    def test_step_ceiling_admits_exactly_max_steps(self, experiment):
+        box = {**VALID, "experiment": experiment}
+        for steps, ok in ((MAX_STEPS, True), (MAX_STEPS + 1, False)):
+            cfg = {**box, "discretization": {**VALID["discretization"],
+                                             "dt": 30.0 / steps}}
+            if ok:
+                ExperimentConfig.from_dict(cfg)
+            else:
+                with pytest.raises(ConfigError, match=r"^discretization\.dt: .* over "
+                                                      r"the ceiling"):
+                    ExperimentConfig.from_dict(cfg)
 
     def test_radial_experiments_do_not_step_in_time(self):
         # linear_rates never reads dt, T or out_every against its fit window
