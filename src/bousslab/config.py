@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .analysis import _check_series_length, _fit_points, default_certify_grids
-from .nonlinear import _oracle_modules, _output_times, _step_count
+from .nonlinear import _output_times, _step_count
 
 #: largest magnitude (and, for box and data sizes, its inverse the smallest)
 #: of a scale parameter: squares and cubes of it, such as cell volumes,
@@ -256,8 +256,8 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
     6 of them (:func:`~bousslab.analysis.fit_rate`), after t = 0 for
     ``nl_vs_linear_gap``, whose nonlinear-minus-linear gap is exactly 0
     there (both runs start from the same spectra).  ``oracle_crosscheck``
-    picks its own output cadence and fits nothing; loading it imports the
-    Radau oracle's modules, so their import is paid here, not in the run.
+    picks its own output cadence and fits nothing, so only its step count
+    is checked.
     A run may take at most ``MAX_STEPS`` steps, checked before the output
     times are materialised: 8 bytes each, against the state pair per output
     time that the run itself keeps.
@@ -274,7 +274,6 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"discretization.dt: {exc}") from exc
     if cfg.experiment == "oracle_crosscheck":
-        _oracle_modules()
         return
     times = _output_times(n_steps, d.dt, d.out_every)
     if cfg.experiment == "nonlinear_rates":

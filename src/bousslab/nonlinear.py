@@ -23,13 +23,14 @@ Three independent realisations are provided and cross-checked:
   small data; the Duhamel sum is taken column by column, one kernel
   evaluation over the lags ``t_i - tau_j`` of all later mesh times per
   source time ``tau_j``, plus one over all mesh times for the linear part;
+  the sources at the mesh times come from one batched evaluation;
 * :func:`reference_solve` -- a method-of-lines oracle that never touches the
   closed-form kernels: the spectral mode system integrated by the implicit
-  Radau IIA method given the exact Jacobian of the linear part, whose state
-  vector holds the real and imaginary parts of the half spectra.  It is the
-  only user of scipy, which this module does not import: the oracle's scipy
-  modules are imported only when an ``oracle_crosscheck`` config loads (or
-  at the first call), see :func:`_oracle_modules`.
+  Radau IIA method of :mod:`bousslab.radau`, whose state vector holds the
+  real and imaginary parts of the half spectra.  Its Newton systems use
+  the exact Jacobian of the linear part, one 2 x 2 block per mode
+  component, solved in closed form; its three stage sources per Newton
+  iteration are one batched evaluation.
 
 All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
 (``rfftn`` layout, see :mod:`bousslab.spectral`), return those spectra at
@@ -61,6 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linear import linear_solution
+from .radau import RadauError, _radau_iia
 from .spectral import Grid, PhysicalField, forward_transform, sobolev_norm
 from .symbols import (ModelParams, characteristic_roots, damping_coefficient,
                       phi_divided_difference, propagator, restoring_coefficient)
@@ -123,8 +125,15 @@ class _Source:
     """Spectral source ``-|xi|^2 F[f(u) + sign beta g(u_t)]`` with 2/3 dealiasing.
 
     Called with stacked half spectra ``y = (u_hat, ut_hat)``, shape
-    ``(2, *grid.half_shape)``; returns the half spectrum of the source, in
-    ``out`` when it is given and in a fresh array otherwise.
+    ``(2, *grid.half_shape)``, and the time ``t``; returns the half spectrum
+    of the source, in ``out`` when it is given and in a fresh array
+    otherwise.  An evaluator built with ``stack=(k,)`` takes ``k`` states at
+    once, ``y`` of shape ``(k, 2, *grid.half_shape)`` with their ``k`` times,
+    and returns the ``k`` sources in one pass: one batched inverse and one
+    batched forward transform over all of them.  Per state the arithmetic is
+    that of a single-state call, so each source is bitwise the same, and a
+    non-finite value raises :class:`BlowUpError` at the time of the first
+    state that holds one.
 
     The evaluator is a workspace built once per (grid, spec): it owns the
     truncated pair, the physical pair, the pointwise product and the forward
@@ -150,9 +159,15 @@ class _Source:
     the physical fields and raises :class:`BlowUpError`.
     """
 
-    def __init__(self, grid: Grid, spec: NonlinearitySpec):
+    def __init__(self, grid: Grid, spec: NonlinearitySpec,
+                 stack: tuple[int, ...] = ()):
         self.grid = grid
         self.spec = spec
+        self.stack = stack
+        # the (u, ut) axis of a stacked input goes first, so that the
+        # physical pair unpacks into the two fields of every state
+        k = len(stack)
+        self.pair_first = (k,) + tuple(range(k)) + tuple(range(k + 1, k + 1 + grid.n))
         mask = grid.dealias_mask_half
         # real factors stored as complex: numpy multiplies complex by real by
         # casting the real factor to complex on every call, so the products
@@ -160,11 +175,11 @@ class _Source:
         self.truncate = mask.astype(np.complex128)
         self.weight = np.where(mask, -grid.xi2_half, 0.0).astype(np.complex128)
         self.g_coeff = spec.g_sign * spec.beta
-        self.pair = np.empty((2,) + grid.half_shape, dtype=np.complex128)
-        self.fields = np.empty((2,) + grid.shape)
-        self.product = np.empty(grid.shape)
-        self.finite = np.empty(grid.shape, dtype=bool)
-        self.spectrum = np.empty(grid.half_shape, dtype=np.complex128)
+        self.pair = np.empty((2,) + stack + grid.half_shape, dtype=np.complex128)
+        self.fields = np.empty((2,) + stack + grid.shape)
+        self.product = np.empty(stack + grid.shape)
+        self.finite = np.empty(stack + grid.shape, dtype=bool)
+        self.spectrum = np.empty(stack + grid.half_shape, dtype=np.complex128)
         # leading-axis transforms on the kept columns, and in 3-D the outer
         # axis on the two blocks of kept middle-axis rows (modes 0..N//3 and
         # -N//3..-1); ``dropped`` holds the modes this leaves untransformed
@@ -177,15 +192,17 @@ class _Source:
                                 for rows in (slice(0, keep), slice(N - keep + 1, N))]
             self.dropped.append((Ellipsis, slice(keep, N - keep + 1), slice(0, keep)))
 
-    def __call__(self, y: np.ndarray, t: float,
+    def __call__(self, y: np.ndarray, t: float | np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
         spec = self.spec
         if out is None:
-            out = np.empty(self.grid.half_shape, dtype=np.complex128)
+            out = np.empty(self.stack + self.grid.half_shape, dtype=np.complex128)
         if spec.is_zero:
             out.fill(0.0)
             return out
         grid, pair, fields, w = self.grid, self.pair, self.fields, self.product
+        if self.stack:
+            y = y.transpose(self.pair_first)
         np.multiply(self.truncate, y, out=pair)
         # irfftn order: the leading axes outermost first, then the last axis
         for ax, blk in self.leading:
@@ -206,6 +223,9 @@ class _Source:
                 if gterm is not w:
                     np.add(w, gterm, out=w)
         if not np.isfinite(w, out=self.finite).all():
+            if self.stack:
+                finite = self.finite.reshape(math.prod(self.stack), -1).all(axis=1)
+                t = float(np.ravel(t)[np.argmin(finite)])
             raise BlowUpError("state blow-up: non-finite values in the nonlinearity", t)
         # rfftn order: the last axis, then the leading axes innermost first
         spectrum = np.fft.rfft(w, axis=-1, out=self.spectrum)
@@ -467,8 +487,7 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
     if u0.grid != g or u1.grid != g:
         raise ValueError("initial data live on a different grid than the trajectory")
     times = base.times
-    source = _Source(g, spec)
-    sources = [source(y, t) for y, t in zip(base.spectra, times)]
+    sources = _Source(g, spec, stack=times.shape)(base.spectra, times)
     # the weight of tau_j in the sum for t_i (> tau_j) is its whole-mesh
     # trapezoid weight; for t_i = tau_j it is the right-endpoint half step
     weights = _trapezoid_weights(times)
@@ -499,37 +518,6 @@ def linear_trajectory(u0: PhysicalField, u1: PhysicalField, times: Sequence[floa
 # ---------------------------------------------------------------------------
 
 
-def _oracle_modules():
-    """Import and return ``(scipy.integrate, scipy.sparse)``, the oracle's modules.
-
-    Only :func:`reference_solve` uses scipy, and its import costs more than
-    most runs, so it is imported here and not with this module.  Loading an
-    ``oracle_crosscheck`` config calls this (see
-    :func:`bousslab.config.load_config`), so that run pays for the import
-    when its config loads, before the run starts.
-    """
-    import scipy.integrate
-    import scipy.sparse
-    return scipy.integrate, scipy.sparse
-
-
-def _linear_jacobian(neg_b: np.ndarray, c: np.ndarray) -> "scipy.sparse.csc_matrix":
-    """Jacobian of ``d/dt (u, v) = (v, -b v - c u)`` in the oracle's layout.
-
-    The state vector is the stacked half spectra viewed as interleaved
-    (real, imag) pairs, ``u`` block first; each mode contributes the block
-    ``[[0, 1], [-c, -b]]`` to its real and to its imaginary part.
-    """
-    m = 2 * neg_b.size
-    k = np.arange(m)
-    rows = np.concatenate([k, m + k, m + k])
-    cols = np.concatenate([m + k, m + k, k])
-    data = np.concatenate([np.ones(m), np.repeat(neg_b.ravel(), 2),
-                           -np.repeat(c.ravel(), 2)])
-    _, sparse = _oracle_modules()
-    return sparse.csc_matrix((data, (rows, cols)), shape=(2 * m, 2 * m))
-
-
 def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
                     spec: NonlinearitySpec, params: ModelParams,
                     tol: float = 1e-10,
@@ -539,14 +527,15 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     The right-hand side uses only the ODE coefficients (never the propagator
     kernels), so agreement with :func:`solve` checks the closed forms
     end to end.  The implicit method (Hairer & Wanner, *Solving ODEs II*,
-    section IV.8) is given the exact, constant Jacobian of the linear part,
-    so the stiff ``|xi|^4`` damping of the high modes costs no step-size
+    section IV.8; :func:`bousslab.radau._radau_iia`) solves its Newton
+    systems with the exact, constant Jacobian of the linear part, so the
+    stiff ``|xi|^4`` damping of the high modes costs no step-size
     reduction; the source term is left out of the Jacobian, which suits
-    small data.  ``t_eval`` must start at 0, strictly increase and end at or
-    before ``T`` (default: 11 equispaced times).  Every integrator failure,
-    a non-finite source included, raises :class:`ReferenceIntegrationError`.
-    Integrates with ``scipy.integrate``, imported by the first call unless an
-    ``oracle_crosscheck`` config has loaded it already.
+    small data.  Each Newton iteration evaluates the source at its three
+    stages in one batched :class:`_Source` call.  ``t_eval`` must start at
+    0, strictly increase and end at or before ``T`` (default: 11 equispaced
+    times).  Every integrator failure, a non-finite source included, raises
+    :class:`ReferenceIntegrationError`.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tolerance must lie in [1e-12, 1e-4], got {tol}")
@@ -560,43 +549,29 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
         raise ValueError("t_eval must start at 0, strictly increase and end "
                          f"at or before T={T}")
     g = u0.grid
-    neg_b = -damping_coefficient(g.xi2_half, params)
-    c = restoring_coefficient(g.xi2_half)
-    source = _Source(g, spec)
     shape = (2,) + g.half_shape
-    restoring = np.empty(g.half_shape, dtype=np.complex128)
-    forcing = np.empty_like(restoring)
+    # one evaluator for single states, one for the three Radau stages
+    single, stages = _Source(g, spec), _Source(g, spec, stack=(3,))
 
     # the integrator's vector is the stacked half spectra viewed as
-    # interleaved (real, imag) pairs; d/dt (u, v) = (v, -b v - c u + source)
-    def unpack(y: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(y).view(np.complex128).reshape(shape)
+    # interleaved (real, imag) pairs: the u block, then the u_t block
+    def forcing(t, y: np.ndarray) -> np.ndarray:
+        lead = y.shape[:-1]
+        z = y.view(np.complex128).reshape(lead + shape)
+        s = (stages if lead else single)(z, t)
+        return s.view(np.float64).reshape(lead + (-1,))
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        z = unpack(y)
-        # a fresh result per call: the integrator keeps the arrays it is given
-        dz = np.empty(shape, dtype=np.complex128)
-        dz[0] = z[1]
-        acc = np.multiply(neg_b, z[1], out=dz[1])
-        acc -= np.multiply(c, z[0], out=restoring)
-        acc += source(z, t, out=forcing)
-        return dz.view(np.float64).ravel()
-
+    # one coefficient per (real, imag) component of a mode
+    b = np.repeat(damping_coefficient(g.xi2_half, params).ravel(), 2)
+    c = np.repeat(restoring_coefficient(g.xi2_half).ravel(), 2)
     y0 = _initial_state(u0, u1).view(np.float64).ravel()
-    integrate, _ = _oracle_modules()
     try:
-        sol = integrate.solve_ivp(rhs, (0.0, float(T)), y0, method="Radau",
-                                  rtol=tol, atol=tol, jac=_linear_jacobian(neg_b, c),
-                                  t_eval=t_eval)
+        ys = _radau_iia(forcing, b, c, y0, float(T), tol, t_eval)
     except BlowUpError as exc:
         raise ReferenceIntegrationError(
             f"reference integration failed: non-finite source at t={exc.time:.6g}"
         ) from exc
-    if not sol.success:
-        raise ReferenceIntegrationError(
-            f"reference integration failed: {sol.message or 'integration failed'}")
-
-    # one state vector per column: rows of the transpose are the spectra
-    spectra = np.ascontiguousarray(sol.y.T).view(np.complex128)
-    return Trajectory(times=sol.t.copy(), grid=g,
-                      spectra=spectra.reshape((sol.t.size,) + shape))
+    except RadauError as exc:
+        raise ReferenceIntegrationError(f"reference integration failed: {exc}") from exc
+    spectra = ys.view(np.complex128).reshape((t_eval.size,) + shape)
+    return Trajectory(times=t_eval.copy(), grid=g, spectra=spectra)

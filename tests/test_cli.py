@@ -232,22 +232,24 @@ class TestExitCodes:
 
     def test_reference_integration_failure_returns_three_and_names_it(
             self, tmp_path, capsys, monkeypatch):
-        class Failed:  # the result solve_ivp returns when its integrator gives up
-            success = False
-            message = "integrator gave up"
+        def never_converges(fun, t, y, h, Z0, *args):
+            return False, 1, Z0, None
 
         def run_experiment(cfg, threads=1):
             g = make_grid(1, 10.0, 16)
             reference_solve(PhysicalField.zero(g), PhysicalField.zero(g), T=1.0,
                             spec=NonlinearitySpec(), params=ModelParams())
 
-        monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: Failed())
+        # every Newton iteration fails, so the integrator halves its step
+        # until it falls below the floor and gives up
+        monkeypatch.setattr("bousslab.radau._collocation", never_converges)
         monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
         cfg = write_config(tmp_path, small_linear_config())
         rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_BLOWUP
         err = capsys.readouterr().err
-        assert "reference integration failed" in err and "integrator gave up" in err
+        assert "reference integration failed" in err
+        assert "step size" in err and "fell below the floor" in err and "at t=0" in err
         assert not (tmp_path / "o").exists()
 
     def test_mean_carrying_velocity_file_returns_two(self, tmp_path, capsys):

@@ -1,12 +1,10 @@
-"""Which configs import scipy when they load.
+"""No shipped config imports scipy, not even the oracle's.
 
-Only the Radau oracle of ``oracle_crosscheck`` uses scipy, and importing
-``scipy.integrate`` costs more than most runs.  So ``import bousslab.cli``
-and loading any other shipped config must leave scipy unimported, while
-loading an ``oracle_crosscheck`` config imports the oracle's modules before
-its run starts, where the command line and the benchmark pay for them.
-Each check runs in a fresh interpreter, since the test session itself
-imports scipy.  Nothing is timed.
+The Radau oracle of ``oracle_crosscheck`` is the package's own
+(:mod:`bousslab.radau`), so ``import bousslab.cli``, loading every shipped
+config and running ``oracle_crosscheck`` must leave scipy unimported.  The
+check runs in a fresh interpreter, since the test session itself imports
+scipy.  Nothing is timed.
 """
 from __future__ import annotations
 
@@ -25,16 +23,25 @@ PROBE = """
 import json, sys
 import bousslab.cli
 from bousslab.config import load_config
-seen = {}
+from bousslab.experiments import run_experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import bousslab.cli": scipy_modules()}
 for path in sys.argv[1:]:
-    load_config(path)
-    seen[path] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    cfg = load_config(path)
+    seen["load " + path] = scipy_modules()
+    if cfg.experiment == "oracle_crosscheck":
+        report = run_experiment(cfg)
+        seen["run " + path] = scipy_modules()
+        seen["verdicts"] = sorted({v["status"] for v in report.to_dict()["verdicts"]})
 print(json.dumps(seen))
 """
 
 
-def scipy_modules_after_loading(paths: list[Path]) -> dict[str, list[str]]:
-    """The scipy modules loaded after each config, loading them in order."""
+def scipy_modules_seen(paths: list[Path]) -> dict[str, list[str]]:
+    """The scipy modules loaded after each step of the probe."""
     env = dict(os.environ)
     src = str(Path(bousslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -44,14 +51,14 @@ def scipy_modules_after_loading(paths: list[Path]) -> dict[str, list[str]]:
     return json.loads(done.stdout)
 
 
-def test_only_an_oracle_config_imports_scipy():
+def test_no_config_and_no_oracle_run_imports_scipy():
     oracle = [p for p in CONFIGS
               if json.loads(p.read_text())["experiment"] == "oracle_crosscheck"]
-    others = [p for p in CONFIGS if p not in oracle]
     assert [p.name for p in oracle] == ["oracle_crosscheck.json"]
-    assert len(others) == 7
-    seen = scipy_modules_after_loading(others + oracle)
-    for p in others:
-        assert seen[str(p)] == [], p.name
-    loaded = seen[str(oracle[0])]
-    assert "scipy.integrate" in loaded and "scipy.sparse" in loaded
+    assert len(CONFIGS) == 8
+    seen = scipy_modules_seen(CONFIGS)
+    steps = ["import bousslab.cli"] + [f"load {p}" for p in CONFIGS] + [f"run {oracle[0]}"]
+    assert set(seen) == set(steps) | {"verdicts"}
+    for step in steps:
+        assert seen[step] == [], step
+    assert seen["verdicts"] == ["pass"]

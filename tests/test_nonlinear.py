@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse import csc_matrix
 
 import bousslab.linear
 import bousslab.nonlinear
@@ -291,6 +292,36 @@ class TestSource:
         assert not np.shares_memory(s1, s2)
         assert np.array_equal(s1, kept)
         assert np.array_equal(s2, batched_source(y2, g, QUAD_SPEC))
+
+    @pytest.mark.parametrize("spec", SOURCE_SPECS,
+                             ids=lambda s: f"{s.f_kind}-{s.g_kind}-{s.g_sign:+g}")
+    @pytest.mark.parametrize("grid", ["1d_64", "2d_128", "3d_16"])
+    def test_stacked_states_are_bitwise_single_calls(self, grid, spec, rng):
+        g = make_grid(*SOURCE_GRIDS[grid])
+        ys = np.stack([self.full_half_spectrum(g, rng) for _ in range(3)])
+        times = np.array([0.25, 0.5, 0.75])
+        single = _Source(g, spec)
+        expected = np.stack([single(y, t) for y, t in zip(ys, times)])
+        stacked = _Source(g, spec, stack=(3,))
+        for _ in range(2):  # the second call runs on used workspaces
+            assert np.array_equal(stacked(ys, times), expected)
+        out = np.full((3,) + g.half_shape, np.nan + 0j)
+        assert stacked(ys, times, out=out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    @pytest.mark.parametrize("grid", ["1d_64", "2d_128", "3d_16"])
+    def test_non_finite_stage_raises_at_its_time(self, grid, stage):
+        g = make_grid(*SOURCE_GRIDS[grid])
+        y = _initial_state(small_gaussian(g, amplitude=0.01, width=2.0),
+                           PhysicalField.zero(g))
+        ys = np.stack([y, y, y])
+        # this stage and every later one hold a NaN: the first one is named
+        ys[stage:, 1, (3,) * g.n] = math.nan
+        times = np.array([0.25, 0.5, 0.75])
+        with pytest.raises(BlowUpError, match="non-finite values") as info:
+            _Source(g, QUAD_SPEC, stack=(3,))(ys, times)
+        assert info.value.time == times[stage]
 
     def test_etd_step_heap_peak_is_at_most_two_states(self):
         g = make_grid(2, 40.0, 128)
@@ -713,6 +744,56 @@ def dop853_mode_system(u0: PhysicalField, u1: PhysicalField,
     return [inverse_transform(g, unpack(sol.y[:, j]))[0] for j in range(t_eval.size)]
 
 
+def scipy_radau_mode_system(u0: PhysicalField, u1: PhysicalField,
+                            t_eval: np.ndarray, tol: float) -> np.ndarray:
+    """Stacked half spectra at ``t_eval`` of the spectral mode system under
+    :data:`QUAD_SPEC`, by ``scipy.integrate.solve_ivp(method="Radau")`` at
+    rtol = atol = ``tol`` given the exact linear Jacobian as a sparse matrix
+    (so its Newton systems are solved by sparse LU), on the oracle's vector
+    layout and with one single-state source evaluation per right-hand side.
+    """
+    g = u0.grid
+    neg_b = -damping_coefficient(g.xi2_half, P)
+    c = restoring_coefficient(g.xi2_half)
+    source = _Source(g, QUAD_SPEC)
+    shape = (2,) + g.half_shape
+
+    def rhs(t, y):
+        z = y.view(np.complex128).reshape(shape)
+        dz = np.stack([z[1], neg_b * z[1] - c * z[0] + source(z, t)])
+        return dz.view(np.float64).ravel()
+
+    # each mode contributes the block [[0, 1], [-c, -b]] to its real and to
+    # its imaginary part; the u block comes first
+    m = 2 * c.size
+    k = np.arange(m)
+    jac = csc_matrix((np.concatenate([np.ones(m), np.repeat(neg_b.ravel(), 2),
+                                      -np.repeat(c.ravel(), 2)]),
+                      (np.concatenate([k, m + k, m + k]),
+                       np.concatenate([m + k, m + k, k]))), shape=(2 * m, 2 * m))
+    y0 = _initial_state(u0, u1).view(np.float64).ravel()
+    sol = solve_ivp(rhs, (0.0, t_eval[-1]), y0, method="Radau", rtol=tol,
+                    atol=tol, jac=jac, t_eval=t_eval)
+    assert sol.success
+    return np.ascontiguousarray(sol.y.T).view(np.complex128).reshape(
+        (t_eval.size,) + shape)
+
+
+def count_evaluated_states(monkeypatch) -> list[int]:
+    """Count the states every :class:`_Source` call evaluates (a call on
+    ``k`` stacked states counts ``k``) in the returned one-item list.
+    """
+    states = [0]
+    evaluate = _Source.__call__
+
+    def counted(self, y, *args, **kwargs):
+        states[0] += math.prod(y.shape[:y.ndim - 1 - self.grid.n])
+        return evaluate(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(_Source, "__call__", counted)
+    return states
+
+
 class TestRadauOracle:
     """The Radau IIA oracle on the ``oracle_crosscheck`` problem."""
 
@@ -730,18 +811,56 @@ class TestRadauOracle:
     def test_tightest_tolerance_needs_few_source_evaluations(self, monkeypatch):
         # an explicit pair is held to the |xi|^4 stability limit: DOP853
         # makes about 19 500 evaluations here
-        calls = [0]
-        evaluate = _Source.__call__
-
-        def counted(self, *args, **kwargs):
-            calls[0] += 1
-            return evaluate(self, *args, **kwargs)
-
-        monkeypatch.setattr(_Source, "__call__", counted)
+        states = count_evaluated_states(monkeypatch)
         u0, u1, times = crosscheck_problem(T=5.0)
         reference_solve(u0, u1, T=5.0, spec=QUAD_SPEC, params=P, tol=1e-12,
                         t_eval=times)
-        assert 0 < calls[0] <= 5000
+        assert 0 < states[0] <= 5000
+
+    @pytest.mark.parametrize("problem", ["oracle_crosscheck", "3d_16"])
+    def test_matches_scipy_radau_step_for_step(self, problem, monkeypatch):
+        if problem == "oracle_crosscheck":
+            (u0, u1, times), T, tol, bound = crosscheck_problem(T=5.0), 5.0, 1e-12, 1e-13
+        else:
+            g = make_grid(3, 20.0, 16)
+            u0, u1 = small_gaussian(g, amplitude=0.05, width=2.0), PhysicalField.zero(g)
+            T, tol, bound = 1.0, 1e-10, 1e-12
+            times = np.linspace(0.0, T, 5)
+        states = count_evaluated_states(monkeypatch)
+        expected = scipy_radau_mode_system(u0, u1, times, tol)
+        scipy_states, states[0] = states[0], 0
+        ref = reference_solve(u0, u1, T=T, spec=QUAD_SPEC, params=P, tol=tol,
+                              t_eval=times)
+        # the same steps, Newton iterations and rejections evaluate the same states
+        assert states[0] == scipy_states
+        err = max(np.linalg.norm(r - e) / np.linalg.norm(e)
+                  for r, e in zip(ref.spectra[1:], expected[1:], strict=True))
+        assert np.array_equal(ref.spectra[0], expected[0])
+        assert err <= bound
+
+    def test_non_finite_stage_is_named_at_its_time(self, monkeypatch):
+        evaluate = _Source.__call__
+        stage_times = []
+
+        def poisoned(self, y, t, out=None):
+            if self.stack:
+                stage_times.append(np.array(t))
+                if len(stage_times) == 40:  # well into the run
+                    y = y.copy()
+                    y[1:, 0, 3] = math.nan  # the second and third stages
+            return evaluate(self, y, t, out)
+
+        monkeypatch.setattr(_Source, "__call__", poisoned)
+        u0, u1, times = crosscheck_problem(T=5.0)
+        with pytest.raises(ReferenceIntegrationError) as info:
+            reference_solve(u0, u1, T=5.0, spec=QUAD_SPEC, params=P, tol=1e-12,
+                            t_eval=times)
+        t_stage = float(stage_times[-1][1])
+        assert len(stage_times) == 40 and t_stage > 0.0
+        assert str(info.value) == ("reference integration failed: non-finite "
+                                   f"source at t={t_stage:.6g}")
+        assert isinstance(info.value.__cause__, BlowUpError)
+        assert info.value.__cause__.time == t_stage
 
     def test_never_evaluates_the_closed_form_kernels(self, monkeypatch):
         def forbidden(*args, **kwargs):
