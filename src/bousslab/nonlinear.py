@@ -38,11 +38,22 @@ the output times as a :class:`Trajectory`, and evaluate the source through
 one evaluator, :class:`_Source`: both fields are truncated by the 2/3
 rule and inverse-transformed in one batched call, the pointwise powers are
 formed in physical space, and one forward transform times one real weight
-(the truncation and ``-|xi|^2``) gives the spectral source.  Both transforms
-are pruned to the modes the truncation keeps: the leading-axis passes skip
-the half-spectrum columns above ``N//3`` (in 3-D also the outer pass over
-the masked middle-axis rows), which hold zeros on input and are zeroed on
-output, so the kept modes are bitwise those of the whole-array transforms.
+gives the spectral source.  The two transform scales ride on the real
+factors: the truncation carries ``1/fft_scale`` and the weight
+``-|xi|^2 fft_scale``, so no pass rescales a field.  Both transforms are
+pruned to the modes the truncation keeps: the leading-axis passes skip the
+half-spectrum columns above ``N//3`` (in 3-D also the outer pass over the
+masked middle-axis rows), which hold zeros on input, and every masked mode
+is zeroed on output, so the kept modes are bitwise those of the
+whole-array transforms.
+
+The ETD stepper folds the source's weight into its own coefficients and
+takes the unweighted forward spectrum (:meth:`_Source.unweighted`), so
+after its start a step is one accumulation,
+
+    y+ = from_u u + from_ut u_t + from_now S_n + from_prev S_{n-1},
+
+over the state and the unweighted sources of this step and the last.
 
 The evaluator and the ETD stepper own their work arrays, built once per
 (grid, spec) and reused on every call, so a step or a right-hand side
@@ -135,28 +146,36 @@ class _Source:
     non-finite value raises :class:`BlowUpError` at the time of the first
     state that holds one.
 
+    A call is :meth:`unweighted` times :attr:`weight`.  Both transform
+    scales are folded into the two real factors, so no pass rescales a
+    field: the truncation holds ``1/fft_scale`` on the kept modes (the
+    inverse transform of the truncated state is then the physical pair),
+    and the weight holds ``-|xi|^2 fft_scale`` (zero on the masked modes).
+    The ETD stepper folds the weight into its own coefficients and calls
+    :meth:`unweighted` alone.
+
     The evaluator is a workspace built once per (grid, spec): it owns the
-    truncated pair, the physical pair, the pointwise product and the forward
-    half spectrum, and makes the per-axis ``numpy.fft`` calls of
+    truncated pair, the physical pair and the pointwise product, and makes
+    the per-axis ``numpy.fft`` calls of
     :func:`~bousslab.spectral.inverse_transform` and
     :func:`~bousslab.spectral.forward_transform` into them, with the
-    pointwise powers formed in place.  Because of the shared workspaces one instance
+    pointwise powers formed in place; the forward transform writes straight
+    into the caller's buffer.  Because of the shared workspaces one instance
     must not be called from two threads at once.
 
     The transforms are pruned to the kept modes (Markel's FFT pruning of
     the 2/3 rule).  After the truncation the last-axis columns ``m > N//3``
-    hold zeros, and the weight zeroes them again on output, so the
-    leading-axis transforms run on the first ``N//3 + 1`` columns only; in
-    3-D the outer axis also runs on the kept rows of the middle axis alone.
-    The last-axis ``irfft``/``rfft`` still cover every column.  Per
-    transformed line the arithmetic is that of the whole-array transform,
-    so the kept modes are bitwise those of ``irfftn``/``rfftn``.  The scale
-    and the weight act on the whole contiguous spectrum, which is faster
-    than on the strided kept block, and the modes left untransformed are
-    then overwritten with exact zeros, so nothing computed from them (not
-    even ``0 x inf = NaN``) reaches the result.  The truncation still
-    multiplies the whole state, so a non-finite value in any mode reaches
-    the physical fields and raises :class:`BlowUpError`.
+    hold zeros, and they are zeroed again on output, so the leading-axis
+    transforms run on the first ``N//3 + 1`` columns only; in 3-D the outer
+    axis also runs on the kept rows of the middle axis alone.  The
+    last-axis ``irfft``/``rfft`` still cover every column.  Per transformed
+    line the arithmetic is that of the whole-array transform, so the kept
+    modes are bitwise those of ``irfftn``/``rfftn``.  Every masked mode of
+    the output, transformed or not, is then overwritten with exact zeros,
+    so nothing computed from the untransformed ones (not even
+    ``0 x inf = NaN``) reaches the result.  The truncation still multiplies
+    the whole state, so a non-finite value in any mode reaches the physical
+    fields and raises :class:`BlowUpError`.
     """
 
     def __init__(self, grid: Grid, spec: NonlinearitySpec,
@@ -172,28 +191,40 @@ class _Source:
         # real factors stored as complex: numpy multiplies complex by real by
         # casting the real factor to complex on every call, so the products
         # are bitwise the same and the cast is made once
-        self.truncate = mask.astype(np.complex128)
-        self.weight = np.where(mask, -grid.xi2_half, 0.0).astype(np.complex128)
+        self.truncate = np.where(mask, 1.0 / grid.fft_scale, 0.0).astype(np.complex128)
+        self.weight = np.where(mask, -grid.xi2_half * grid.fft_scale,
+                               0.0).astype(np.complex128)
         self.g_coeff = spec.g_sign * spec.beta
         self.pair = np.empty((2,) + stack + grid.half_shape, dtype=np.complex128)
         self.fields = np.empty((2,) + stack + grid.shape)
         self.product = np.empty(stack + grid.shape)
         self.finite = np.empty(stack + grid.shape, dtype=bool)
-        self.spectrum = np.empty(stack + grid.half_shape, dtype=np.complex128)
         # leading-axis transforms on the kept columns, and in 3-D the outer
         # axis on the two blocks of kept middle-axis rows (modes 0..N//3 and
-        # -N//3..-1); ``dropped`` holds the modes this leaves untransformed
+        # -N//3..-1)
         N, keep = grid.N, grid.N // 3 + 1
         cols = (Ellipsis, slice(0, keep))
         self.leading = [(-2, cols)] if grid.n >= 2 else []
-        self.dropped = [(Ellipsis, slice(keep, None))] if grid.n >= 2 else []
         if grid.n == 3:
             self.leading[:0] = [(-3, (Ellipsis, rows, slice(0, keep)))
                                 for rows in (slice(0, keep), slice(N - keep + 1, N))]
-            self.dropped.append((Ellipsis, slice(keep, N - keep + 1), slice(0, keep)))
+        # the blocks whose union is the masked modes: the last-axis columns
+        # above N//3, and in the kept columns the rows of each leading axis
+        # with |m| > N//3 (these blocks hold every untransformed mode)
+        self.masked = [(Ellipsis, slice(keep, None))]
+        for axis in range(grid.n - 1):
+            block = [slice(None)] * grid.n
+            block[axis], block[-1] = slice(keep, N - keep + 1), slice(0, keep)
+            self.masked.append((Ellipsis, *block))
 
-    def __call__(self, y: np.ndarray, t: float | np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+    def unweighted(self, y: np.ndarray, t: float | np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """``rfftn`` of the pointwise source ``f(u) + sign beta g(u_t)`` of the
+        truncated state, with every masked mode exactly zero.
+
+        The forward transform is written straight into ``out`` (a fresh
+        array when it is not given); the source is this times :attr:`weight`.
+        """
         spec = self.spec
         if out is None:
             out = np.empty(self.stack + self.grid.half_shape, dtype=np.complex128)
@@ -208,7 +239,6 @@ class _Source:
         for ax, blk in self.leading:
             np.fft.ifft(pair[blk], axis=ax, out=pair[blk])
         u, ut = np.fft.irfft(pair, n=grid.N, axis=-1, out=fields)
-        fields /= grid.fft_scale
         # overflow in the pointwise powers is an expected failure mode: it is
         # detected right below and reported as BlowUpError, so keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,14 +258,17 @@ class _Source:
                 t = float(np.ravel(t)[np.argmin(finite)])
             raise BlowUpError("state blow-up: non-finite values in the nonlinearity", t)
         # rfftn order: the last axis, then the leading axes innermost first
-        spectrum = np.fft.rfft(w, axis=-1, out=self.spectrum)
+        np.fft.rfft(w, axis=-1, out=out)
         for ax, blk in reversed(self.leading):
-            np.fft.fft(spectrum[blk], axis=ax, out=spectrum[blk])
-        spectrum *= grid.fft_scale
-        np.multiply(self.weight, spectrum, out=out)
-        for blk in self.dropped:
+            np.fft.fft(out[blk], axis=ax, out=out[blk])
+        for blk in self.masked:
             out[blk] = 0.0
         return out
+
+    def __call__(self, y: np.ndarray, t: float | np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        out = self.unweighted(y, t, out)
+        return np.multiply(self.weight, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -298,23 +331,39 @@ class _EtdStepper:
 
     and a source that is linear in s with slope ``D / dt`` adds
 
-        u+  = u* + D (I0 - I1/dt),  v+ = v* + D I0/dt.
+        u+  = u* + D (I0 - I1/dt),  v+ = v* + D I0/dt,
+
+    the weights ``w_predict = (I0, sine)`` and
+    ``w_correct = (I0 - I1/dt, I0/dt)`` of ``N_n`` and ``D``.
 
     Every step after the first is the multistep ETD2 of Cox & Matthews
     (J. Comput. Phys. 176, 2002, eq. 6): the source is extrapolated through
     the last two step points, ``D = N_n - N_{n-1}``, so a step evaluates the
-    source once, at the state it is given.  The first step has no
-    ``N_{n-1}`` and is the two-stage ETD2RK step, ``D = N(u*, t + dt) - N_n``.
-    Both are second order and share the weights, which are real and
-    evaluated once on the half lattice, each pair stacked as the
-    ``(u, u_t)`` rows that multiply the stacked state and stored as complex
-    (a zero imaginary part) so that no step casts them.
+    source once, at the state it is given.  That step is one fixed per-mode
+    combination of the state and the last two sources; with the source
+    ``N = weight S`` of :class:`_Source` it reads
 
-    The stepper keeps ``N_{n-1}`` in one of two source buffers; a step
-    writes ``N_n`` into the other, forms ``D`` in place of ``N_{n-1}`` and
-    swaps the two references.  So one stepper advances one run: each call
-    must continue from the state the previous call returned, one ``dt``
-    later.
+        y+ = from_u u + from_ut v + from_now S_n + from_prev S_{n-1},
+
+    where ``from_now = (w_predict + w_correct) weight`` and
+    ``from_prev = -w_correct weight`` fold the source's weight (its
+    ``-|xi|^2``, the 2/3 rule and the forward transform scale) into the
+    step, so the step takes the unweighted spectra ``S`` of
+    :meth:`_Source.unweighted`.  A step touches the state, its result, one
+    work pair and the two source rows: the source writes ``S_n`` into the
+    free row and the result accumulates the four products, each formed in
+    the work pair.  The first step has no ``S_{n-1}`` and is the two-stage
+    ETD2RK step, ``D = N(u*, t + dt) - N_n``, with ``w_predict = from_now +
+    from_prev`` and ``w_correct = -from_prev`` formed for that step alone.
+    Both are second order.  The four weights are real and evaluated once on
+    the half lattice, each stacked as the ``(u, u_t)`` rows that multiply
+    the stacked state and stored as complex (a zero imaginary part) so that
+    no step casts them.
+
+    The two source rows swap their references after each step, so ``S_n``
+    becomes the next step's ``S_{n-1}``.  So one stepper advances one run:
+    each call must continue from the state the previous call returned, one
+    ``dt`` later.
     """
 
     def __init__(self, grid: Grid, dt: float, spec: NonlinearitySpec,
@@ -324,16 +373,17 @@ class _EtdStepper:
         self.source = _Source(grid, spec)
         sym = propagator(grid.xi2_half, self.dt, params)
         i0, i1 = _etd_integrals(grid.xi2_half, self.dt, params)
+        w_predict = np.stack([i0.real, sym.sine])
+        w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real])
+        weight = self.source.weight.real
         c128 = np.complex128
         self.from_u = np.stack([sym.cosine, sym.cosine_dt], dtype=c128)
         self.from_ut = np.stack([sym.sine, sym.sine_dt], dtype=c128)
-        self.w_predict = np.stack([i0.real, sym.sine], dtype=c128)
-        self.w_correct = np.stack([(i0 - i1 / self.dt).real, (i0 / self.dt).real],
-                                  dtype=c128)
-        self.pred = np.empty((2,) + grid.half_shape, dtype=np.complex128)
-        self.scratch = np.empty_like(self.pred)
-        self.cur = np.empty(grid.half_shape, dtype=np.complex128)
-        self.prev = np.empty_like(self.cur)
+        self.from_now = ((w_predict + w_correct) * weight).astype(c128)
+        self.from_prev = (-w_correct * weight).astype(c128)
+        self.work = np.empty((2,) + grid.half_shape, dtype=c128)
+        self.now = np.empty(grid.half_shape, dtype=c128)
+        self.prev = np.empty_like(self.now)
         self.started = False
 
     def advance(self, y: np.ndarray, t: float) -> np.ndarray:
@@ -341,22 +391,31 @@ class _EtdStepper:
 
         Returns a fresh array; the intermediate stages live in the stepper.
         """
-        pred, scratch = self.pred, self.scratch
-        n_now = self.source(y, t, out=self.cur)
-        np.multiply(self.from_u, y[0], out=pred)
-        pred += np.multiply(self.from_ut, y[1], out=scratch)
-        pred += np.multiply(self.w_predict, n_now, out=scratch)
-        if self.spec.is_zero:
-            return pred.copy()
-        if self.started:
-            diff = np.subtract(n_now, self.prev, out=self.prev)
-        else:
-            diff = self.source(pred, t + self.dt, out=self.prev)
-            diff -= n_now
-            self.started = True
-        # N_n becomes N_{n-1} of the next step; the other buffer is free
-        self.cur, self.prev = self.prev, self.cur
-        return np.add(pred, np.multiply(self.w_correct, diff, out=scratch))
+        # the source first, so that the result and the work pair stay in
+        # cache from the first product of the accumulation to the last
+        zero = self.spec.is_zero
+        s_now = None if zero else self.source.unweighted(y, t, out=self.now)
+        work = self.work
+        out = np.multiply(self.from_u, y[0])
+        out += np.multiply(self.from_ut, y[1], out=work)
+        if zero:
+            return out
+        if not self.started:
+            return self._first_step(out, s_now, t)
+        out += np.multiply(self.from_now, s_now, out=work)
+        out += np.multiply(self.from_prev, self.prev, out=work)
+        # S_n becomes S_{n-1} of the next step; the other row is free
+        self.now, self.prev = self.prev, self.now
+        return out
+
+    def _first_step(self, pred: np.ndarray, s_now: np.ndarray, t: float) -> np.ndarray:
+        """The ETD2RK step from the linear part ``pred`` of the predictor."""
+        pred += np.multiply(self.from_now + self.from_prev, s_now, out=self.work)
+        diff = self.source.unweighted(pred, t + self.dt, out=self.prev)
+        diff -= s_now
+        self.started = True
+        self.now, self.prev = self.prev, self.now
+        return np.add(pred, np.multiply(-self.from_prev, diff, out=self.work))
 
 
 #: OpenBLAS spreads a dot product of more than 10 000 elements over its
@@ -369,6 +428,8 @@ _DOT_CHUNK = 8192
 def _squares(z: np.ndarray) -> float:
     """``sum |z|^2`` over a complex array, by single-threaded BLAS ``vdot``."""
     flat = z.reshape(-1)
+    if flat.size <= _DOT_CHUNK:
+        return np.vdot(flat, flat).real
     total = 0.0
     for start in range(0, flat.size, _DOT_CHUNK):
         chunk = flat[start:start + _DOT_CHUNK]
@@ -376,9 +437,9 @@ def _squares(z: np.ndarray) -> float:
     return total
 
 
-def _over_guard(grid: Grid, y: np.ndarray, guard: float) -> bool:
+def _over_guard(y: np.ndarray, guard: float, volume: float) -> bool:
     """Whether ``y`` holds a non-finite value or the L^2 norm of its ``u`` row
-    exceeds ``guard``.
+    exceeds ``guard``; ``volume`` is the spectral cell ``dxi**n``.
 
     One pass over ``y``: the sums of squares of its rows are finite unless
     an entry is not or the squares overflow; only then are the entries
@@ -392,9 +453,9 @@ def _over_guard(grid: Grid, y: np.ndarray, guard: float) -> bool:
     if not math.isfinite(squares + _squares(y[1])) and not np.isfinite(y).all():
         return True
     # last-axis columns 0 and N/2, the planes that hold their own conjugates
-    power = 2.0 * squares - _squares(y[0, ..., ::grid.N // 2])
+    power = 2.0 * squares - _squares(y[0, ..., ::y.shape[-1] - 1])
     # squares that overflowed leave inf - inf = NaN here, which is over too
-    return not math.sqrt(grid.dxi**grid.n * power) <= guard
+    return not math.sqrt(volume * power) <= guard
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -434,6 +495,7 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     y = _initial_state(u0, u1)
     stepper = _EtdStepper(g, dt, spec, params)
     guard = blowup_factor * max(*sobolev_norm(g, y), 1e-30)
+    volume = g.dxi**g.n
 
     times = _output_times(n_steps, dt, out_every)
     spectra = np.empty((times.size,) + y.shape, dtype=np.complex128)
@@ -443,7 +505,7 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
         t_prev = (i - 1) * dt
         y = stepper.advance(y, t_prev)
         t_now = i * dt
-        if _over_guard(g, y, guard):
+        if _over_guard(y, guard, volume):
             raise BlowUpError(
                 f"state blow-up at t={t_now:.6g}: amplitude exceeded "
                 f"{blowup_factor:g} x initial", t_now)

@@ -3,10 +3,12 @@
 ``scripts/rate_table.py`` is the only caller of the n = 3 radial route at
 late times; no config runs it.  Oracle: the linear decay law
 ``-n/4 - k/2`` of the paper for Gaussian data, which the fitted slopes over
-t in [1e2, 1e4] must reproduce to 0.05.
+t in [1e2, 1e4] must reproduce to 0.05.  ``scripts/csv_drift.py`` is
+checked on two hand-written run roots whose moves are known.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +38,37 @@ def test_rate_table_slopes_match_linear_decay_law():
     for n, k, fitted, _, _ in rows:
         theory = -int(n) / 4.0 - int(k) / 2.0
         assert abs(float(fitted) - theory) <= 0.05, (n, k, fitted)
+
+
+def write_run(root: Path, value: str, slope: str, status: str) -> Path:
+    """A run root with one config holding the three compared artifacts."""
+    run = root / "cfg"
+    run.mkdir(parents=True)
+    (run / "series.csv").write_text("experiment_id,t,k,norm_kind,value\n"
+                                    f"demo/a,0,0,l2,1.0\ndemo/a,1,0,l2,{value}\n")
+    (run / "rates.csv").write_text("k,slope,stderr,theory_slope,verdict\n"
+                                   f"0,{slope},0.01,-0.5,{status}\n")
+    verdicts = [{"criterion": "AC7", "name": "slope", "status": status,
+                 "value": float(slope)},
+                {"criterion": "AC7", "name": "exact", "status": "pass"}]
+    (run / "report.json").write_text(json.dumps({"verdicts": verdicts}))
+    return root
+
+
+def test_csv_drift_reports_identical_files_and_the_largest_moves(tmp_path):
+    a = write_run(tmp_path / "a", "0.5", "-0.5", "pass")
+    same = write_run(tmp_path / "same", "0.5", "-0.5", "pass")
+    moved = write_run(tmp_path / "moved", "0.50000001", "-0.25", "fail")
+    assert run_script("csv_drift.py", str(a), str(same)).splitlines() == [
+        "cfg", "  series.csv: byte-identical", "  rates.csv: byte-identical",
+        "  report.json: verdicts moved: 0"]
+    lines = run_script("csv_drift.py", str(a), str(moved)).splitlines()
+    assert lines == [
+        "cfg",
+        "  series.csv: differs",
+        "    value: max relative move 2e-08 at row 2 (demo/a, l2, t=1)",
+        "  rates.csv: differs",
+        "    slope: max relative move 0.5 at row 1 (pass)",
+        "    verdict: row 1: 'pass' -> 'fail'",
+        "  report.json: verdicts moved: 1",
+        "    AC7 slope: status pass -> fail, value -0.5 -> -0.25 (relative move 0.5)"]
