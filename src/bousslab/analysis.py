@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linear import RadialData, _radial_norms
+from .linear import RadialData, linear_norm_radial
 from .nonlinear import Trajectory
 from .spectral import (TWO_PI, PhysicalField, forward_transform, inverse_transform,
                        l1_norm, l2_norm, linf_norm, neg_sobolev_norm, sobolev_norm)
@@ -174,7 +174,7 @@ def radial_decay_series(data: RadialData, times: Sequence[float],
     components = [(w, int(k)) for w in whiches for k in k_list]
 
     def run_one(t: float) -> list[float]:
-        return _radial_norms(data, float(t), components, n, params, rtol=rtol)
+        return linear_norm_radial(data, float(t), components, n, params, rtol=rtol)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:

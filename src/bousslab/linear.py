@@ -9,7 +9,12 @@ Two complementary evaluation routes for the same linear flow:
 * :func:`linear_norm_radial` evaluates L^2-type norms of the evolution of
   radially symmetric data directly as one-dimensional continuum integrals
   over ``|xi|``, free of any box truncation, which is what makes decay-rate
-  windows like t in [1e2, 1e4] reachable.
+  windows like t in [1e2, 1e4] reachable.  At late times the integrals run
+  only where the kernels live: the squared kernels carry the envelope
+  ``exp(alpha |xi|^2 t)``, so the domain ends at ``|xi|^2 = 64 / (|alpha| t)``,
+  where that envelope is ``e^-64``; the tail check of the quadrature still
+  verifies the truncation, and its largest relative tail on the shipped
+  configs is 2.3e-24 against a 1e-12 gate.
 
 The radial route is also the reference for the asymptotic profile and for
 the (full - profile) gap, whose kernels are subtracted before squaring so
@@ -145,9 +150,38 @@ def square_integrable_radial_data(n: int, eps: float = 0.2,
 _WHICH = ("linear", "profile", "gap")
 
 
-def _radial_norms(data: RadialData, t: float, components: Sequence[tuple[str, int]],
-                  n: int, params: ModelParams, rtol: float = 1e-9) -> list[float]:
-    """:func:`linear_norm_radial` for every ``(which, k)`` of ``components`` at once.
+#: late-time cutoff ``r^2 <= _ENVELOPE_EXPONENT / (|alpha| t)`` of the radial
+#: norms (t >= 50).  In the oscillatory band the kernels carry the roots'
+#: real part, so ``|kernel|^2 <~ poly(r, t) * exp(-|alpha| r^2 t / (1 + r^2))``
+#: (``exp(alpha r^2 t)`` exactly for the profile kernels and for alpha = -1);
+#: beyond the band they fall like ``exp(-2t) <= e^-100``.  At the cutoff the
+#: envelope is ``exp(-S / (1 + r^2))`` with ``r^2 <= S / (|alpha| t)``, so S
+#: must clear the 1e-12 relative tail gate of ``spectral._radial_integral``
+#: (``e^-27.6``) with room for the polynomial prefactors.  S = 64 leaves
+#: ``e^-64 ~ 1.6e-28`` (``e^-45`` at alpha = -3, t = 50): on the shipped
+#: configs the largest relative tail is 2.3e-24 and no cutoff is doubled,
+#: while S = 48 left 1.3e-17 and S = 36 missed the gate (1.2e-12) and needed
+#: eight cutoff doublings.
+_ENVELOPE_EXPONENT = 64.0
+
+
+def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[str, int]],
+                       n: int, params: ModelParams, rtol: float = 1e-9) -> list[float]:
+    """Continuum L^2 norms at time ``t``, one per ``(which, k)`` of ``components``.
+
+    Each value is ``sqrt(c_n int r^(2k+n-1) |W(r, t)|^2 dr)``, the norm of the
+    order-``k`` radial derivative, where ``which`` selects the kernel ``W``:
+    the full linear flow, the asymptotic profile, or their difference
+    (subtracted before squaring, so the gap norm is not the cancellation of
+    two large norms).  The panel count follows the ``t |xi|`` oscillation,
+    and the integration variable is ``r = s^q`` with
+    ``q = data.substitution_power``.
+
+    The domain is ``[0, data.cutoff_hint]``; at ``t >= 50`` it shrinks to
+    ``r^2 <= 64 / (|alpha| t)``, where the squared kernels' envelope
+    ``exp(alpha r^2 t)`` has fallen to ``e^-64``, far below the 1e-12
+    relative tail the doubling tail check still verifies (the largest tail
+    on the shipped configs is 2.3e-24).
 
     All components share the cutoff and panel schedule at ``t``, so each node
     set evaluates ``propagator`` and/or ``profile_symbols`` once and weighs
@@ -157,8 +191,8 @@ def _radial_norms(data: RadialData, t: float, components: Sequence[tuple[str, in
     """
     if n not in SPHERE_SURFACE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     for which, k in components:
         if which not in _WHICH:
             raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
@@ -192,30 +226,10 @@ def _radial_norms(data: RadialData, t: float, components: Sequence[tuple[str, in
 
     cutoff = data.cutoff_hint
     if t >= 50.0:
-        # kernels decay at least like exp(alpha r^2 t) in the oscillatory band
-        # and exp(-2t) beyond it, so the mass is inside r^2 <= 800/(|alpha| t)
-        cutoff = min(cutoff, math.sqrt(800.0 / (abs(params.alpha) * t)))
+        cutoff = min(cutoff, math.sqrt(_ENVELOPE_EXPONENT / (abs(params.alpha) * t)))
     cycles = cutoff * (t + 1.0) / (2.0 * math.pi)
     panels0 = max(8, int(3.0 * cycles) + 8)
     values = _radial_integral(integrand, len(components), cutoff, panels0, rtol,
                               substitution_power=data.substitution_power,
                               max_doublings=3)
     return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]
-
-
-def linear_norm_radial(data: RadialData, t: float, k: int, n: int,
-                       params: ModelParams, which: str = "linear",
-                       rtol: float = 1e-9) -> float:
-    """Continuum L^2 norm of the order-``k`` radial derivative at time ``t``.
-
-    ``which`` selects the evolution kernel: the full linear flow, the
-    asymptotic profile, or their difference (subtracted before squaring).
-    Evaluated as ``sqrt(c_n int r^(2k+n-1) |W(r, t)|^2 dr)`` with an
-    oscillation-aware panel count and an automatically tightened cutoff at
-    late times (the kernels carry ``exp(alpha r^2 t / 2)``); the truncation
-    is still verified by the doubling tail check.  The integration variable
-    is ``r = s^q`` with ``q = data.substitution_power``.  This is the
-    one-component case of the all-components evaluation behind
-    :func:`bousslab.analysis.radial_decay_series`.
-    """
-    return _radial_norms(data, t, ((which, k),), n, params, rtol)[0]

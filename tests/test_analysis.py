@@ -133,7 +133,7 @@ class TestSeriesExtraction:
         times = np.geomspace(1.0, 100.0, 8)
         out = radial_decay_series(data, times, (0,), 1, P, which="linear")
         assert out[0].source == "linear"
-        direct = [linear_norm_radial(data, float(t), 0, 1, P, which="linear")
+        direct = [linear_norm_radial(data, float(t), [("linear", 0)], 1, P)[0]
                   for t in times]
         assert np.allclose(out[0].values, direct, rtol=1e-12)
 
@@ -186,7 +186,7 @@ class TestRadialAllComponents:
         assert [(s.source, s.k) for s in out] == [
             (source, k) for source in ("linear", "profile_gap") for k in self.KS]
         for s, (which, k) in zip(out, [(w, k) for w in self.WHICH for k in self.KS]):
-            direct = [linear_norm_radial(data, float(t), k, 1, P, which=which)
+            direct = [linear_norm_radial(data, float(t), [(which, k)], 1, P)[0]
                       for t in self.TIMES]
             assert np.array_equal(s.values, direct)
 
@@ -206,7 +206,7 @@ class TestRadialAllComponents:
             for k in self.KS:
                 for t in self.TIMES:
                     calls.clear()
-                    linear_norm_radial(data, float(t), k, 1, P, which=which)
+                    linear_norm_radial(data, float(t), [(which, k)], 1, P)[0]
                     needed.setdefault(float(t), []).append(set(calls))
         union = {t: set().union(*sets) for t, sets in needed.items()}
         # not every component needs every node set: some stop refining early

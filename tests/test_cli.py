@@ -207,7 +207,7 @@ class TestExitCodes:
         def run_experiment(cfg, threads=1):
             # a flat spectral profile never passes the cutoff tail check
             flat = RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, cutoff_hint=1.0)
-            linear_norm_radial(flat, 0.0, 0, 1, ModelParams())
+            linear_norm_radial(flat, 0.0, [("linear", 0)], 1, ModelParams())
 
         monkeypatch.setattr("bousslab.cli.run_experiment", run_experiment)
         cfg = write_config(tmp_path, small_linear_config())

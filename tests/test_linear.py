@@ -12,13 +12,15 @@ import math
 import numpy as np
 import pytest
 
+import bousslab.spectral
 from bousslab import (ModelParams, PhysicalField, RadialData, forward_transform,
                       gaussian_radial_data, inverse_transform, linear_norm_radial,
                       linear_solution, linear_trajectory, make_grid,
                       profile_symbols, sobolev_norm, solve,
                       square_integrable_profile, square_integrable_radial_data)
 from bousslab.nonlinear import NonlinearitySpec
-from bousslab.spectral import SPHERE_SURFACE
+from bousslab.spectral import SPHERE_SURFACE, _radial_integral
+from bousslab.symbols import propagator
 
 from conftest import random_smooth_field, total_energy
 
@@ -140,10 +142,10 @@ class TestProfileSolution:
         # the gap norm decays faster than the solution norm
         data = gaussian_radial_data(n=1)
         t_lo, t_hi = 1e2, 1e4
-        lin_lo = linear_norm_radial(data, t_lo, 0, 1, P, which="linear")
-        lin_hi = linear_norm_radial(data, t_hi, 0, 1, P, which="linear")
-        gap_lo = linear_norm_radial(data, t_lo, 0, 1, P, which="gap")
-        gap_hi = linear_norm_radial(data, t_hi, 0, 1, P, which="gap")
+        lin_lo = linear_norm_radial(data, t_lo, [("linear", 0)], 1, P)[0]
+        lin_hi = linear_norm_radial(data, t_hi, [("linear", 0)], 1, P)[0]
+        gap_lo = linear_norm_radial(data, t_lo, [("gap", 0)], 1, P)[0]
+        gap_hi = linear_norm_radial(data, t_hi, [("gap", 0)], 1, P)[0]
         lin_rate = math.log(lin_hi / lin_lo)
         gap_rate = math.log(gap_hi / gap_lo)
         assert gap_rate < lin_rate  # strictly faster decay
@@ -153,25 +155,25 @@ class TestRadialNorms:
     def test_displacement_identity_at_time_zero(self):
         profile = lambda r: np.exp(-(r**2))
         data = RadialData(u0_hat=profile, u1_hat=lambda r: np.zeros_like(r))
-        val = linear_norm_radial(data, 0.0, 0, 1, P, which="linear")
+        val = linear_norm_radial(data, 0.0, [("linear", 0)], 1, P)[0]
         # c_1 int_0^inf e^(-2 r^2) dr = 2 sqrt(pi / 8)
         assert val**2 == pytest.approx(2.0 * math.sqrt(math.pi / 8.0), rel=1e-9)
 
     def test_gap_vanishes_at_time_zero(self):
         data = gaussian_radial_data(n=1, velocity_amplitude=0.7)
-        assert linear_norm_radial(data, 0.0, 0, 1, P, which="gap") \
+        assert linear_norm_radial(data, 0.0, [("gap", 0)], 1, P)[0] \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_which_rejected(self):
         data = gaussian_radial_data(n=1)
         with pytest.raises(ValueError):
-            linear_norm_radial(data, 1.0, 0, 1, P, which="moonshine")
+            linear_norm_radial(data, 1.0, [("moonshine", 0)], 1, P)
 
     def test_square_integrable_data_has_finite_norms(self):
         data = square_integrable_radial_data(n=1, eps=0.2)
         assert data.class_tag == "square_integrable"
         for k in (0, 1):
-            v = linear_norm_radial(data, 10.0, k, 1, P, which="linear")
+            v = linear_norm_radial(data, 10.0, [("linear", k)], 1, P)[0]
             assert np.isfinite(v) and v > 0.0
 
     def test_radial_data_validation(self):
@@ -188,7 +190,7 @@ class TestRadialNorms:
         data = gaussian_radial_data(n=1)
         for t in (0.0, 5.0, 20.0, 40.0):
             box = sobolev_norm(g, linear_solution(g, y0, t, P)[0])
-            cont = linear_norm_radial(data, t, 0, 1, P, which="linear")
+            cont = linear_norm_radial(data, t, [("linear", 0)], 1, P)[0]
             assert box == pytest.approx(cont, rel=1e-3)
 
 
@@ -201,13 +203,13 @@ class TestSquareIntegrableData:
         # c_n int_0^1 r^(n-1) r^(eps-n) dr = c_n / eps
         data = square_integrable_radial_data(n=n, eps=eps)
         assert data.substitution_power == math.ceil(1.0 / eps)
-        val = linear_norm_radial(data, 0.0, 0, n, P)
+        val = linear_norm_radial(data, 0.0, [("linear", 0)], n, P)[0]
         assert val == pytest.approx(math.sqrt(SPHERE_SURFACE[n] / eps), rel=1e-12)
 
     def test_small_eps_converges_at_late_time(self):
         data = square_integrable_radial_data(n=1, eps=0.1)
         for k in (0, 1):
-            v = linear_norm_radial(data, 1e4, k, 1, P)
+            v = linear_norm_radial(data, 1e4, [("linear", k)], 1, P)[0]
             assert math.isfinite(v) and v > 0.0
 
     @pytest.mark.parametrize("eps", (0.0, 1.0, 1.5))
@@ -219,3 +221,76 @@ class TestSquareIntegrableData:
         with pytest.raises(ValueError, match="substitution power"):
             RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like,
                        substitution_power=0)
+
+
+def wide_domain_norms(data, t, components, n, params):
+    """Reference radial norms over ``r^2 <= 800 / (|alpha| t)``, where the
+    squared kernels' envelope has fallen to ``e^-800``: the same integrals as
+    :func:`linear_norm_radial` on a domain 3.5 times wider.
+    """
+    def integrand(r, live):
+        xi2 = r * r
+        sym = propagator(xi2, t, params)
+        g0, h0 = profile_symbols(xi2, t, params)
+        u0, u1 = data.u0_hat(r), data.u1_hat(r)
+        kernels = {"linear": sym.sine * u1 + sym.cosine * u0,
+                   "profile": g0 * u1 + h0 * u0,
+                   "gap": (sym.sine - g0) * u1 + (sym.cosine - h0) * u0}
+        return np.stack([r ** (2 * components[i][1] + n - 1) * kernels[components[i][0]] ** 2
+                         for i in live])
+
+    cutoff = min(data.cutoff_hint, math.sqrt(800.0 / (abs(params.alpha) * t)))
+    panels0 = int(3.0 * cutoff * (t + 1.0) / (2.0 * math.pi)) + 8
+    values = _radial_integral(integrand, len(components), cutoff, panels0, 1e-9,
+                              substitution_power=data.substitution_power,
+                              max_doublings=3)
+    return np.sqrt(SPHERE_SURFACE[n] * values)
+
+
+class TestRadialDomain:
+    """The late-time domain ``r^2 <= 64 / (|alpha| t)`` of the radial norms."""
+
+    COMPONENTS = [(w, k) for w in ("linear", "profile", "gap") for k in (0, 1, 2)]
+
+    @pytest.mark.parametrize("t", (50.0, 1e2, 1e3, 1e4))
+    @pytest.mark.parametrize("kind", ("gaussian", "radial_L2"))
+    @pytest.mark.parametrize("alpha", (-1.0, -3.0))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_agrees_with_wide_domain(self, n, alpha, kind, t, monkeypatch):
+        data = (gaussian_radial_data(n=n) if kind == "gaussian"
+                else square_integrable_radial_data(n=n, eps=0.2))
+        params = ModelParams(alpha=alpha)
+        starts = []
+        real = bousslab.spectral._refined_integral
+
+        def recording(f, live, a, *args):
+            starts.append(a)
+            return real(f, live, a, *args)
+
+        monkeypatch.setattr(bousslab.spectral, "_refined_integral", recording)
+        got = linear_norm_radial(data, t, self.COMPONENTS, n, params)
+        # one body integral: the tail gate passed at the first cutoff, so the
+        # domain is wide enough without the tail check's cutoff doubling
+        assert starts.count(0.0) == 1
+        ref = wide_domain_norms(data, t, self.COMPONENTS, n, params)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(np.asarray(got) - ref) / ref) <= 1e-12
+
+    def test_late_time_node_count(self, monkeypatch):
+        # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 21 060
+        nodes = []
+        real = bousslab.spectral._panel_sum
+
+        def counting(f, live, a, b, panels, order=12):
+            nodes.append(panels * order)
+            return real(f, live, a, b, panels, order)
+
+        monkeypatch.setattr(bousslab.spectral, "_panel_sum", counting)
+        linear_norm_radial(gaussian_radial_data(n=1), 1e4, [("linear", 0)], 1, P)
+        assert 0 < sum(nodes) <= 30_000
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, -1.0))
+    def test_non_finite_or_negative_time_rejected(self, t):
+        data = gaussian_radial_data(n=1)
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            linear_norm_radial(data, t, [("linear", 0)], 1, P)

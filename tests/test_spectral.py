@@ -247,7 +247,7 @@ def radial_norm(profile, k, n, cutoff, **kw):
     displacement ``P`` (the kernels are exactly 1 and 0 there).
     """
     data = RadialData(u0_hat=profile, u1_hat=np.zeros_like, cutoff_hint=cutoff, **kw)
-    return linear_norm_radial(data, 0.0, k, n, ModelParams())
+    return linear_norm_radial(data, 0.0, [("linear", k)], n, ModelParams())[0]
 
 
 class TestRadialQuadrature:
@@ -309,7 +309,7 @@ class TestRadialQuadrature:
         try:
             start = time.perf_counter()
             with pytest.raises(QuadratureError, match="nodes"):
-                linear_norm_radial(data, 1e4, 0, 1, ModelParams())
+                linear_norm_radial(data, 1e4, [("linear", 0)], 1, ModelParams())
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
