@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .analysis import _check_series_length, _fit_points, default_certify_grids
-from .nonlinear import _output_times, _step_count
+from .analysis import _check_fit_count, _check_series_length, default_certify_grids
+from .nonlinear import _output_count, _step_count
 
 #: largest magnitude (and, for box and data sizes, its inverse the smallest)
 #: of a scale parameter: squares and cubes of it, such as cell volumes,
@@ -258,9 +258,9 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
     there (both runs start from the same spectra).  ``oracle_crosscheck``
     picks its own output cadence and fits nothing, so only its step count
     is checked.
-    A run may take at most ``MAX_STEPS`` steps, checked before the output
-    times are materialised: 8 bytes each, against the state pair per output
-    time that the run itself keeps.
+    A run may take at most ``MAX_STEPS`` steps.  The output times are
+    counted arithmetically (:func:`~bousslab.nonlinear._output_count`), so
+    loading allocates nothing per step or per output time.
     """
     if cfg.experiment not in ("nonlinear_rates", "nl_vs_linear_gap", "oracle_crosscheck"):
         return
@@ -275,17 +275,19 @@ def _check_box_schedule(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"discretization.dt: {exc}") from exc
     if cfg.experiment == "oracle_crosscheck":
         return
-    times = _output_times(n_steps, d.dt, d.out_every)
     if cfg.experiment == "nonlinear_rates":
         try:
-            _check_series_length(times.size)
+            _check_series_length(_output_count(n_steps, d.dt, d.out_every))
         except ValueError as exc:
             raise ConfigError(f"discretization.out_every: {exc}") from exc
+    # the loader admits only windows with 0 <= lo < hi
+    lo, hi = cfg.analysis.fit_window
     try:
-        sel = _fit_points(times, cfg.analysis.fit_window)
+        _check_fit_count(_output_count(n_steps, d.dt, d.out_every, lo, hi))
     except ValueError as exc:
         raise ConfigError(f"analysis.fit_window: {exc}") from exc
-    if cfg.experiment == "nl_vs_linear_gap" and times[sel][0] == 0.0:
+    # t = 0, the first output time, is then the window's first one
+    if cfg.experiment == "nl_vs_linear_gap" and lo <= 0.0 <= hi:
         raise ConfigError("analysis.fit_window: must start after t = 0, where the "
                           "nonlinear-minus-linear gap is 0")
 

@@ -20,10 +20,11 @@ Three independent realisations are provided and cross-checked:
   roots;
 * :func:`picard_iterate` -- the global-in-time fixed-point map evaluated
   with trapezoid quadrature on a fixed mesh, whose iterates contract for
-  small data; the Duhamel sum is taken column by column, one kernel
-  evaluation over the lags ``t_i - tau_j`` of all later mesh times per
-  source time ``tau_j``, plus one over all mesh times for the linear part;
-  the sources at the mesh times come from one batched evaluation;
+  small data; the kernels come from one evaluation over the distinct lags
+  ``t_i - tau_j`` of the mesh (``M`` of them on a uniform ``M``-point mesh
+  with an exact step), plus one over all mesh times for the linear part;
+  the Duhamel sum is taken column by column from that table, and the
+  sources at the mesh times come from one batched evaluation;
 * :func:`reference_solve` -- a method-of-lines oracle that never touches the
   closed-form kernels: the spectral mode system integrated by the implicit
   Radau IIA method of :mod:`bousslab.radau`, whose state vector holds the
@@ -55,6 +56,12 @@ after its start a step is one accumulation,
 
 over the state and the unweighted sources of this step and the last.
 
+The pointwise powers of a growing state overflow, which the evaluator
+reports as :class:`BlowUpError`.  It does not silence numpy's overflow
+warnings itself (an ``np.errstate`` costs several microseconds per
+evaluation); each solver enters one ``np.errstate(over="ignore",
+invalid="ignore")`` around the loop that owns its evaluator.
+
 The evaluator and the ETD stepper own their work arrays, built once per
 (grid, spec) and reused on every call, so a step or a right-hand side
 allocates only its result.  The evaluator returns a fresh array unless it
@@ -66,6 +73,7 @@ threads at once; each run builds its own.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -240,18 +248,18 @@ class _Source:
             np.fft.ifft(pair[blk], axis=ax, out=pair[blk])
         u, ut = np.fft.irfft(pair, n=grid.N, axis=-1, out=fields)
         # overflow in the pointwise powers is an expected failure mode: it is
-        # detected right below and reported as BlowUpError, so keep numpy quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spec.f_kind != "none":
-                _pointwise(spec.f_kind, u, w)
-            if spec.g_kind != "none":
-                # u is no longer needed, so its row holds the g term
-                gterm = w if spec.f_kind == "none" else u
-                _pointwise(spec.g_kind, ut, gterm)
-                if self.g_coeff != 1.0:  # x * 1.0 is x, bitwise
-                    np.multiply(self.g_coeff, gterm, out=gterm)
-                if gterm is not w:
-                    np.add(w, gterm, out=w)
+        # detected right below and reported as BlowUpError (the caller keeps
+        # numpy quiet, see the module docstring)
+        if spec.f_kind != "none":
+            _pointwise(spec.f_kind, u, w)
+        if spec.g_kind != "none":
+            # u is no longer needed, so its row holds the g term
+            gterm = w if spec.f_kind == "none" else u
+            _pointwise(spec.g_kind, ut, gterm)
+            if self.g_coeff != 1.0:  # x * 1.0 is x, bitwise
+                np.multiply(self.g_coeff, gterm, out=gterm)
+            if gterm is not w:
+                np.add(w, gterm, out=w)
         if not np.isfinite(w, out=self.finite).all():
             if self.stack:
                 finite = self.finite.reshape(math.prod(self.stack), -1).all(axis=1)
@@ -478,6 +486,29 @@ def _output_times(n_steps: int, dt: float, out_every: int) -> np.ndarray:
     return np.concatenate([[0.0], steps * dt])
 
 
+def _output_count(n_steps: int, dt: float, out_every: int,
+                  lo: float = -math.inf, hi: float = math.inf) -> int:
+    """How many of the :func:`_output_times` lie in ``[lo, hi]`` (``lo <= hi``),
+    counted without building them.
+
+    The time of step ``s`` is the product ``float(s) * dt`` that the array
+    holds, which does not decrease as ``s`` grows, so bisection over the
+    multiples of ``out_every`` finds the first one at or above ``lo`` and
+    the last one at or below ``hi`` exactly.
+    """
+    multiples = range(1, n_steps // out_every + 1)
+
+    def time(k: int) -> float:
+        return float(k * out_every) * dt
+
+    count = (bisect.bisect_right(multiples, hi, key=time)
+             - bisect.bisect_left(multiples, lo, key=time))
+    count += lo <= 0.0 <= hi
+    if n_steps % out_every:
+        count += lo <= float(n_steps) * dt <= hi
+    return count
+
+
 def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
           spec: NonlinearitySpec, params: ModelParams, out_every: int = 1,
           blowup_factor: float = 1e6) -> Trajectory:
@@ -501,17 +532,18 @@ def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     spectra = np.empty((times.size,) + y.shape, dtype=np.complex128)
     spectra[0] = y
     row = 1
-    for i in range(1, n_steps + 1):
-        t_prev = (i - 1) * dt
-        y = stepper.advance(y, t_prev)
-        t_now = i * dt
-        if _over_guard(y, guard, volume):
-            raise BlowUpError(
-                f"state blow-up at t={t_now:.6g}: amplitude exceeded "
-                f"{blowup_factor:g} x initial", t_now)
-        if i % out_every == 0 or i == n_steps:
-            spectra[row] = y
-            row += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            t_prev = (i - 1) * dt
+            y = stepper.advance(y, t_prev)
+            t_now = i * dt
+            if _over_guard(y, guard, volume):
+                raise BlowUpError(
+                    f"state blow-up at t={t_now:.6g}: amplitude exceeded "
+                    f"{blowup_factor:g} x initial", t_now)
+            if i % out_every == 0 or i == n_steps:
+                spectra[row] = y
+                row += 1
     return Trajectory(times=times, grid=g, spectra=spectra)
 
 
@@ -529,6 +561,22 @@ def _trapezoid_weights(tau: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mesh_lags(times: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct lags ``t_i - tau_j`` (``i >= j``) of a mesh, in order of
+    first appearance, and for each source time ``tau_j`` the indices of its
+    lags ``times[j:] - tau_j`` into them.
+
+    The lags are deduplicated exactly, as the floats the subtraction gives,
+    by a dict rather than by ``np.unique``: its sort would add numpy's sort
+    kernels to the resident memory of a run that sorts nothing else.
+    """
+    first: dict[float, int] = {}
+    rows = [np.array([first.setdefault(lag, len(first))
+                      for lag in (times[j:] - times[j]).tolist()])
+            for j in range(times.size)]
+    return np.array(list(first)), rows
+
+
 def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
                    spec: NonlinearitySpec, params: ModelParams) -> Trajectory:
     """One application of the solution map ``Phi`` to a candidate trajectory.
@@ -538,32 +586,38 @@ def picard_iterate(base: Trajectory, u0: PhysicalField, u1: PhysicalField,
     small data the map contracts in the sup-over-time L^2 distance, and its
     fixed point is the solution (up to the trapezoid error of the mesh).
 
-    The Duhamel sum is accumulated column by column: for each source time
-    ``tau_j`` one kernel evaluation over the lags ``t_i - tau_j`` (``i >= j``)
-    updates every later mesh time at once, and the linear part comes from one
-    kernel evaluation over all mesh times.  That is ``M + 1`` kernel calls on
-    an ``M``-point mesh (any spacing), and each time still sums its terms in
-    the order ``j = 0..i``.
+    The kernels of the Duhamel sum come from one evaluation over the
+    distinct lags ``t_i - tau_j`` (``i >= j``) of the mesh, and the linear
+    part from one over all mesh times: two kernel calls per application on
+    any mesh.  On a uniform ``M``-point mesh whose step is exact the lags
+    are the ``M`` multiples of the step, so the kernel table holds ``M``
+    times the half-lattice modes.  The sum is accumulated column by column:
+    for each source time ``tau_j`` the table rows of its lags update every
+    later mesh time at once, and each time still sums its terms in the
+    order ``j = 0..i``.  A kernel on a time column equals its elementwise
+    evaluation, so the result is bitwise that of one kernel call per lag.
     """
     g = base.grid
     if u0.grid != g or u1.grid != g:
         raise ValueError("initial data live on a different grid than the trajectory")
     times = base.times
-    sources = _Source(g, spec, stack=times.shape)(base.spectra, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sources = _Source(g, spec, stack=times.shape)(base.spectra, times)
     # the weight of tau_j in the sum for t_i (> tau_j) is its whole-mesh
     # trapezoid weight; for t_i = tau_j it is the right-endpoint half step
     weights = _trapezoid_weights(times)
     endpoint = np.concatenate([[0.0], 0.5 * np.diff(times)])
     column = (-1,) + (1,) * g.n
+    lags, rows = _mesh_lags(times)
+    kernel = propagator(g.xi2_half, lags.reshape(column), params)
 
     y = linear_solution(g, _initial_state(u0, u1), times, params)
-    for j, s_j in enumerate(sources):
-        lag = propagator(g.xi2_half, (times[j:] - times[j]).reshape(column), params)
+    for j, (s_j, r) in enumerate(zip(sources, rows)):
         w_j = np.full(times.size - j, weights[j])
         w_j[0] = endpoint[j]
         w_j = w_j.reshape(column)
-        y[j:, 0] += w_j * lag.sine * s_j
-        y[j:, 1] += w_j * lag.sine_dt * s_j
+        y[j:, 0] += w_j * kernel.sine[r] * s_j
+        y[j:, 1] += w_j * kernel.sine_dt[r] * s_j
     return Trajectory(times=times.copy(), grid=g, spectra=y)
 
 
@@ -628,7 +682,8 @@ def reference_solve(u0: PhysicalField, u1: PhysicalField, T: float,
     c = np.repeat(restoring_coefficient(g.xi2_half).ravel(), 2)
     y0 = _initial_state(u0, u1).view(np.float64).ravel()
     try:
-        ys = _radau_iia(forcing, b, c, y0, float(T), tol, t_eval)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = _radau_iia(forcing, b, c, y0, float(T), tol, t_eval)
     except BlowUpError as exc:
         raise ReferenceIntegrationError(
             f"reference integration failed: non-finite source at t={exc.time:.6g}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bousslab import PhysicalField, make_grid, mode_energy
-from bousslab.experiments import _random_smooth_field
+from bousslab.experiments import _random_smooth_fields
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def grid_1d():
 
 def random_smooth_field(grid, rng, scale: float = 1.0) -> PhysicalField:
     """A random real field with a smooth (Gaussian-damped) spectrum."""
-    return PhysicalField(grid, scale * _random_smooth_field(grid, rng).values)
+    return PhysicalField(grid, scale * _random_smooth_fields(grid, rng))
 
 
 def total_energy(grid, y: np.ndarray, params) -> np.ndarray:

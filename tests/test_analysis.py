@@ -16,10 +16,14 @@ import bousslab.linear
 from bousslab import (BOUND_KINDS, DecaySeries, ModelParams,
                       NonlinearitySpec, PhysicalField, certify_bound,
                       decay_series, default_certify_grids, fit_rate,
-                      gap_weight, gaussian_radial_data, initial_data_size,
-                      linear_norm_radial, make_grid, product_estimate_check,
+                      forward_transform, gap_weight, gaussian_radial_data,
+                      initial_data_size, inverse_transform, l1_norm, l2_norm,
+                      linear_norm_radial, linf_norm, make_grid,
+                      product_estimate_check,
                       radial_decay_series, solve,
                       square_integrable_radial_data, xnorm_proxy)
+
+from bousslab.experiments import _random_smooth_fields
 
 from conftest import random_smooth_field
 
@@ -307,12 +311,41 @@ class TestCertifyBound:
                           (0.1,), P, r0=0.5)
 
 
+def pairwise_products(v: PhysicalField, w: PhysicalField, m: int) -> dict:
+    """Reference: the product estimates of one pair through the spectral
+    norms, ``instance -> (lhs, rhs)``, one transform per derivative.
+    """
+    g = v.grid
+
+    def deriv(f: PhysicalField) -> PhysicalField:
+        if m == 0:
+            return f
+        coeffs = forward_transform(g, f.values) * np.sqrt(g.xi2_half)
+        return PhysicalField(g, inverse_transform(g, coeffs))
+
+    vv = PhysicalField(g, v.values**2)
+    diff_sq = PhysicalField(g, v.values**2 - w.values**2)
+    vw_diff = PhysicalField(g, v.values - w.values)
+    rhs_sq_l1 = (float(g.cell_volume * np.sum(v.values**2)) if m == 0
+                 else l2_norm(v) * l2_norm(deriv(v)))
+    return {
+        "sq_l1": (l1_norm(deriv(vv)), rhs_sq_l1),
+        "sq_l2": (l2_norm(deriv(vv)), linf_norm(v) * l2_norm(deriv(v))),
+        "diff_l1": (l1_norm(deriv(diff_sq)),
+                    l2_norm(deriv(v)) * l2_norm(vw_diff)
+                    + (l2_norm(v) + l2_norm(w)) * l2_norm(deriv(vw_diff))),
+        "diff_l2": (l2_norm(deriv(diff_sq)),
+                    l2_norm(deriv(v)) * linf_norm(vw_diff)
+                    + (linf_norm(v) + linf_norm(w)) * l2_norm(deriv(vw_diff))),
+    }
+
+
 class TestProductEstimates:
     def test_cauchy_schwarz_equality_case_is_exact(self, rng):
         g = make_grid(1, 30.0, 256)
         v = random_smooth_field(g, rng)
         w = random_smooth_field(g, rng)
-        checks = {c.instance: c for c in product_estimate_check(v, w, m=0)}
+        checks = {c.instance: c for c in product_estimate_check(g, v.values, w.values, m=0)}
         assert checks["sq_l1"].constant == 1.0
 
     def test_trig_identity_case(self):
@@ -320,7 +353,7 @@ class TestProductEstimates:
         g = make_grid(1, 2.0 * math.pi, 128)
         v = PhysicalField.from_function(g, np.cos)
         w = PhysicalField.zero(g)
-        checks = {c.instance: c for c in product_estimate_check(v, w, m=1)}
+        checks = {c.instance: c for c in product_estimate_check(g, v.values, w.values, m=1)}
         sq = checks["sq_l2"]
         assert sq.lhs == pytest.approx(math.sqrt(math.pi), rel=1e-10)
         assert sq.rhs == pytest.approx(math.sqrt(math.pi), rel=1e-6)
@@ -328,33 +361,68 @@ class TestProductEstimates:
 
     def test_difference_form_vanishes_for_equal_fields(self, rng):
         g = make_grid(1, 30.0, 128)
-        v = random_smooth_field(g, rng)
-        checks = {c.instance: c for c in product_estimate_check(v, v, m=1)}
+        v = random_smooth_field(g, rng).values
+        checks = {c.instance: c for c in product_estimate_check(g, v, v, m=1)}
         assert checks["diff_l1"].lhs == 0.0
         assert checks["diff_l2"].lhs == 0.0
 
     def test_constants_bounded_across_random_fields(self, rng):
         g = make_grid(1, 30.0, 128)
-        ratios = {}
-        for _ in range(30):
-            v = random_smooth_field(g, rng)
-            w = random_smooth_field(g, rng)
-            for m in (0, 1):
-                for c in product_estimate_check(v, w, m):
-                    if c.rhs > 0.0:
-                        ratios.setdefault((c.instance, m), []).append(c.constant)
-        for key, vals in ratios.items():
-            arr = np.array(vals)
-            arr = arr[arr > 0.0]
-            assert arr.max() / arr.min() <= 10.0, key
+        fields = _random_smooth_fields(g, rng, (30, 2))
+        for m in (0, 1):
+            for c in product_estimate_check(g, fields[:, 0], fields[:, 1], m):
+                arr = c.constant[c.rhs > 0.0]
+                arr = arr[arr > 0.0]
+                assert arr.max() / arr.min() <= 10.0, (c.instance, m)
 
     def test_grid_mismatch_and_bad_order_rejected(self, rng):
         g = make_grid(1, 30.0, 64)
-        v = random_smooth_field(g, rng)
+        v = random_smooth_field(g, rng).values
+        other = random_smooth_field(make_grid(1, 30.0, 128), rng).values
         with pytest.raises(ValueError, match="grid"):
-            product_estimate_check(v, random_smooth_field(make_grid(1, 30.0, 128), rng), 0)
+            product_estimate_check(g, v, other, 0)
+        with pytest.raises(ValueError, match="grid"):
+            product_estimate_check(g, other, other, 0)
         with pytest.raises(ValueError, match="order"):
-            product_estimate_check(v, v, 2)
+            product_estimate_check(g, v, v, 2)
+
+    def test_stacked_draw_is_one_draw_per_field(self):
+        # the lemma's 100 pairs (v, w) come from one draw in the order of
+        # 200 single draws, v first
+        g = make_grid(1, 30.0, 256)
+        stacked = _random_smooth_fields(g, np.random.default_rng(7), (100, 2))
+        rng = np.random.default_rng(7)
+        for pair in stacked:
+            for field in pair:
+                assert np.array_equal(field, _random_smooth_fields(g, rng))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_stacked_checks_are_bitwise_single_pair_checks(self, m):
+        # the AC10 draws of lemma_certify: one stacked pass gives each pair
+        # the numbers of a call on that pair alone, and of the spectral
+        # norms' rectangle rules
+        g = make_grid(1, 30.0, 256)
+        fields = _random_smooth_fields(g, np.random.default_rng(7), (100, 2))
+        stacked = product_estimate_check(g, fields[:, 0], fields[:, 1], m)
+        assert [c.instance for c in stacked] == ["sq_l1", "sq_l2", "diff_l1", "diff_l2"]
+        for c in stacked:
+            assert c.lhs.shape == c.rhs.shape == c.constant.shape == (100,)
+        for i, (v, w) in enumerate(fields):
+            single = product_estimate_check(g, v, w, m)
+            reference = pairwise_products(PhysicalField(g, v), PhysicalField(g, w), m)
+            for c, one in zip(stacked, single, strict=True):
+                assert one.lhs.shape == ()
+                assert c.lhs[i] == one.lhs and c.rhs[i] == one.rhs
+                assert c.constant[i] == one.constant
+                assert (c.lhs[i], c.rhs[i]) == reference[c.instance]
+        if m == 0:
+            assert np.all(stacked[0].constant == 1.0)
+
+    def test_non_positive_rhs_gives_nan_constant(self):
+        g = make_grid(1, 2.0 * math.pi, 32)
+        zero = np.zeros((2,) + g.shape)
+        for c in product_estimate_check(g, zero, zero, 1):
+            assert np.all(c.rhs == 0.0) and np.all(np.isnan(c.constant))
 
 
 class TestDerivativeGainInvariant:

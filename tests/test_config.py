@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bousslab import (AnalysisConfig, ConfigError, DataConfig,
                       DiscretizationConfig, ExperimentConfig, ModelConfig,
                       load_config)
 from bousslab.config import MAX_STEPS
+from bousslab.nonlinear import _output_count, _output_times
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -201,6 +204,43 @@ class TestValidation:
                 with pytest.raises(ConfigError, match=r"^discretization\.out_every: "
                                                       r"trajectory has 7 output times"):
                     ExperimentConfig.from_dict(cfg)
+
+
+class TestOutputCount:
+    def test_count_equals_the_array_predicates(self):
+        # the arithmetic count against the times the run records, with
+        # cadences that divide the step count and ones that leave a last
+        # partial stride, and window ends on, beside and between output
+        # times (3 * 0.1 is above 0.3, so [0.3, x] holds it and [x, 0.3] not)
+        for dt in (0.1, 0.02, 1.0 / 3.0, 0.25):
+            for n_steps in (1, 7, 30, 1000):
+                for out_every in (1, 3, 7, 1000, 2000):
+                    times = _output_times(n_steps, dt, out_every)
+                    assert _output_count(n_steps, dt, out_every) == times.size
+                    picks = times[:: max(1, times.size // 4)]
+                    ends = np.unique(np.concatenate([
+                        [-1.0, 0.0, 0.3, 1.0, 2.5], picks, times[-1:],
+                        np.nextafter(picks, -np.inf), np.nextafter(picks, np.inf)]))
+                    for lo in ends:
+                        for hi in ends[ends >= lo]:
+                            inside = np.count_nonzero((times >= lo) & (times <= hi))
+                            assert _output_count(n_steps, dt, out_every,
+                                                 lo, hi) == inside, (dt, n_steps,
+                                                                     out_every, lo, hi)
+
+    def test_loading_the_step_ceiling_builds_no_output_times(self):
+        # MAX_STEPS output times would take 8 MB as an array, and the fit
+        # window's mask 1 MB more
+        cfg = {**VALID, "experiment": "nonlinear_rates",
+               "discretization": {**VALID["discretization"],
+                                  "dt": 30.0 / MAX_STEPS, "out_every": 1}}
+        tracemalloc.start()
+        try:
+            ExperimentConfig.from_dict(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestFileDiagnostics:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
                       picard_iterate, propagator, reference_solve,
                       restoring_coefficient, sobolev_norm, solve)
 from bousslab.nonlinear import (_EtdStepper, _etd_integrals, _initial_state,
-                                _over_guard, _Source, _trapezoid_weights)
+                                _mesh_lags, _over_guard, _Source,
+                                _trapezoid_weights)
 
 from conftest import random_smooth_field, total_energy
 
@@ -726,12 +728,22 @@ class TestPicard:
         assert dists[2] / dists[1] < 0.5
 
     @pytest.mark.parametrize("case", ["oracle_crosscheck_m33", "non_uniform_mesh",
-                                      "grid_2d"])
+                                      "grid_2d", "graded_mesh", "inexact_step"])
     def test_bitwise_equal_to_pairwise_sum(self, case):
         if case == "oracle_crosscheck_m33":
             g, params = make_grid(1, 30.0, 64), P
             u0, u1 = small_gaussian(g, amplitude=0.01), PhysicalField.zero(g)
             times = np.linspace(0.0, 2.0, 33)
+        elif case in ("graded_mesh", "inexact_step"):
+            # lags shared between columns, but more of them than mesh times:
+            # steps 1/16 then 1/8, and a uniform step 0.1 that is not exact
+            g, params = make_grid(1, 30.0, 64), P
+            u0 = small_gaussian(g, amplitude=0.02)
+            u1 = small_gaussian(g, amplitude=0.01, width=2.0)
+            times = (np.concatenate([np.arange(17) / 16, 1.0 + np.arange(1, 9) / 8])
+                     if case == "graded_mesh" else np.linspace(0.0, 2.0, 21))
+            m = times.size
+            assert m < _mesh_lags(times)[0].size < m * (m + 1) // 2
         elif case == "non_uniform_mesh":
             g, params = make_grid(1, 30.0, 64), ModelParams(alpha=-1.5)
             u0 = small_gaussian(g, amplitude=0.02)
@@ -754,25 +766,40 @@ class TestPicard:
                 assert np.array_equal(y, r)
             base = out
 
-    def test_one_kernel_evaluation_per_duhamel_column(self, monkeypatch):
-        calls = [0]
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_one_lag_kernel_evaluation_per_sweep(self, monkeypatch, m):
+        columns = {"linear": [], "lags": []}
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return propagator(*args, **kwargs)
+        def counted(key):
+            def evaluate(xi2, t, params):
+                columns[key].append(np.shape(t))
+                return propagator(xi2, t, params)
+            return evaluate
 
         # the linear part goes through bousslab.linear, the Duhamel sum
         # through bousslab.nonlinear; both reach the one kernel function
-        monkeypatch.setattr(bousslab.linear, "propagator", counted)
-        monkeypatch.setattr(bousslab.nonlinear, "propagator", counted)
+        monkeypatch.setattr(bousslab.linear, "propagator", counted("linear"))
+        monkeypatch.setattr(bousslab.nonlinear, "propagator", counted("lags"))
         g = make_grid(1, 30.0, 64)
         u0, u1 = small_gaussian(g, amplitude=0.01), PhysicalField.zero(g)
-        m = 65
         base = linear_trajectory(u0, u1, np.linspace(0.0, 2.0, m), P)
-        calls[0] = 0
-        picard_iterate(base, u0, u1, QUAD_SPEC, P)
-        # the pairwise sum makes M(M+1)/2 - 1 lag calls and M - 1 linear ones
-        assert calls[0] <= m + 1
+        for sweep in range(1, 3):
+            base = picard_iterate(base, u0, u1, QUAD_SPEC, P)
+            # one linear call per sweep (the seed made the first) and one
+            # lag call, whose kernel table is M lags x the half-lattice modes
+            assert len(columns["linear"]) == sweep + 1
+            assert columns["lags"] == [(m, 1)] * sweep
+
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_crosscheck_meshes_have_one_lag_per_mesh_time(self, m):
+        # linspace(0, 2, M) of the oracle_crosscheck sweeps has an exact step,
+        # 1/16 or 1/32, so every lag is one of its M multiples
+        times = np.linspace(0.0, 2.0, m)
+        lags, rows = _mesh_lags(times)
+        assert np.array_equal(lags, np.arange(m) * (2.0 / (m - 1)))
+        assert len(rows) == m
+        for j, r in enumerate(rows):
+            assert np.array_equal(lags[r], times[j:] - times[j])
 
     def test_grid_mismatch_rejected(self, rng):
         g = make_grid(1, 12.0, 32)
@@ -1002,6 +1029,55 @@ class TestRadauOracle:
         with pytest.raises(ValueError, match="t_eval"):
             reference_solve(u0, u1, T=5.0, spec=QUAD_SPEC, params=P,
                             t_eval=t_eval)
+
+
+class TestOverflowWarnings:
+    """The solvers, not each source evaluation, keep numpy quiet about the
+    overflow that a blow-up makes; with every warning an error, each still
+    stops with its own exception at the same time."""
+
+    @staticmethod
+    def raised_under(action: str, run: Callable[[], object], error: type):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(error) as info:
+                run()
+        return info.value
+
+    def test_solve_raises_at_the_step_whose_source_overflowed(self):
+        # cubic powers overflow below the guard's squares: the source of a
+        # later multistep step, at t = 0.05, is the first non-finite one
+        g = make_grid(1, 30.0, 64)
+        u0 = small_gaussian(g, amplitude=10.0)
+
+        def run():
+            solve(u0, PhysicalField.zero(g), T=2.0, dt=0.01,
+                  spec=NonlinearitySpec("cubic", "cubic"), params=P,
+                  blowup_factor=1e250)
+
+        quiet, strict = (self.raised_under(action, run, BlowUpError)
+                         for action in ("ignore", "error"))
+        assert "non-finite values" in str(strict)
+        assert strict.time == quiet.time == 5 * 0.01
+
+    def test_picard_names_the_first_overflowing_mesh_time(self):
+        g = make_grid(1, 30.0, 64)
+        u0, u1 = small_gaussian(g, amplitude=1e200), PhysicalField.zero(g)
+        base = linear_trajectory(u0, u1, np.linspace(0.0, 1.0, 9), P)
+        strict = self.raised_under(
+            "error", lambda: picard_iterate(base, u0, u1, QUAD_SPEC, P), BlowUpError)
+        assert "non-finite values" in str(strict) and strict.time == 0.0
+
+    def test_reference_solve_names_the_non_finite_source(self):
+        g = make_grid(1, 30.0, 64)
+        strict = self.raised_under(
+            "error", lambda: reference_solve(small_gaussian(g, amplitude=1e200),
+                                             PhysicalField.zero(g), T=1.0,
+                                             spec=QUAD_SPEC, params=P),
+            ReferenceIntegrationError)
+        assert str(strict) == ("reference integration failed: non-finite "
+                               "source at t=0")
+        assert isinstance(strict.__cause__, BlowUpError)
 
 
 class TestTrajectory:
