@@ -21,11 +21,11 @@ from .linear import (RadialData, gaussian_profile, gaussian_radial_data,
                      square_integrable_profile, square_integrable_radial_data)
 from .nonlinear import (BlowUpError, NonlinearitySpec,
                         ReferenceIntegrationError, Trajectory,
-                        linear_trajectory, picard_iterate, reference_solve,
-                        solve)
+                        linear_trajectory, march, picard_iterate,
+                        reference_solve, solve)
 from .spectral import (Grid, PhysicalField, QuadratureError,
-                       forward_transform, inverse_transform, l1_norm, l2_norm,
-                       linf_norm, make_grid, neg_sobolev_norm, sobolev_norm)
+                       forward_transform, inverse_transform, l1_norm,
+                       make_grid, neg_sobolev_norm, sobolev_norm)
 from .symbols import (ModeEnergy, ModelParams, PropagatorSymbols,
                       characteristic_roots, damping_coefficient,
                       decay_envelope, mode_energy, phi,
@@ -45,9 +45,9 @@ __all__ = [
     "damping_coefficient", "decay_envelope", "decay_series",
     "default_certify_grids", "fit_rate", "forward_transform", "gap_weight",
     "gaussian_profile", "gaussian_radial_data", "initial_data_size",
-    "inverse_transform", "l1_norm", "l2_norm", "linear_norm_radial",
-    "linear_solution", "linear_trajectory", "linf_norm", "list_experiments",
-    "load_config", "make_grid", "mode_energy", "neg_sobolev_norm",
+    "inverse_transform", "l1_norm", "linear_norm_radial",
+    "linear_solution", "linear_trajectory", "list_experiments",
+    "load_config", "make_grid", "march", "mode_energy", "neg_sobolev_norm",
     "phi", "phi_divided_difference",
     "picard_iterate", "product_estimate_check",
     "profile_symbols", "propagator", "radial_decay_series",

@@ -383,9 +383,8 @@ def product_estimate_check(grid: Grid, v: np.ndarray, w: np.ndarray,
       ``||D^m v||_q ||v-w||_p + (||v||_p + ||w||_p) ||D^m(v-w)||_q`` on the
       right.
 
-    The norms are the rectangle rules of :func:`~bousslab.spectral.l1_norm`,
-    :func:`~bousslab.spectral.l2_norm` and
-    :func:`~bousslab.spectral.linf_norm`.
+    The norms are rectangle rules over the samples, that of
+    :func:`~bousslab.spectral.l1_norm` and its L^2 and sup analogues.
     """
     if m not in (0, 1):
         raise ValueError(f"only derivative orders 0 and 1 are checked, got {m}")

@@ -13,11 +13,13 @@ variation-of-constants formula applies with the propagator kernels:
 
 Three independent realisations are provided and cross-checked:
 
-* :func:`solve` -- the second-order multistep exponential integrator ETD2
+* :func:`march` -- the second-order multistep exponential integrator ETD2
   of Cox & Matthews (the source is extrapolated linearly in s from the last
   two step points, so each step evaluates it once), started by one
   two-stage ETD2RK step; its weights are closed forms in the characteristic
-  roots;
+  roots.  It is a generator that yields the state at each output time, so
+  a consumer that reduces the states as they come holds one state, never
+  the run; :func:`solve` collects them;
 * :func:`picard_iterate` -- the global-in-time fixed-point map evaluated
   with trapezoid quadrature on a fixed mesh, whose iterates contract for
   small data; the kernels come from one evaluation over the distinct lags
@@ -34,8 +36,10 @@ Three independent realisations are provided and cross-checked:
   iteration are one batched evaluation.
 
 All three carry the state as the stacked half spectra ``(u_hat, ut_hat)``
-(``rfftn`` layout, see :mod:`bousslab.spectral`), return those spectra at
-the output times as a :class:`Trajectory`, and evaluate the source through
+(``rfftn`` layout, see :mod:`bousslab.spectral`), give those spectra at
+the output times (:func:`solve`, :func:`picard_iterate` and
+:func:`reference_solve` as a :class:`Trajectory`, :func:`march` one state
+at a time), and evaluate the source through
 one evaluator, :class:`_Source`: both fields are truncated by the 2/3
 rule and inverse-transformed in one batched call, the pointwise powers are
 formed in physical space, and one forward transform times one real weight
@@ -60,7 +64,10 @@ The pointwise powers of a growing state overflow, which the evaluator
 reports as :class:`BlowUpError`.  It does not silence numpy's overflow
 warnings itself (an ``np.errstate`` costs several microseconds per
 evaluation); each solver enters one ``np.errstate(over="ignore",
-invalid="ignore")`` around the loop that owns its evaluator.
+invalid="ignore")`` around the loop that owns its evaluator.  Numpy's error
+state is a context variable that a generator does not restore when it
+yields, so :func:`march` enters it around the steps between two outputs,
+never across a ``yield``.
 
 The evaluator and the ETD stepper own their work arrays, built once per
 (grid, spec) and reused on every call, so a step or a right-hand side
@@ -76,7 +83,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -468,8 +475,8 @@ def _over_guard(y: np.ndarray, guard: float, volume: float) -> bool:
 
 def _step_count(T: float, dt: float) -> int:
     """Number of steps ``dt`` to ``T``; ValueError unless ``dt`` divides ``T``."""
-    if not (T > 0.0):
-        raise ValueError(f"final time must be positive, got {T}")
+    if not (T > 0.0) or not math.isfinite(T):
+        raise ValueError(f"final time must be positive and finite, got {T}")
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = round(T / dt)
@@ -478,11 +485,16 @@ def _step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def _output_times(n_steps: int, dt: float, out_every: int) -> np.ndarray:
-    """The times :func:`solve` records: 0, every ``out_every``-th step, the last."""
-    steps = np.arange(out_every, n_steps + 1, out_every)
+def _output_steps(n_steps: int, out_every: int) -> Iterator[int]:
+    """The steps after which :func:`march` yields: every ``out_every``-th, the last."""
+    yield from range(out_every, n_steps + 1, out_every)
     if n_steps % out_every:
-        steps = np.append(steps, n_steps)
+        yield n_steps
+
+
+def _output_times(n_steps: int, dt: float, out_every: int) -> np.ndarray:
+    """The times :func:`march` yields: 0, then those of :func:`_output_steps`."""
+    steps = np.fromiter(_output_steps(n_steps, out_every), dtype=np.int64)
     return np.concatenate([[0.0], steps * dt])
 
 
@@ -509,42 +521,70 @@ def _output_count(n_steps: int, dt: float, out_every: int,
     return count
 
 
-def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
+def march(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
           spec: NonlinearitySpec, params: ModelParams, out_every: int = 1,
-          blowup_factor: float = 1e6) -> Trajectory:
-    """March ``(u0, u1)`` to time ``T`` with steps ``dt``, recording a cadence.
+          blowup_factor: float = 1e6) -> Iterator[tuple[float, np.ndarray]]:
+    """March ``(u0, u1)`` to time ``T`` with steps ``dt``, yielding a cadence.
 
-    Records the initial state and every ``out_every``-th step.  Aborts with
-    :class:`BlowUpError` if the spectral L^2 amplitude of the state exceeds
-    ``blowup_factor`` times its initial value.
+    Yields ``(t, y)``, the time and the stacked half spectra
+    ``(u_hat, ut_hat)``, at the initial state and after every
+    ``out_every``-th step and the last: the times of :func:`_output_times`,
+    in order.  Each yielded ``y`` is a fresh array that the march never
+    writes to again, so a consumer may keep it without a copy; the next step
+    reads it, so the consumer must not write to it while the march goes on.
+    Aborts with :class:`BlowUpError` if the spectral L^2 amplitude of the
+    state exceeds ``blowup_factor`` times its initial value.
+
+    The arguments are checked, and the stepper built, when ``march`` is
+    called; the steps run as the states are consumed.  Numpy's overflow
+    warnings are silenced (see the module docstring) around the steps
+    between two outputs only, so a consumer sees its own error state at
+    every yield, also when it abandons the march early.
     """
     n_steps = _step_count(T, dt)
     if out_every < 1 or int(out_every) != out_every:
         raise ValueError("output cadence must be a positive integer")
-
     g = u0.grid
     y = _initial_state(u0, u1)
     stepper = _EtdStepper(g, dt, spec, params)
     guard = blowup_factor * max(*sobolev_norm(g, y), 1e-30)
-    volume = g.dxi**g.n
+    return _march(y, stepper, dt, _output_steps(n_steps, int(out_every)),
+                  guard, g.dxi**g.n, blowup_factor)
 
-    times = _output_times(n_steps, dt, out_every)
-    spectra = np.empty((times.size,) + y.shape, dtype=np.complex128)
-    spectra[0] = y
-    row = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            t_prev = (i - 1) * dt
-            y = stepper.advance(y, t_prev)
-            t_now = i * dt
-            if _over_guard(y, guard, volume):
-                raise BlowUpError(
-                    f"state blow-up at t={t_now:.6g}: amplitude exceeded "
-                    f"{blowup_factor:g} x initial", t_now)
-            if i % out_every == 0 or i == n_steps:
-                spectra[row] = y
-                row += 1
-    return Trajectory(times=times, grid=g, spectra=spectra)
+
+def _march(y: np.ndarray, stepper: _EtdStepper, dt: float, out_steps: Iterator[int],
+           guard: float, volume: float,
+           blowup_factor: float) -> Iterator[tuple[float, np.ndarray]]:
+    """The steps of :func:`march`, from its checked arguments."""
+    yield 0.0, y
+    step = 0
+    for stop in out_steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(step + 1, stop + 1):
+                y = stepper.advance(y, (i - 1) * dt)
+                t_now = i * dt
+                if _over_guard(y, guard, volume):
+                    raise BlowUpError(
+                        f"state blow-up at t={t_now:.6g}: amplitude exceeded "
+                        f"{blowup_factor:g} x initial", t_now)
+        step = stop
+        yield t_now, y
+
+
+def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
+          spec: NonlinearitySpec, params: ModelParams, out_every: int = 1,
+          blowup_factor: float = 1e6) -> Trajectory:
+    """The states of :func:`march`, recorded as a :class:`Trajectory`.
+
+    Records the initial state and every ``out_every``-th step and the last;
+    the arguments and the blow-up guard are those of :func:`march`.
+    """
+    states = march(u0, u1, T, dt, spec, params, out_every, blowup_factor)
+    times = _output_times(_step_count(T, dt), dt, int(out_every))
+    spectra = np.empty((times.size, 2) + u0.grid.half_shape, dtype=np.complex128)
+    for row, (_, y) in enumerate(states):
+        spectra[row] = y
+    return Trajectory(times=times, grid=u0.grid, spectra=spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ Conventions used throughout the package:
   conjugates, and 2 elsewhere,
   ``(L/N)^n * sum |values|^2 == (2 pi / L)^n * sum mult |coeffs|^2``
   up to rounding, so the Sobolev norms are Plancherel sums on the half
-  spectrum (:func:`sobolev_norm`) and only the Lebesgue norms
-  (:func:`l1_norm` and friends) read physical samples.
+  spectrum (:func:`sobolev_norm`) and only the Lebesgue norm
+  :func:`l1_norm` reads physical samples.
 * Frequencies are ``xi = 2 pi m / L`` with integer multi-index ``m`` in
   ``[-N/2, N/2)`` per axis, stored in ``numpy.fft`` ordering; ``xi = 0``
   occurs exactly once.  On the half lattice the last-axis index ``N/2``
@@ -292,17 +292,6 @@ def neg_sobolev_norm(grid: Grid, coeffs: np.ndarray) -> float:
 def l1_norm(field: PhysicalField) -> float:
     """``int |u| dx`` by the rectangle rule."""
     return float(field.grid.cell_volume * np.sum(np.abs(field.values)))
-
-
-def l2_norm(field: PhysicalField) -> float:
-    """``(int u^2 dx)^(1/2)`` by the rectangle rule."""
-    v = field.values
-    return float(math.sqrt(field.grid.cell_volume * float(np.sum(v * v))))
-
-
-def linf_norm(field: PhysicalField) -> float:
-    """``max |u|`` over the samples."""
-    return float(np.max(np.abs(field.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ def grid_1d():
 def random_smooth_field(grid, rng, scale: float = 1.0) -> PhysicalField:
     """A random real field with a smooth (Gaussian-damped) spectrum."""
     return PhysicalField(grid, scale * _random_smooth_fields(grid, rng))
+
+
+def l2_norm(field: PhysicalField) -> float:
+    """``(int u^2 dx)^(1/2)`` of a field's samples by the rectangle rule."""
+    v = field.values
+    return float(math.sqrt(field.grid.cell_volume * float(np.sum(v * v))))
+
+
+def linf_norm(field: PhysicalField) -> float:
+    """``max |u|`` over a field's samples."""
+    return float(np.max(np.abs(field.values)))
 
 
 def total_energy(grid, y: np.ndarray, params) -> np.ndarray:

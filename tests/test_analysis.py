@@ -17,15 +17,15 @@ from bousslab import (BOUND_KINDS, DecaySeries, ModelParams,
                       NonlinearitySpec, PhysicalField, certify_bound,
                       decay_series, default_certify_grids, fit_rate,
                       forward_transform, gap_weight, gaussian_radial_data,
-                      initial_data_size, inverse_transform, l1_norm, l2_norm,
-                      linear_norm_radial, linf_norm, make_grid,
+                      initial_data_size, inverse_transform, l1_norm,
+                      linear_norm_radial, make_grid,
                       product_estimate_check,
                       radial_decay_series, solve,
                       square_integrable_radial_data, xnorm_proxy)
 
 from bousslab.experiments import _random_smooth_fields
 
-from conftest import random_smooth_field
+from conftest import l2_norm, linf_norm, random_smooth_field
 
 P = ModelParams(alpha=-1.0)
 

@@ -22,15 +22,15 @@ import bousslab.linear
 import bousslab.nonlinear
 from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
                       PhysicalField, ReferenceIntegrationError, Trajectory,
-                      damping_coefficient, inverse_transform, l2_norm,
-                      linear_solution, linear_trajectory, make_grid,
+                      damping_coefficient, inverse_transform,
+                      linear_solution, linear_trajectory, make_grid, march,
                       picard_iterate, propagator, reference_solve,
                       restoring_coefficient, sobolev_norm, solve)
 from bousslab.nonlinear import (_EtdStepper, _etd_integrals, _initial_state,
-                                _mesh_lags, _over_guard, _Source,
+                                _mesh_lags, _output_times, _over_guard, _Source,
                                 _trapezoid_weights)
 
-from conftest import random_smooth_field, total_energy
+from conftest import l2_norm, random_smooth_field, total_energy
 
 P = ModelParams(alpha=-1.0)
 ZERO_SPEC = NonlinearitySpec(f_kind="none", g_kind="none")
@@ -699,6 +699,100 @@ class TestStepAndSolve:
             amplitude = sobolev_norm(g, y[0])
             assert _over_guard(y, amplitude * (1.0 - 1e-13), g.dxi**g.n)
             assert not _over_guard(y, amplitude * (1.0 + 1e-13), g.dxi**g.n)
+
+
+def stored_solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
+                 spec: NonlinearitySpec, out_every: int) -> np.ndarray:
+    """The spectra of :func:`solve` from one step loop that records into a
+    preallocated trajectory, as the solver did before it streamed its
+    states."""
+    g = u0.grid
+    n_steps = round(T / dt)
+    y = _initial_state(u0, u1)
+    stepper = _EtdStepper(g, dt, spec, P)
+    spectra = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            y = stepper.advance(y, (i - 1) * dt)
+            if i % out_every == 0 or i == n_steps:
+                spectra.append(y)
+    return np.stack(spectra)
+
+
+class TestMarch:
+    CASES = [(make_grid(1, 30.0, 64), 0.05), (make_grid(2, 20.0, 16), 0.05),
+             (make_grid(3, 20.0, 16), 0.1)]
+
+    @pytest.mark.parametrize("grid, amplitude", CASES, ids=["1d", "2d", "3d"])
+    def test_solve_is_the_collected_march_bitwise(self, grid, amplitude):
+        # 13 steps at a cadence of 4: the last output is not on the cadence
+        u0, u1 = small_gaussian(grid, amplitude), small_gaussian(grid, 0.5 * amplitude)
+        args = (u0, u1, 1.3, 0.1, QUAD_SPEC, P)
+        # the states are kept without a copy: the march never writes to one
+        # it has yielded
+        states = list(march(*args, out_every=4))
+        run = solve(*args, out_every=4)
+        times = _output_times(13, 0.1, 4)
+        assert [t for t, _ in states] == times.tolist() == run.times.tolist()
+        assert np.array_equal(np.stack([y for _, y in states]), run.spectra)
+        assert np.array_equal(run.spectra, stored_solve(u0, u1, 1.3, 0.1, QUAD_SPEC, 4))
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"dt": 0.0}, "dt must be positive and finite"),
+        ({"dt": math.nan}, "dt must be positive and finite"),
+        ({"dt": 0.3}, "does not divide"),
+        ({"out_every": 0}, "output cadence"),
+        ({"out_every": 1.5}, "output cadence"),
+        ({"T": math.inf}, "final time must be positive and finite"),
+        ({"T": math.nan}, "final time must be positive and finite"),
+        ({"T": -1.0}, "final time must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("solver", [march, solve])
+    def test_bad_arguments_raise_at_call_time(self, solver, kw, match):
+        g = make_grid(1, 12.0, 16)
+        args = {"T": 1.0, "dt": 0.1, "out_every": 1, **kw}
+        # march raises before its first state is asked for
+        with pytest.raises(ValueError, match=match):
+            solver(PhysicalField.zero(g), PhysicalField.zero(g), spec=QUAD_SPEC,
+                   params=P, **args)
+
+    @pytest.mark.parametrize("amplitude, spec, factor", [
+        (1.0, ZERO_SPEC, 1e-12),                              # the guard trips
+        (10.0, NonlinearitySpec("cubic", "cubic"), 1e250),    # the source overflows
+    ], ids=["guard", "overflow"])
+    def test_blow_up_is_the_same_through_march_and_solve(self, amplitude, spec,
+                                                         factor):
+        g = make_grid(1, 30.0, 64)
+        args = (small_gaussian(g, amplitude), PhysicalField.zero(g), 2.0, 0.01,
+                spec, P)
+        with pytest.raises(BlowUpError) as solved:
+            solve(*args, out_every=3, blowup_factor=factor)
+        with pytest.raises(BlowUpError) as marched:
+            for _ in march(*args, out_every=3, blowup_factor=factor):
+                pass
+        assert marched.value.time == solved.value.time > 0.0
+        assert str(marched.value) == str(solved.value)
+
+    def test_consumer_error_state_is_its_own_at_every_yield(self):
+        g = make_grid(1, 30.0, 64)
+        args = (small_gaussian(g, 10.0), PhysicalField.zero(g), 2.0, 0.01,
+                NonlinearitySpec("cubic", "cubic"), P)
+        before = np.geterr()
+        with np.errstate(over="raise", invalid="warn"):
+            inside = np.geterr()
+            states = march(*args)
+            next(states)
+            next(states)
+            assert np.geterr() == inside
+            # abandoned mid-run
+            del states
+            assert np.geterr() == inside
+            # stopped by an overflow that the march itself keeps quiet
+            with pytest.raises(BlowUpError, match="non-finite"):
+                for _ in march(*args, blowup_factor=1e250):
+                    assert np.geterr() == inside
+            assert np.geterr() == inside
+        assert np.geterr() == before
 
 
 class TestPicard:

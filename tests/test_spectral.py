@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bousslab import (ModelParams, PhysicalField, QuadratureError, RadialData,
-                      forward_transform, inverse_transform, l1_norm, l2_norm,
-                      linear_norm_radial, linf_norm, make_grid, neg_sobolev_norm,
+                      forward_transform, inverse_transform, l1_norm,
+                      linear_norm_radial, make_grid, neg_sobolev_norm,
                       sobolev_norm)
 
-from conftest import random_smooth_field
+from conftest import l2_norm, linf_norm, random_smooth_field
 
 
 class TestGrid:
@@ -125,6 +125,17 @@ class TestHalfSpectrum:
         for idx in np.ndindex(2, 3):
             assert norms[idx] == pytest.approx(l2_norm(PhysicalField(g, stack[idx])),
                                                rel=1e-13)
+
+    @pytest.mark.parametrize("n, L, N", [(1, 60.0, 512), (2, 180.0, 128)])
+    def test_norm_of_one_spectrum_is_bitwise_its_row_of_a_stack(self, rng, n, L, N):
+        # a run that reduces its states one at a time reports the numbers a
+        # norm over the stored stack of them would
+        g = make_grid(n, L, N)
+        shape = (5,) + g.half_shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for k in (0, 1, 2):
+            stacked = sobolev_norm(g, stack, k)
+            assert [sobolev_norm(g, c, k) for c in stack] == stacked.tolist()
 
     @pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)])
     def test_layout_matches_the_full_spectrum(self, rng, n, N):
