@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"[{v['status']:<4}] {v['criterion']:<4} {v['name']}: {v['detail']}")
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.experiment} "
-          f"({report.timings.get('total_s', 0.0):.1f}s) -> {out_dir}")
+          f"({report.timings['total_s']:.1f}s) -> {out_dir}")
     return EXIT_OK if report.passed else EXIT_VERDICT_FAILED
 
 

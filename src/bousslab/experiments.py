@@ -1,9 +1,12 @@
 """Named experiment suites: configured runs producing verdicts and artifacts.
 
-Each experiment takes a validated :class:`~bousslab.config.ExperimentConfig`
-and returns a :class:`RunReport` whose verdicts reference the acceptance
-criteria (``AC1`` .. ``AC10``) of the shipped acceptance suite
-(``tests/test_acceptance.py``).  Experiments:
+:func:`run_experiment` owns the run: it builds the :class:`RunReport` for a
+validated :class:`~bousslab.config.ExperimentConfig`, times the experiment's
+runner under ``timings["total_s"]`` and returns the report.  A runner holds
+only its science and its verdicts, which reference the acceptance criteria
+(``AC1`` .. ``AC10``) of the shipped acceptance suite
+(``tests/test_acceptance.py``), and times its phases with :func:`_phase`.
+Experiments:
 
 * ``linear_rates``      — decay exponents of the closed-form radial evolution
 * ``nonlinear_rates``   — small-data decay exponents on a periodic box
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import math
 import time
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,11 +33,13 @@ from .analysis import (DecaySeries, RateFit, certify_bound, decay_series,
                        radial_decay_series, xnorm_proxy)
 from .config import ConfigError, DataConfig, ExperimentConfig
 from .linear import RadialData, gaussian_radial_data, square_integrable_radial_data
-from .nonlinear import (NonlinearitySpec, Trajectory, linear_trajectory, march,
-                        picard_iterate, reference_solve, solve)
+from .nonlinear import (NonlinearitySpec, Trajectory, _step_count,
+                        linear_trajectory, march, picard_iterate,
+                        reference_solve, solve)
 from .spectral import Grid, PhysicalField, make_grid, sobolev_norm
-from .symbols import (ModelParams, characteristic_roots, damping_coefficient,
-                      mode_energy, propagator, restoring_coefficient)
+from .symbols import (ModelParams, RootPair, characteristic_roots,
+                      damping_coefficient, mode_energy, propagator,
+                      restoring_coefficient)
 
 
 @dataclass
@@ -58,6 +65,14 @@ class RunReport:
                 "fits": self.fits, "certificates": self.certificates,
                 "verdicts": self.verdicts, "timings": self.timings,
                 "passed": self.passed}
+
+
+@contextmanager
+def _phase(report: RunReport, key: str) -> Iterator[None]:
+    """Add the wall time of the block to ``report.timings[key]``."""
+    start = time.perf_counter()
+    yield
+    report.timings[key] = report.timings.get(key, 0.0) + time.perf_counter() - start
 
 
 def _verdict(criterion: str, name: str, status: str, detail: str,
@@ -110,15 +125,21 @@ def _box_data(cfg: ExperimentConfig) -> tuple[Grid, PhysicalField, PhysicalField
             u1 = PhysicalField.zero(grid)
         return grid, u0, u1
     if data.kind == "custom_file":
+        arrays = {}
         try:
             payload = np.load(data.path)
-        except OSError as exc:
+            # a .npy file loads as one unnamed array
+            if isinstance(payload, np.lib.npyio.NpzFile):
+                with payload:
+                    arrays = {k: payload[k] for k in ("u0", "u1") if k in payload}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            # missing, pickled (any non-array file), empty, or a broken archive
             raise ConfigError(f"data.path: cannot read {data.path!r}: {exc}") from exc
-        if "u0" not in payload or "u1" not in payload:
+        if len(arrays) != 2:
             raise ConfigError("data.path: npz file must contain arrays 'u0' and 'u1'")
         try:
-            u0 = PhysicalField(grid, np.asarray(payload["u0"], dtype=np.float64))
-            u1 = PhysicalField(grid, np.asarray(payload["u1"], dtype=np.float64))
+            u0 = PhysicalField(grid, np.asarray(arrays["u0"], dtype=np.float64))
+            u1 = PhysicalField(grid, np.asarray(arrays["u1"], dtype=np.float64))
         except ValueError as exc:
             raise ConfigError(f"data.path: {exc}") from exc
         return grid, u0, u1
@@ -133,18 +154,17 @@ def _theory_slope(kind: str, n: int, k: int, source: str) -> float:
     return base
 
 
-def _fit_block(report: RunReport, series_list: Sequence[DecaySeries],
-               window: tuple[float, float],
+def _fit_block(report: RunReport, window: tuple[float, float],
                theory_of: Callable[[DecaySeries], float],
                gate: Callable[[DecaySeries, RateFit, float], tuple[str, str, str]],
                skip_criterion: str = "AC4") -> dict[str, RateFit]:
-    """Fit every series, fill rate rows/fits/verdicts; returns fits by label.
+    """Fit the report's series, fill rate rows/fits/verdicts; returns fits by label.
 
     ``gate(series, fit, theory)`` returns (criterion, status, detail); an
     all-zero series is recorded as skipped with reason "zero series".
     """
     fits: dict[str, RateFit] = {}
-    for s in series_list:
+    for s in report.series:
         theory = theory_of(s)
         if not np.any(s.values > 0.0):
             report.rate_rows.append({"k": s.k, "slope": math.nan,
@@ -177,37 +197,35 @@ def _fit_block(report: RunReport, series_list: Sequence[DecaySeries],
 # ---------------------------------------------------------------------------
 
 
-def run_linear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("linear_rates", cfg.to_dict())
+def _radial_series(cfg: ExperimentConfig, which: str | tuple[str, ...],
+                   threads: int) -> list[DecaySeries]:
+    """The radial decay series of ``which`` over the log-spaced time sweep."""
     n = cfg.discretization.n
-    params = _model_params(cfg)
-    data = _radial_data(cfg.data, n)
     lo, hi = cfg.analysis.fit_window
     times = np.geomspace(max(lo, 1e-3), hi, cfg.analysis.n_times)
-    report.series = radial_decay_series(data, times, cfg.analysis.k_list, n,
-                                        params, which="linear", threads=threads)
+    return radial_decay_series(_radial_data(cfg.data, n), times, cfg.analysis.k_list,
+                               n, _model_params(cfg), which=which, threads=threads)
+
+
+def _linear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+    n = cfg.discretization.n
+    report.series = _radial_series(cfg, "linear", threads)
     tol = cfg.analysis.slope_tol
     kind = cfg.data.kind
+    criterion = "AC4" if kind == "gaussian" else "AC5"
 
     def gate(s: DecaySeries, fit: RateFit, theory: float) -> tuple[str, str, str]:
-        if kind == "gaussian":
-            ok = abs(fit.slope - theory) <= tol
-            return ("AC4", "pass" if ok else "fail",
-                    f"|{fit.slope:.4f} - ({theory:g})| <= {tol:g}")
-        if s.k == 0:
+        if criterion == "AC5" and s.k == 0:
             ok = -0.1 <= fit.slope <= 0.02
             return ("AC5", "pass" if ok else "fail",
                     f"bounded norm: slope {fit.slope:.4f} in [-0.1, 0.02]")
         ok = abs(fit.slope - theory) <= tol
-        return ("AC5", "pass" if ok else "fail",
+        return (criterion, "pass" if ok else "fail",
                 f"|{fit.slope:.4f} - ({theory:g})| <= {tol:g}")
 
-    _fit_block(report, report.series, (lo, hi),
+    _fit_block(report, cfg.analysis.fit_window,
                lambda s: _theory_slope(kind, n, s.k, s.source), gate,
-               skip_criterion="AC4" if kind == "gaussian" else "AC5")
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
+               skip_criterion=criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +233,20 @@ def run_linear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def run_profile_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("profile_gap", cfg.to_dict())
+def _profile_gap(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
     if cfg.data.kind != "gaussian":
         raise ConfigError("data.kind: profile_gap requires gaussian data")
     n = cfg.discretization.n
-    params = _model_params(cfg)
-    data = _radial_data(cfg.data, n)
-    lo, hi = cfg.analysis.fit_window
-    times = np.geomspace(max(lo, 1e-3), hi, cfg.analysis.n_times)
-    ks = cfg.analysis.k_list
-    report.series = radial_decay_series(data, times, ks, n, params,
-                                        which=("linear", "gap"), threads=threads)
+    report.series = _radial_series(cfg, ("linear", "gap"), threads)
     tol = cfg.analysis.slope_tol
 
     def gate(s: DecaySeries, fit: RateFit, theory: float) -> tuple[str, str, str]:
         return ("AC6", "info", "component fit")
 
-    fits = _fit_block(report, report.series, (lo, hi),
+    fits = _fit_block(report, cfg.analysis.fit_window,
                       lambda s: _theory_slope("gaussian", n, s.k, s.source), gate,
                       skip_criterion="AC6")
-    for k in ks:
+    for k in cfg.analysis.k_list:
         lin_fit = fits.get(f"linear:k{k}:sobolev2")
         gap_fit = fits.get(f"profile_gap:k{k}:sobolev2")
         if lin_fit is None or gap_fit is None:
@@ -249,8 +259,6 @@ def run_profile_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
             "AC6", f"gap_gain[k{k}]", "pass" if ok else "fail",
             f"gap slope minus linear slope {gain:.4f} within -0.5 +- {tol:g}",
             value=gain, threshold=tol))
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +268,18 @@ def run_profile_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
 _SMALLNESS = 1e-2
 
 
-def _check_domain_rule(report: RunReport, cfg: ExperimentConfig, r0: float,
-                       criterion: str) -> None:
+def _checked_box_data(report: RunReport, cfg: ExperimentConfig,
+                      criterion: str) -> tuple[Grid, PhysicalField, PhysicalField]:
+    """:func:`_box_data`, with its domain-size and smallness verdicts."""
+    grid, u0, u1 = _box_data(cfg)
     d = cfg.discretization
+    # radius at which the Gaussian bump reaches the double-precision floor
+    r0 = 9.0 * cfg.data.width if cfg.data.kind == "gaussian" else 0.1 * d.L
     need = 2.0 * (r0 + 1.2 * d.T)
-    ok = d.L >= need
     report.verdicts.append(_verdict(
-        criterion, "domain_size_rule", "pass" if ok else "fail",
+        criterion, "domain_size_rule", "pass" if d.L >= need else "fail",
         f"L = {d.L:g} >= 2*(R0 + 1.2*T) = {need:g} (R0 ~ {r0:g})",
         value=d.L, threshold=need))
-
-
-def _check_smallness(report: RunReport, cfg: ExperimentConfig, u0: PhysicalField,
-                     u1: PhysicalField, criterion: str) -> None:
     try:
         e0 = initial_data_size(u0, u1)
     except ValueError as exc:
@@ -282,26 +289,15 @@ def _check_smallness(report: RunReport, cfg: ExperimentConfig, u0: PhysicalField
         criterion, "data_smallness", "pass" if e0 <= _SMALLNESS else "fail",
         f"initial data size {e0:.4g} <= {_SMALLNESS:g}",
         value=e0, threshold=_SMALLNESS))
+    return grid, u0, u1
 
 
-def _bump_radius(cfg: ExperimentConfig) -> float:
-    # radius at which the Gaussian bump reaches the double-precision floor
-    return 9.0 * cfg.data.width if cfg.data.kind == "gaussian" else 0.1 * cfg.discretization.L
-
-
-def run_nonlinear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("nonlinear_rates", cfg.to_dict())
-    n = cfg.discretization.n
-    params = _model_params(cfg)
-    spec = _nl_spec(cfg)
-    grid, u0, u1 = _box_data(cfg)
-    _check_domain_rule(report, cfg, _bump_radius(cfg), "AC7")
-    _check_smallness(report, cfg, u0, u1, "AC7")
-
+def _nonlinear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
     d = cfg.discretization
-    run = solve(u0, u1, d.T, d.dt, spec, params, out_every=d.out_every)
-    report.timings["solve_s"] = time.perf_counter() - t_start
+    with _phase(report, "solve_s"):
+        _, u0, u1 = _checked_box_data(report, cfg, "AC7")
+        run = solve(u0, u1, d.T, d.dt, _nl_spec(cfg), _model_params(cfg),
+                    out_every=d.out_every)
     report.series = decay_series(run, cfg.analysis.k_list, source="nonlinear")
     tol = cfg.analysis.slope_tol
 
@@ -312,11 +308,11 @@ def run_nonlinear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
         return ("AC7", "pass" if ok else "fail",
                 f"|{fit.slope:.4f} - ({theory:g})| <= {tol:g}")
 
-    _fit_block(report, report.series, cfg.analysis.fit_window,
-               lambda s: _theory_slope("gaussian", n, s.k, s.source), gate,
+    _fit_block(report, cfg.analysis.fit_window,
+               lambda s: _theory_slope("gaussian", d.n, s.k, s.source), gate,
                skip_criterion="AC7")
 
-    xn = xnorm_proxy(run, n)
+    xn = xnorm_proxy(run, d.n)
     if xn[0] > 0.0:
         ratio = float(np.max(xn) / xn[0])
         report.verdicts.append(_verdict(
@@ -326,8 +322,6 @@ def run_nonlinear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     else:
         report.verdicts.append(_verdict("AC7", "xnorm_bounded", "skip",
                                         "zero series"))
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -335,46 +329,38 @@ def run_nonlinear_rates(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def run_nl_vs_linear_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("nl_vs_linear_gap", cfg.to_dict())
-    n = cfg.discretization.n
+def _nl_vs_linear_gap(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+    d = cfg.discretization
     params = _model_params(cfg)
-    spec = _nl_spec(cfg)
-    grid, u0, u1 = _box_data(cfg)
-    _check_domain_rule(report, cfg, _bump_radius(cfg), "AC8")
-    _check_smallness(report, cfg, u0, u1, "AC8")
-
     # the states are compared as the march yields them, so the run holds one
     # state and the initial spectra, never the trajectory: at each output time
     # only the u row of the linear flow of the initial spectra is formed, and
     # every norm is a Plancherel sum on the half spectra
-    d = cfg.discretization
-    rows, compare_s = [], 0.0
-    for t, y in march(u0, u1, d.T, d.dt, spec, params, out_every=d.out_every):
-        t_compare = time.perf_counter()
-        if not rows:
-            y0 = y
-        sym = propagator(grid.xi2_half, float(t), params)
-        lin_u = sym.sine * y0[1] + sym.cosine * y0[0]
-        rows.append((t, sobolev_norm(grid, y[0]), sobolev_norm(grid, lin_u),
-                     sobolev_norm(grid, y[0] - lin_u)))
-        compare_s += time.perf_counter() - t_compare
-    report.timings["solve_s"] = time.perf_counter() - t_start - compare_s
-    report.timings["compare_s"] = compare_s
+    rows = []
+    with _phase(report, "solve_s"):
+        grid, u0, u1 = _checked_box_data(report, cfg, "AC8")
+        for t, y in march(u0, u1, d.T, d.dt, _nl_spec(cfg), params,
+                          out_every=d.out_every):
+            with _phase(report, "compare_s"):
+                if not rows:
+                    y0 = y
+                sym = propagator(grid.xi2_half, float(t), params)
+                lin_u = sym.sine * y0[1] + sym.cosine * y0[0]
+                rows.append((t, sobolev_norm(grid, y[0]), sobolev_norm(grid, lin_u),
+                             sobolev_norm(grid, y[0] - lin_u)))
+    # the marching alone: the comparisons between its yields are compare_s
+    report.timings["solve_s"] -= report.timings["compare_s"]
     times, nl_vals, lin_vals, diff_vals = (np.array(col) for col in zip(*rows))
+    eta = gap_weight(times, d.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_vals = np.where(lin_vals > 0.0, diff_vals / (lin_vals * eta), 0.0)
     report.series = [
         DecaySeries(times, nl_vals, k=0, norm_kind="sobolev2", source="nonlinear"),
         DecaySeries(times, lin_vals, k=0, norm_kind="sobolev2", source="linear"),
         DecaySeries(times, diff_vals, k=0, norm_kind="sobolev2",
                     source="nl_minus_linear"),
+        DecaySeries(times, ratio_vals, k=0, norm_kind="ratio", source="nl_minus_linear"),
     ]
-    eta = gap_weight(times, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_vals = np.where(lin_vals > 0.0, diff_vals / (lin_vals * eta), 0.0)
-    ratio = DecaySeries(times, ratio_vals, k=0, norm_kind="ratio",
-                        source="nl_minus_linear")
-    report.series.append(ratio)
 
     def gate(s: DecaySeries, fit: RateFit, theory: float) -> tuple[str, str, str]:
         if s.norm_kind != "ratio":
@@ -383,12 +369,10 @@ def run_nl_vs_linear_gap(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
         return ("AC8", "pass" if ok else "fail",
                 f"gap/weight ratio trend {fit.slope:.4f} <= {cfg.analysis.slope_tol:g}")
 
-    _fit_block(report, report.series, cfg.analysis.fit_window,
+    _fit_block(report, cfg.analysis.fit_window,
                lambda s: (0.0 if s.norm_kind == "ratio"
-                          else _theory_slope("gaussian", n, s.k, s.source)), gate,
+                          else _theory_slope("gaussian", d.n, s.k, s.source)), gate,
                skip_criterion="AC8")
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -416,58 +400,53 @@ def _random_smooth_fields(grid: Grid, rng: np.random.Generator,
     return np.fft.ifftn(work, axes=grid.axes, out=work).real.copy()
 
 
-def run_lemma_certify(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("lemma_certify", cfg.to_dict())
-    params = _model_params(cfg)
+def _lemma_certify(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
     a = cfg.analysis
-    xi_grid, t_grid = default_certify_grids()
-
-    for which in _ENVELOPE_BOUNDS + _REMAINDER_BOUNDS:
-        cert = certify_bound(which, xi_grid, t_grid, _C_CANDIDATES, params,
-                             r0=a.r0, cap=a.cap)
-        report.certificates.append({
-            "which": cert.which, "fitted_c": cert.fitted_c,
-            "sup_ratio": cert.sup_ratio, "passed": cert.passed,
-            "grid_spec": cert.grid_spec, "cap": cert.cap})
-        criterion = "AC3" if which in _ENVELOPE_BOUNDS else "AC6"
-        ok = cert.passed and cert.fitted_c >= a.c_floor and cert.sup_ratio <= a.cap
-        detail = (f"c = {cert.fitted_c:.3g} >= {a.c_floor:g}, "
-                  f"sup C = {cert.sup_ratio:.4g} <= {a.cap:g}"
-                  if cert.passed else "no candidate decay rate certified")
-        report.verdicts.append(_verdict(criterion, f"certificate[{which}]",
-                                        "pass" if ok else "fail", detail,
-                                        value=cert.fitted_c if cert.passed else math.nan,
-                                        threshold=a.c_floor))
-    report.timings["certify_s"] = time.perf_counter() - t_start
+    with _phase(report, "certify_s"):
+        params = _model_params(cfg)
+        xi_grid, t_grid = default_certify_grids()
+        for which in _ENVELOPE_BOUNDS + _REMAINDER_BOUNDS:
+            cert = certify_bound(which, xi_grid, t_grid, _C_CANDIDATES, params,
+                                 r0=a.r0, cap=a.cap)
+            report.certificates.append({
+                "which": cert.which, "fitted_c": cert.fitted_c,
+                "sup_ratio": cert.sup_ratio, "passed": cert.passed,
+                "grid_spec": cert.grid_spec, "cap": cert.cap})
+            criterion = "AC3" if which in _ENVELOPE_BOUNDS else "AC6"
+            ok = cert.passed and cert.fitted_c >= a.c_floor and cert.sup_ratio <= a.cap
+            detail = (f"c = {cert.fitted_c:.3g} >= {a.c_floor:g}, "
+                      f"sup C = {cert.sup_ratio:.4g} <= {a.cap:g}"
+                      if cert.passed else "no candidate decay rate certified")
+            report.verdicts.append(_verdict(
+                criterion, f"certificate[{which}]", "pass" if ok else "fail", detail,
+                value=cert.fitted_c if cert.passed else math.nan,
+                threshold=a.c_floor))
 
     # bilinear product estimates on random smooth fields
-    t_prod = time.perf_counter()
-    grid = make_grid(1, 30.0, 256)
-    rng = np.random.default_rng(cfg.seed)
-    draws = 100
-    # the pairs (v, w) in the order of one draw per field
-    fields = _random_smooth_fields(grid, rng, (draws, 2))
-    constants = {(chk.instance, m): chk.constant for m in (0, 1)
-                 for chk in product_estimate_check(grid, fields[:, 0], fields[:, 1], m)}
-    for (instance, m), arr in sorted(constants.items()):
-        finite = bool(np.all(np.isfinite(arr)) and np.all(arr > 0.0))
-        spread = float(arr.max() / arr.min()) if finite else math.inf
-        if instance == "sq_l1" and m == 0:
-            exact = bool(np.all(arr == 1.0))
+    with _phase(report, "products_s"):
+        grid = make_grid(1, 30.0, 256)
+        rng = np.random.default_rng(cfg.seed)
+        draws = 100
+        # the pairs (v, w) in the order of one draw per field
+        fields = _random_smooth_fields(grid, rng, (draws, 2))
+        constants = {(chk.instance, m): chk.constant for m in (0, 1)
+                     for chk in product_estimate_check(grid, fields[:, 0],
+                                                       fields[:, 1], m)}
+        for (instance, m), arr in sorted(constants.items()):
+            finite = bool(np.all(np.isfinite(arr)) and np.all(arr > 0.0))
+            spread = float(arr.max() / arr.min()) if finite else math.inf
+            if instance == "sq_l1" and m == 0:
+                exact = bool(np.all(arr == 1.0))
+                report.verdicts.append(_verdict(
+                    "AC10", "cauchy_schwarz_equality", "pass" if exact else "fail",
+                    f"constant == 1 exactly across {draws} draws"))
+                continue
+            ok = finite and spread <= 10.0
             report.verdicts.append(_verdict(
-                "AC10", "cauchy_schwarz_equality", "pass" if exact else "fail",
-                f"constant == 1 exactly across {draws} draws"))
-            continue
-        ok = finite and spread <= 10.0
-        report.verdicts.append(_verdict(
-            "AC10", f"constant_stability[{instance},m={m}]",
-            "pass" if ok else "fail",
-            f"max/min constant over {draws} draws = {spread:.3f} <= 10",
-            value=spread, threshold=10.0))
-    report.timings["products_s"] = time.perf_counter() - t_prod
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
+                "AC10", f"constant_stability[{instance},m={m}]",
+                "pass" if ok else "fail",
+                f"max/min constant over {draws} draws = {spread:.3f} <= 10",
+                value=spread, threshold=10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,154 +477,148 @@ def _trajectory_distance(a: Trajectory, b: Trajectory) -> float:
     return float(np.max(sobolev_norm(a.grid, a.spectra[:, 0] - b.spectra[:, 0])))
 
 
-def run_oracle_crosscheck(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    t_start = time.perf_counter()
-    report = RunReport("oracle_crosscheck", cfg.to_dict())
-    params = _model_params(cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    # kernel ODE residuals on random (frequency, time) samples
-    xi = 10.0 ** rng.uniform(-1.5, 1.0, size=500)
-    t = 10.0 ** rng.uniform(-2.0, 0.7, size=500)
-    xi2 = xi**2
-    roots = characteristic_roots(xi2, params)
-    clear = np.abs(roots.lambda_plus - roots.lambda_minus) \
+def _clear_of_confluence(roots: RootPair) -> np.ndarray:
+    """Mask of the samples whose roots are far enough apart for the division
+    by their difference in :func:`_direct_second_derivatives`."""
+    return np.abs(roots.lambda_plus - roots.lambda_minus) \
         >= 1e-2 * np.maximum(1.0, np.abs(roots.lambda_minus))
-    xi2, t = xi2[clear], t[clear]
-    sym = propagator(xi2, t, params)
-    b = damping_coefficient(xi2, params)
-    c = restoring_coefficient(xi2)
-    sine_tt, cosine_tt = _direct_second_derivatives(xi2, t, params)
-    res_sine = np.abs(sine_tt + b * sym.sine_dt + c * sym.sine)
-    res_cosine = np.abs(cosine_tt + b * sym.cosine_dt + c * sym.cosine)
-    scale_s = np.abs(sine_tt) + b * np.abs(sym.sine_dt) + c * np.abs(sym.sine) + 1.0
-    scale_c = np.abs(cosine_tt) + b * np.abs(sym.cosine_dt) + c * np.abs(sym.cosine) + 1.0
-    worst = float(max(np.max(res_sine / scale_s), np.max(res_cosine / scale_c)))
-    report.verdicts.append(_verdict(
-        "AC1", "kernel_ode_residual", "pass" if worst <= 1e-6 else "fail",
-        f"max relative residual {worst:.3g} <= 1e-06 on {xi2.size} samples",
-        value=worst, threshold=1e-6))
 
-    z = propagator(xi2[:1] * 0.0, np.zeros(1), params)
-    init_ok = (z.sine[0] == 0.0 and z.cosine[0] == 1.0
-               and z.sine_dt[0] == 1.0 and z.cosine_dt[0] == 0.0)
-    report.verdicts.append(_verdict(
-        "AC1", "kernel_initial_values", "pass" if bool(init_ok) else "fail",
-        "kernels at t = 0 equal (0, 1, 1, 0) exactly"))
-    vieta = float(max(np.max(np.abs(roots.lambda_plus + roots.lambda_minus + b)
-                             / np.maximum(1.0, b)),
-                      np.max(np.abs(roots.lambda_plus * roots.lambda_minus - c)
-                             / np.maximum(1.0, c))))
-    report.verdicts.append(_verdict(
-        "AC1", "root_sum_product", "pass" if vieta <= 1e-10 else "fail",
-        f"root sum/product residual {vieta:.3g} <= 1e-10",
-        value=vieta, threshold=1e-10))
 
-    # energy balance along fundamental solutions
-    xi_e = 10.0 ** rng.uniform(-1.5, 1.0, size=100)
-    t_e = rng.uniform(0.0, 3.0, size=100)
-    xi2_e = xi_e**2
-    roots_e = characteristic_roots(xi2_e, params)
-    keep = np.abs(roots_e.lambda_plus - roots_e.lambda_minus) \
-        >= 1e-2 * np.maximum(1.0, np.abs(roots_e.lambda_minus))
-    xi2_e, t_e = xi2_e[keep], t_e[keep]
-    sym_e = propagator(xi2_e, t_e, params)
-    stt, ctt = _direct_second_derivatives(xi2_e, t_e, params)
-    worst_e = 0.0
-    for v, vdot, vddot in ((sym_e.sine, sym_e.sine_dt, stt),
-                           (sym_e.cosine, sym_e.cosine_dt, ctt)):
-        em = mode_energy(xi2_e, v, vdot, params)
+def _oracle_crosscheck(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+    params = _model_params(cfg)
+    with _phase(report, "symbols_s"):
+        rng = np.random.default_rng(cfg.seed)
+
+        # kernel ODE residuals on random (frequency, time) samples
+        xi2 = (10.0 ** rng.uniform(-1.5, 1.0, size=500)) ** 2
+        t = 10.0 ** rng.uniform(-2.0, 0.7, size=500)
+        roots = characteristic_roots(xi2, params)
+        b = damping_coefficient(xi2, params)
+        c = restoring_coefficient(xi2)
+        # the root sum and product divide by nothing, so they hold on every sample
+        vieta = float(max(np.max(np.abs(roots.lambda_plus + roots.lambda_minus + b)
+                                 / np.maximum(1.0, b)),
+                          np.max(np.abs(roots.lambda_plus * roots.lambda_minus - c)
+                                 / np.maximum(1.0, c))))
+        clear = _clear_of_confluence(roots)
+        xi2, t, b, c = xi2[clear], t[clear], b[clear], c[clear]
+        sym = propagator(xi2, t, params)
+        sine_tt, cosine_tt = _direct_second_derivatives(xi2, t, params)
+        res_sine = np.abs(sine_tt + b * sym.sine_dt + c * sym.sine)
+        res_cosine = np.abs(cosine_tt + b * sym.cosine_dt + c * sym.cosine)
+        scale_s = np.abs(sine_tt) + b * np.abs(sym.sine_dt) + c * np.abs(sym.sine) + 1.0
+        scale_c = np.abs(cosine_tt) + b * np.abs(sym.cosine_dt) + c * np.abs(sym.cosine) + 1.0
+        worst = float(max(np.max(res_sine / scale_s), np.max(res_cosine / scale_c)))
+        report.verdicts.append(_verdict(
+            "AC1", "kernel_ode_residual", "pass" if worst <= 1e-6 else "fail",
+            f"max relative residual {worst:.3g} <= 1e-06 on {xi2.size} samples",
+            value=worst, threshold=1e-6))
+
+        z = propagator(np.zeros(1), np.zeros(1), params)
+        init_ok = (z.sine[0] == 0.0 and z.cosine[0] == 1.0
+                   and z.sine_dt[0] == 1.0 and z.cosine_dt[0] == 0.0)
+        report.verdicts.append(_verdict(
+            "AC1", "kernel_initial_values", "pass" if bool(init_ok) else "fail",
+            "kernels at t = 0 equal (0, 1, 1, 0) exactly"))
+        report.verdicts.append(_verdict(
+            "AC1", "root_sum_product", "pass" if vieta <= 1e-10 else "fail",
+            f"root sum/product residual {vieta:.3g} <= 1e-10",
+            value=vieta, threshold=1e-10))
+
+        # energy balance along fundamental solutions
+        xi2_e = (10.0 ** rng.uniform(-1.5, 1.0, size=100)) ** 2
+        t_e = rng.uniform(0.0, 3.0, size=100)
+        keep = _clear_of_confluence(characteristic_roots(xi2_e, params))
+        xi2_e, t_e = xi2_e[keep], t_e[keep]
+        sym_e = propagator(xi2_e, t_e, params)
+        stt, ctt = _direct_second_derivatives(xi2_e, t_e, params)
         s = xi2_e
         b_e = damping_coefficient(xi2_e, params)
         c_e = restoring_coefficient(xi2_e)
-        dEdt = (2.0 * (1.0 + s) * (vddot * np.conj(vdot)).real
-                + 2.0 * ((1.0 + s) * c_e + s * b_e) * (vdot * np.conj(v)).real
-                + 2.0 * s * ((vddot * np.conj(v)).real + np.abs(vdot) ** 2))
-        resid = np.abs(dEdt + em.dissipation)
-        scale = np.abs(dEdt) + np.abs(em.dissipation) + 1e-300
-        worst_e = max(worst_e, float(np.max(resid / scale)))
-    report.verdicts.append(_verdict(
-        "AC2", "energy_balance", "pass" if worst_e <= 1e-6 else "fail",
-        f"max relative energy-balance residual {worst_e:.3g} <= 1e-06 "
-        f"on {xi2_e.size} samples", value=worst_e, threshold=1e-6))
-    report.timings["symbols_s"] = time.perf_counter() - t_start
+        worst_e = 0.0
+        for v, vdot, vddot in ((sym_e.sine, sym_e.sine_dt, stt),
+                               (sym_e.cosine, sym_e.cosine_dt, ctt)):
+            em = mode_energy(xi2_e, v, vdot, params)
+            dEdt = (2.0 * (1.0 + s) * (vddot * np.conj(vdot)).real
+                    + 2.0 * ((1.0 + s) * c_e + s * b_e) * (vdot * np.conj(v)).real
+                    + 2.0 * s * ((vddot * np.conj(v)).real + np.abs(vdot) ** 2))
+            resid = np.abs(dEdt + em.dissipation)
+            scale = np.abs(dEdt) + np.abs(em.dissipation) + 1e-300
+            worst_e = max(worst_e, float(np.max(resid / scale)))
+        report.verdicts.append(_verdict(
+            "AC2", "energy_balance", "pass" if worst_e <= 1e-6 else "fail",
+            f"max relative energy-balance residual {worst_e:.3g} <= 1e-06 "
+            f"on {xi2_e.size} samples", value=worst_e, threshold=1e-6))
 
     # integrator vs adaptive reference
-    t_int = time.perf_counter()
     spec = _nl_spec(cfg)
-    grid, u0, u1 = _box_data(cfg)
-    d = cfg.discretization
-    n_steps = int(round(d.T / d.dt))
-    out_every = max(1, n_steps // 10)
-    run = solve(u0, u1, d.T, d.dt, spec, params, out_every=out_every)
-    ref = reference_solve(u0, u1, d.T, spec, params, tol=1e-12,
-                          t_eval=run.times)
-    gap = sobolev_norm(grid, run.spectra[1:, 0] - ref.spectra[1:, 0])
-    err = float(np.max(gap / np.maximum(sobolev_norm(grid, ref.spectra[1:, 0]), 1e-300)))
-    report.verdicts.append(_verdict(
-        "AC9", "integrator_vs_reference", "pass" if err <= 1e-6 else "fail",
-        f"max relative difference {err:.3g} <= 1e-06 at {run.times.size - 1} "
-        f"output times", value=err, threshold=1e-6))
-    report.timings["reference_s"] = time.perf_counter() - t_int
+    with _phase(report, "reference_s"):
+        grid, u0, u1 = _box_data(cfg)
+        d = cfg.discretization
+        out_every = max(1, _step_count(d.T, d.dt) // 10)
+        run = solve(u0, u1, d.T, d.dt, spec, params, out_every=out_every)
+        ref = reference_solve(u0, u1, d.T, spec, params, tol=1e-12,
+                              t_eval=run.times)
+        gap = sobolev_norm(grid, run.spectra[1:, 0] - ref.spectra[1:, 0])
+        err = float(np.max(gap / np.maximum(sobolev_norm(grid, ref.spectra[1:, 0]), 1e-300)))
+        report.verdicts.append(_verdict(
+            "AC9", "integrator_vs_reference", "pass" if err <= 1e-6 else "fail",
+            f"max relative difference {err:.3g} <= 1e-06 at {run.times.size - 1} "
+            f"output times", value=err, threshold=1e-6))
 
     # fixed-point iteration: contraction and limit
-    t_pic = time.perf_counter()
-    T_pic = 2.0
-    mesh = np.linspace(0.0, T_pic, 33)
-    base = linear_trajectory(u0, u1, mesh, params)
-    iters = [base]
-    for _ in range(4):
-        iters.append(picard_iterate(iters[-1], u0, u1, spec, params))
-    dists = [_trajectory_distance(iters[i + 1], iters[i]) for i in range(4)]
-    ratios = [dists[i + 1] / dists[i] for i in range(3) if dists[i] > 0.0]
-    worst_ratio = max(ratios) if ratios else 0.0
-    report.verdicts.append(_verdict(
-        "AC9", "picard_contraction", "pass" if worst_ratio < 0.5 else "fail",
-        f"successive-distance ratio {worst_ratio:.4f} < 0.5",
-        value=worst_ratio, threshold=0.5))
+    with _phase(report, "picard_s"):
+        T_pic = 2.0
+        mesh = np.linspace(0.0, T_pic, 33)
+        iters = [linear_trajectory(u0, u1, mesh, params)]
+        for _ in range(4):
+            iters.append(picard_iterate(iters[-1], u0, u1, spec, params))
+        dists = [_trajectory_distance(iters[i + 1], iters[i]) for i in range(4)]
+        ratios = [dists[i + 1] / dists[i] for i in range(3) if dists[i] > 0.0]
+        worst_ratio = max(ratios) if ratios else 0.0
+        report.verdicts.append(_verdict(
+            "AC9", "picard_contraction", "pass" if worst_ratio < 0.5 else "fail",
+            f"successive-distance ratio {worst_ratio:.4f} < 0.5",
+            value=worst_ratio, threshold=0.5))
 
-    mesh_fine = np.linspace(0.0, T_pic, 65)
-    fine = linear_trajectory(u0, u1, mesh_fine, params)
-    for _ in range(4):
-        fine = picard_iterate(fine, u0, u1, spec, params)
-    coarse_on_fine = Trajectory(mesh, fine.grid, fine.spectra[::2])
-    quad_est = _trajectory_distance(iters[-1], coarse_on_fine)
+        mesh_fine = np.linspace(0.0, T_pic, 65)
+        fine = linear_trajectory(u0, u1, mesh_fine, params)
+        for _ in range(4):
+            fine = picard_iterate(fine, u0, u1, spec, params)
+        coarse_on_fine = Trajectory(mesh, fine.grid, fine.spectra[::2])
+        quad_est = _trajectory_distance(iters[-1], coarse_on_fine)
 
-    dt_pic = T_pic / 512.0
-    etd = solve(u0, u1, T_pic, dt_pic, spec, params, out_every=16)
-    limit_gap = _trajectory_distance(iters[-1], etd)
-    bound = 2.0 * quad_est + 10.0 * dists[-1] + 1e-14
-    report.verdicts.append(_verdict(
-        "AC9", "picard_limit_matches_solve", "pass" if limit_gap <= bound else "fail",
-        f"iteration limit within {limit_gap:.3g} of the integrator "
-        f"(allowed {bound:.3g} from quadrature refinement + contraction tail)",
-        value=limit_gap, threshold=bound))
-    report.timings["picard_s"] = time.perf_counter() - t_pic
-    report.timings["total_s"] = time.perf_counter() - t_start
-    return report
+        etd = solve(u0, u1, T_pic, T_pic / 512.0, spec, params, out_every=16)
+        limit_gap = _trajectory_distance(iters[-1], etd)
+        bound = 2.0 * quad_est + 10.0 * dists[-1] + 1e-14
+        report.verdicts.append(_verdict(
+            "AC9", "picard_limit_matches_solve", "pass" if limit_gap <= bound else "fail",
+            f"iteration limit within {limit_gap:.3g} of the integrator "
+            f"(allowed {bound:.3g} from quadrature refinement + contraction tail)",
+            value=limit_gap, threshold=bound))
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_INFO: dict[str, tuple[Callable[..., RunReport], str]] = {
-    "linear_rates": (run_linear_rates,
+EXPERIMENT_INFO: dict[str, tuple[Callable[..., None], str]] = {
+    "linear_rates": (_linear_rates,
                      "decay exponents of the closed-form radial evolution "
                      "against the predicted power laws"),
-    "nonlinear_rates": (run_nonlinear_rates,
+    "nonlinear_rates": (_nonlinear_rates,
                         "small-data decay exponents on a periodic box with "
                         "amplitude-boundedness check"),
-    "profile_gap": (run_profile_gap,
+    "profile_gap": (_profile_gap,
                     "convergence rate of the evolution to its diffusive-wave "
                     "profile"),
-    "nl_vs_linear_gap": (run_nl_vs_linear_gap,
+    "nl_vs_linear_gap": (_nl_vs_linear_gap,
                          "decay of the nonlinear-minus-linear difference "
                          "against the dimension-dependent weight"),
-    "lemma_certify": (run_lemma_certify,
+    "lemma_certify": (_lemma_certify,
                       "explicit (C, c) constants for the kernel envelope "
                       "bounds and bilinear product estimates"),
-    "oracle_crosscheck": (run_oracle_crosscheck,
+    "oracle_crosscheck": (_oracle_crosscheck,
                           "solver consistency: kernel residuals, energy "
                           "balance, integrator vs adaptive reference, and "
                           "contraction of the fixed-point iteration"),
@@ -653,8 +626,12 @@ EXPERIMENT_INFO: dict[str, tuple[Callable[..., RunReport], str]] = {
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
+    """Run ``cfg``'s experiment; the report's ``total_s`` times the whole run."""
     runner, _ = EXPERIMENT_INFO[cfg.experiment]
-    return runner(cfg, threads=threads)
+    report = RunReport(cfg.experiment, cfg.to_dict())
+    with _phase(report, "total_s"):
+        runner(cfg, report, threads)
+    return report
 
 
 def list_experiments() -> str:

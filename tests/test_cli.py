@@ -271,6 +271,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data.path" in err and "u1" in err
 
+    @pytest.mark.parametrize("content", [
+        b"u0 = 1\n", b"", b"PK\x03\x04 not a zip", "corrupt member",
+    ], ids=["text", "empty", "corrupt_zip", "corrupt_member"])
+    def test_unreadable_data_file_returns_two(self, tmp_path, capsys, content):
+        # np.load raises ValueError, EOFError and zipfile.BadZipFile for the
+        # first three; reading a member whose bytes fail their CRC raises
+        # BadZipFile too
+        if content == "corrupt member":
+            np.savez(tmp_path / "data.npz", u0=np.ones(64), u1=np.zeros(64))
+            content = bytearray((tmp_path / "data.npz").read_bytes())
+            content[200:210] = b"\xff" * 10
+        (tmp_path / "data.npz").write_bytes(content)
+        cfg = write_config(tmp_path, {
+            "experiment": "nonlinear_rates",
+            "seed": 0,
+            "model": {"alpha": -1.0, "beta": 1.0},
+            "discretization": {"n": 1, "L": 64.0, "N": 64, "dt": 0.1,
+                               "T": 2.0, "out_every": 2},
+            "data": {"kind": "custom_file", "path": str(tmp_path / "data.npz")},
+            "analysis": {"k_list": [0], "fit_window": [0.5, 2.0],
+                         "slope_tol": 0.1},
+        })
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "error: data.path: cannot read" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, key, value, message", [
         ("discretization", "dt", 0.07, "dt=0.07 does not divide T"),
         ("analysis", "fit_window", [1000, 2000], "need at least 6 points"),

@@ -1,20 +1,24 @@
-"""The nonlinear-minus-linear gap run compares the states as they are marched.
+"""The run path, and the gap run that compares the states as they are marched.
 
-Oracle: the comparison as it was made over a stored trajectory of
+:func:`~bousslab.experiments.run_experiment` owns each run's report and its
+clock; the runners add their phase timings through ``_phase``.  Oracle for
+the gap run: the comparison as it was made over a stored trajectory of
 :func:`~bousslab.nonlinear.solve`, kept here as a test-local loop.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bousslab import ExperimentConfig, solve, sobolev_norm
-from bousslab.experiments import (_box_data, _model_params, _nl_spec,
-                                  run_nl_vs_linear_gap)
+from bousslab import ExperimentConfig, load_config, solve, sobolev_norm
+from bousslab.experiments import (RunReport, _box_data, _model_params, _nl_spec,
+                                  _phase, run_experiment)
 from bousslab.symbols import propagator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +55,7 @@ def stored_gap_norms(cfg: ExperimentConfig) -> tuple[np.ndarray, ...]:
 def test_gap_series_equal_the_stored_trajectory_comparison(out_every):
     # 200 steps: at a cadence of 3 the last output is off the cadence
     cfg = reduced_gap_config(out_every=out_every)
-    report = run_nl_vs_linear_gap(cfg)
+    report = run_experiment(cfg)
     times, *values = stored_gap_norms(cfg)
     series = {s.source: s for s in report.series if s.norm_kind == "sobolev2"}
     for source, expected in zip(("nonlinear", "linear", "nl_minus_linear"), values):
@@ -71,9 +75,44 @@ def test_gap_run_never_holds_the_trajectory():
     trajectory_bytes = 401 * 2 * np.prod(grid.half_shape) * 16
     tracemalloc.start()
     try:
-        report = run_nl_vs_linear_gap(cfg)
+        report = run_experiment(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.series[0].times.size == 401
     assert peak < trajectory_bytes
+
+
+def test_phase_accumulates_over_re_entered_blocks():
+    report = RunReport("x", {})
+    start = time.perf_counter()
+    for _ in range(3):
+        with _phase(report, "work_s"):
+            time.sleep(0.01)
+    elapsed = time.perf_counter() - start
+    assert list(report.timings) == ["work_s"]
+    assert 0.03 <= report.timings["work_s"] <= elapsed
+
+
+@pytest.mark.parametrize("name, phases", [
+    ("lemma_certify", {"certify_s", "products_s"}),
+    ("oracle_crosscheck", {"symbols_s", "reference_s", "picard_s"}),
+])
+def test_timing_keys_are_the_documented_phases(name, phases):
+    report = run_experiment(load_config(ROOT / "configs" / f"{name}.json"))
+    timings = report.timings
+    assert set(timings) == phases | {"total_s"}
+    assert min(timings.values()) > 0.0
+    assert sum(timings[key] for key in phases) <= timings["total_s"]
+
+
+def test_crosscheck_passes_ac1_when_a_sample_is_near_confluence():
+    # at seed 568 one of the 500 AC1 samples is dropped as near-confluent;
+    # the root sum and product still cover all 500
+    cfg = load_config(ROOT / "configs" / "oracle_crosscheck.json")
+    report = run_experiment(dataclasses.replace(cfg, seed=568))
+    ac1 = {v["name"]: v for v in report.verdicts if v["criterion"] == "AC1"}
+    assert set(ac1) == {"kernel_ode_residual", "kernel_initial_values",
+                        "root_sum_product"}
+    assert all(v["status"] == "pass" for v in ac1.values())
+    assert "on 499 samples" in ac1["kernel_ode_residual"]["detail"]
