@@ -2,9 +2,6 @@
 """Run every experiment config in configs/ and print a one-line summary each.
 
 Usage: python3 scripts/run_all.py [--out DIR]
-
-Each config runs on one thread: on a 2-core host, four threads were
-1.9-2.6x slower than one on every radial config (min of 5 in-process runs).
 """
 from __future__ import annotations
 

@@ -11,7 +11,6 @@ frequency-time grid, rather than assumed from theory.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -157,15 +156,13 @@ _RADIAL_SOURCE = {"linear": "linear", "profile": "profile", "gap": "profile_gap"
 
 def radial_decay_series(data: RadialData, times: Sequence[float],
                         k_list: Sequence[int], n: int, params: ModelParams,
-                        which: str | Sequence[str] = "linear", threads: int = 1,
+                        which: str | Sequence[str] = "linear",
                         rtol: float = 1e-9) -> list[DecaySeries]:
     """Continuum radial norms over a time sweep, one series per ``(which, k)``.
 
     ``which`` is one kernel name or a tuple of them; the series come out
-    ordered by ``which``, then by ``k``.  Each time is one job that
-    evaluates the kernels once per quadrature node set for every
-    component; ``threads > 1`` maps the jobs over times on a thread pool
-    (results are ordered, so the output is identical).
+    ordered by ``which``, then by ``k``.  At each time the kernels are
+    evaluated once per quadrature node set for every component.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
@@ -177,14 +174,8 @@ def radial_decay_series(data: RadialData, times: Sequence[float],
         raise ValueError("which must name at least one kernel")
     components = [(w, int(k)) for w in whiches for k in k_list]
 
-    def run_one(t: float) -> list[float]:
-        return linear_norm_radial(data, float(t), components, n, params, rtol=rtol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            rows = list(pool.map(run_one, t_arr))
-    else:
-        rows = [run_one(t) for t in t_arr]
+    rows = [linear_norm_radial(data, float(t), components, n, params, rtol=rtol)
+            for t in t_arr]
     return [DecaySeries(times=t_arr.copy(), values=np.asarray([row[i] for row in rows]),
                         k=k, norm_kind="sobolev2", source=_RADIAL_SOURCE.get(w, w))
             for i, (w, k) in enumerate(components)]

@@ -1,16 +1,18 @@
 """Command-line experiment runner.
 
-``bousslab run <config.json> [--out DIR] [--threads K]`` executes one named
-experiment and writes ``report.json``, ``series.csv``, ``rates.csv``, and one
-SVG per decay series into the output directory.  ``bousslab list`` prints the
+``bousslab run <config.json> [--out DIR]`` executes one named experiment
+and writes ``report.json``, ``series.csv``, ``rates.csv``, and one SVG per
+decay series into the output directory.  ``bousslab list`` prints the
 experiment registry; ``bousslab replot <series.csv>`` regenerates the SVG
 plots from a previously written series table.
 
 Exit codes: 0 all verdicts pass; 1 at least one verdict failed; 2 invalid
-configuration (message names the offending field or JSON location); 3 the
-run failed numerically: it blew up (amplitude guard tripped or non-finite
-state), the reference oracle failed ("reference integration failed", with
-its cause), or a radial quadrature did not converge (the message says which).
+configuration (message names the offending field or JSON location), an
+output directory that cannot be written (``error: --out: cannot write``),
+or a series table that ``replot`` cannot read; 3 the run failed
+numerically: it blew up (amplitude guard tripped or non-finite state), the
+reference oracle failed ("reference integration failed", with its cause),
+or a radial quadrature did not converge (the message says which).
 """
 
 from __future__ import annotations
@@ -50,18 +52,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_BAD_CONFIG
     out_dir = Path(args.out) if args.out else _default_out(cfg.experiment)
     try:
-        report = run_experiment(cfg, threads=args.threads)
+        report = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (BlowUpError, ReferenceIntegrationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(out_dir / "report.json", report.to_dict())
-    write_series_csv(out_dir / "series.csv", report.experiment, report.series)
-    write_rates_csv(out_dir / "rates.csv", report.rate_rows)
-    plot_run_svgs(out_dir, report.series, report.guides)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_report_json(out_dir / "report.json", report.to_dict())
+        write_series_csv(out_dir / "series.csv", report.experiment, report.series)
+        write_rates_csv(out_dir / "rates.csv", report.rate_rows)
+        plot_run_svgs(out_dir, report.series, report.guides)
+    except OSError as exc:
+        print(f"error: --out: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     for v in report.verdicts:
         print(f"[{v['status']:<4}] {v['criterion']:<4} {v['name']}: {v['detail']}")
     status = "PASS" if report.passed else "FAIL"
@@ -113,9 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUT_ENV_VAR} or "
                             f"./runs, plus the experiment name)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the radial experiments "
-                            "(one evaluation time per job)")
     p_run.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list experiment ids and what they verify")

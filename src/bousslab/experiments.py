@@ -197,19 +197,19 @@ def _fit_block(report: RunReport, window: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 
-def _radial_series(cfg: ExperimentConfig, which: str | tuple[str, ...],
-                   threads: int) -> list[DecaySeries]:
+def _radial_series(cfg: ExperimentConfig,
+                   which: str | tuple[str, ...]) -> list[DecaySeries]:
     """The radial decay series of ``which`` over the log-spaced time sweep."""
     n = cfg.discretization.n
     lo, hi = cfg.analysis.fit_window
     times = np.geomspace(max(lo, 1e-3), hi, cfg.analysis.n_times)
     return radial_decay_series(_radial_data(cfg.data, n), times, cfg.analysis.k_list,
-                               n, _model_params(cfg), which=which, threads=threads)
+                               n, _model_params(cfg), which=which)
 
 
-def _linear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _linear_rates(cfg: ExperimentConfig, report: RunReport) -> None:
     n = cfg.discretization.n
-    report.series = _radial_series(cfg, "linear", threads)
+    report.series = _radial_series(cfg, "linear")
     tol = cfg.analysis.slope_tol
     kind = cfg.data.kind
     criterion = "AC4" if kind == "gaussian" else "AC5"
@@ -233,11 +233,11 @@ def _linear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _profile_gap(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _profile_gap(cfg: ExperimentConfig, report: RunReport) -> None:
     if cfg.data.kind != "gaussian":
         raise ConfigError("data.kind: profile_gap requires gaussian data")
     n = cfg.discretization.n
-    report.series = _radial_series(cfg, ("linear", "gap"), threads)
+    report.series = _radial_series(cfg, ("linear", "gap"))
     tol = cfg.analysis.slope_tol
 
     def gate(s: DecaySeries, fit: RateFit, theory: float) -> tuple[str, str, str]:
@@ -292,7 +292,7 @@ def _checked_box_data(report: RunReport, cfg: ExperimentConfig,
     return grid, u0, u1
 
 
-def _nonlinear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _nonlinear_rates(cfg: ExperimentConfig, report: RunReport) -> None:
     d = cfg.discretization
     with _phase(report, "solve_s"):
         _, u0, u1 = _checked_box_data(report, cfg, "AC7")
@@ -329,7 +329,7 @@ def _nonlinear_rates(cfg: ExperimentConfig, report: RunReport, threads: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _nl_vs_linear_gap(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _nl_vs_linear_gap(cfg: ExperimentConfig, report: RunReport) -> None:
     d = cfg.discretization
     params = _model_params(cfg)
     # the states are compared as the march yields them, so the run holds one
@@ -400,7 +400,7 @@ def _random_smooth_fields(grid: Grid, rng: np.random.Generator,
     return np.fft.ifftn(work, axes=grid.axes, out=work).real.copy()
 
 
-def _lemma_certify(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _lemma_certify(cfg: ExperimentConfig, report: RunReport) -> None:
     a = cfg.analysis
     with _phase(report, "certify_s"):
         params = _model_params(cfg)
@@ -484,7 +484,7 @@ def _clear_of_confluence(roots: RootPair) -> np.ndarray:
         >= 1e-2 * np.maximum(1.0, np.abs(roots.lambda_minus))
 
 
-def _oracle_crosscheck(cfg: ExperimentConfig, report: RunReport, threads: int) -> None:
+def _oracle_crosscheck(cfg: ExperimentConfig, report: RunReport) -> None:
     params = _model_params(cfg)
     with _phase(report, "symbols_s"):
         rng = np.random.default_rng(cfg.seed)
@@ -602,7 +602,7 @@ def _oracle_crosscheck(cfg: ExperimentConfig, report: RunReport, threads: int) -
 # registry
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_INFO: dict[str, tuple[Callable[..., None], str]] = {
+EXPERIMENT_INFO: dict[str, tuple[Callable[[ExperimentConfig, RunReport], None], str]] = {
     "linear_rates": (_linear_rates,
                      "decay exponents of the closed-form radial evolution "
                      "against the predicted power laws"),
@@ -626,11 +626,18 @@ EXPERIMENT_INFO: dict[str, tuple[Callable[..., None], str]] = {
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
-    """Run ``cfg``'s experiment; the report's ``total_s`` times the whole run."""
+    """Run ``cfg``'s experiment; the report's ``total_s`` times the whole run.
+
+    A run starts no worker threads.  ``threads`` is kept only for the
+    benchmark harness, which passes ``threads=1``; any other value is a
+    ValueError.
+    """
+    if threads != 1:
+        raise ValueError(f"threads={threads!r}: a run takes one thread")
     runner, _ = EXPERIMENT_INFO[cfg.experiment]
     report = RunReport(cfg.experiment, cfg.to_dict())
     with _phase(report, "total_s"):
-        runner(cfg, report, threads)
+        runner(cfg, report)
     return report
 
 

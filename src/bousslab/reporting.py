@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,6 +20,8 @@ from .analysis import DecaySeries
 
 SERIES_COLUMNS = ("experiment_id", "t", "k", "norm_kind", "value")
 RATES_COLUMNS = ("k", "slope", "stderr", "theory_slope", "verdict")
+#: a series source or norm kind that ``read_series_csv`` accepts
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _fmt(x: float) -> str:
@@ -59,6 +62,10 @@ def read_series_csv(path: str | Path) -> list[DecaySeries]:
             raise ValueError(f"{path}:{ln}: expected 5 columns, got {len(parts)}")
         tag, t, k, kind, v = parts
         source = tag.split("/", 1)[1] if "/" in tag else tag
+        # both name the plot files and are written into the SVG text
+        for what, name in (("source", source), ("norm kind", kind)):
+            if not _NAME.fullmatch(name):
+                raise ValueError(f"{path}:{ln}: {what} {name!r} is not [A-Za-z0-9_]+")
         buckets.setdefault((source, int(k), kind), []).append((float(t), float(v)))
     out = []
     for (source, k, kind), rows in buckets.items():
@@ -120,7 +127,7 @@ def write_report_json(path: str | Path, report: Mapping[str, object]) -> Path:
 # SVG decay plots
 # ---------------------------------------------------------------------------
 
-_PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#bf8700", "#0969da")
+_COLOR = "#1f6feb"
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
 
@@ -132,27 +139,22 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [float(v) for v in range(first, last + 1, step)]
 
 
-def plot_series_svg(path: str | Path, series_list: Sequence[DecaySeries],
+def plot_series_svg(path: str | Path, series: DecaySeries,
                     guides: Sequence[tuple[float, str]] = (),
                     title: str = "") -> Path:
-    """Log-log decay plot: one polyline per series plus slope guide lines.
+    """Log-log decay plot of one series, with slope guide lines.
 
-    Axes are ``log10(1+t)`` against ``log10(value)``; a guide ``(slope,
-    label)`` is drawn as a dashed segment anchored at the last point of the
-    first series with matching k (falling back to the first series).
+    Axes are ``log10(1+t)`` against ``log10(value)`` over the positive
+    values; a guide ``(slope, label)`` is drawn as a dashed segment ending at
+    the last plotted point.
     """
-    drawable = [s for s in series_list if np.any(s.values > 0.0)]
-    if not drawable:
-        raise ValueError("nothing to plot: all series are identically zero")
-    xs, ys = [], []
-    for s in drawable:
-        pos = s.values > 0.0
-        xs.append(np.log10(1.0 + s.times[pos]))
-        ys.append(np.log10(s.values[pos]))
-    x_lo = min(float(x.min()) for x in xs)
-    x_hi = max(float(x.max()) for x in xs)
-    y_lo = min(float(y.min()) for y in ys)
-    y_hi = max(float(y.max()) for y in ys)
+    pos = series.values > 0.0
+    if not np.any(pos):
+        raise ValueError("nothing to plot: the series is identically zero")
+    xs = np.log10(1.0 + series.times[pos])
+    ys = np.log10(series.values[pos])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1e-12:
@@ -190,22 +192,20 @@ def plot_series_svg(path: str | Path, series_list: Sequence[DecaySeries],
     if title:
         parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="18" font-size="13" '
                      f'text-anchor="middle" fill="#222222">{title}</text>')
-    # series polylines + legend
-    for i, (s, x, y) in enumerate(zip(drawable, xs, ys)):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        ly = _MT + 16 + 14 * i
-        parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" '
-                     f'x2="{_W - _MR - 126}" y2="{ly - 4}" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{_W - _MR - 120}" y="{ly}" font-size="11" '
-                     f'fill="#222222">{s.label}</text>')
-    # slope guides, anchored at the endpoint of the first drawable series
-    for j, (slope, label) in enumerate(guides):
-        x1, y1 = float(xs[0][-1]), float(ys[0][-1])
-        x0 = max(x_lo, x1 - 0.6 * (x_hi - x_lo))
+    # the polyline and its legend entry
+    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '
+                 f'stroke-width="1.5"/>')
+    ly = _MT + 16
+    parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" '
+                 f'x2="{_W - _MR - 126}" y2="{ly - 4}" stroke="{_COLOR}" '
+                 f'stroke-width="1.5"/>')
+    parts.append(f'<text x="{_W - _MR - 120}" y="{ly}" font-size="11" '
+                 f'fill="#222222">{series.label}</text>')
+    # slope guides, ending at the last plotted point
+    x1, y1 = float(xs[-1]), float(ys[-1])
+    x0 = max(x_lo, x1 - 0.6 * (x_hi - x_lo))
+    for slope, label in guides:
         y0 = y1 - slope * (x1 - x0)
         parts.append(f'<line x1="{px(x0):.2f}" y1="{py(y0):.2f}" x2="{px(x1):.2f}" '
                      f'y2="{py(y1):.2f}" stroke="#666666" stroke-width="1" '
@@ -236,6 +236,6 @@ def plot_run_svgs(out_dir: str | Path, series_list: Sequence[DecaySeries],
         stem = f"{s.source}_k{s.k}"
         if s.norm_kind != "sobolev2":
             stem += f"_{s.norm_kind}"
-        written.append(plot_series_svg(out / f"{stem}.svg", [s],
+        written.append(plot_series_svg(out / f"{stem}.svg", s,
                                        guides=gl, title=s.label))
     return written

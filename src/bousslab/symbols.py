@@ -159,10 +159,7 @@ def _split(mask: np.ndarray, on_true, on_false, *args) -> tuple[np.ndarray, ...]
 
     Each function sees only its own elements of the ``args``, which are
     broadcast to ``mask``'s shape before the gather; a mask that is all one
-    value hands the arrays through whole, with no gather or scatter.  A
-    result may carry trailing axes after the gathered one (a function that
-    broadcasts its elements against a row of times); they are kept after
-    ``mask``'s shape.
+    value hands the arrays through whole, with no gather or scatter.
     """
     if mask.all():
         return on_true(*args)
@@ -175,7 +172,7 @@ def _split(mask: np.ndarray, on_true, on_false, *args) -> tuple[np.ndarray, ...]
     outside = on_false(*(a[rest] for a in args))
     stitched = []
     for x, y in zip(inside, outside):
-        out = np.empty(mask.shape + x.shape[1:], dtype=np.result_type(x, y))
+        out = np.empty(mask.shape, dtype=np.result_type(x, y))
         out[mask] = x
         out[rest] = y
         stitched.append(out)
@@ -341,28 +338,11 @@ def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) ->
     b = damping_coefficient(xi2, params)
     c = restoring_coefficient(xi2)
     disc = b * b - 4.0 * c
-    lead = t_arr.shape[:max(t_arr.ndim - xi2.ndim, 0)]
-    if xi2.ndim and t_arr.size == math.prod(lead):
-        # t varies along leading axes only (one time or a column of times):
-        # split the roots on |xi|^2's own elements, and let each branch
-        # broadcast its elements (as rows) against the times (as a row)
-        if t_arr.size == 1:
-            t_row, rows = t_arr.reshape(()), slice(None)
-        else:
-            t_row, rows = t_arr.reshape(1, -1), (slice(None), None)
-        flat = _split(disc.ravel() <= 0.0,
-                      lambda b, disc, c: _conjugate_kernels(b[rows], disc[rows], t_row),
-                      lambda b, disc, c: _real_kernels(b[rows], disc[rows], c[rows],
-                                                       t_row, _force_branch),
-                      b.ravel(), disc.ravel(), c.ravel())
-        sine, cosine, base = (x.T.reshape(lead + xi2.shape) for x in flat[:3])
-        rate = flat[3].reshape(xi2.shape)  # does not depend on t
-    else:
-        sine, cosine, base, rate = _split(
-            np.broadcast_to(disc <= 0.0, np.broadcast_shapes(disc.shape, t_arr.shape)),
-            lambda b, disc, c, t: _conjugate_kernels(b, disc, t),
-            lambda b, disc, c, t: _real_kernels(b, disc, c, t, _force_branch),
-            b, disc, c, t_arr)
+    sine, cosine, base, rate = _split(
+        np.broadcast_to(disc <= 0.0, np.broadcast_shapes(disc.shape, t_arr.shape)),
+        lambda b, disc, c, t: _conjugate_kernels(b, disc, t),
+        lambda b, disc, c, t: _real_kernels(b, disc, c, t, _force_branch),
+        b, disc, c, t_arr)
     return PropagatorSymbols(sine, cosine, base, rate, c)
 
 

@@ -141,14 +141,6 @@ class TestSeriesExtraction:
                   for t in times]
         assert np.allclose(out[0].values, direct, rtol=1e-12)
 
-    def test_radial_series_thread_pool_is_deterministic(self):
-        data = gaussian_radial_data(n=1)
-        times = np.geomspace(1.0, 100.0, 8)
-        serial = radial_decay_series(data, times, (0, 1), 1, P, threads=1)
-        parallel = radial_decay_series(data, times, (0, 1), 1, P, threads=4)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.values, b.values)
-
     def test_gap_series_uses_profile_gap_label(self):
         data = gaussian_radial_data(n=1)
         times = np.geomspace(1.0, 30.0, 8)
@@ -181,12 +173,10 @@ class TestRadialAllComponents:
         # at t ~ 3-30 its components stop refining at different panel counts
         return square_integrable_radial_data(n=1, eps=0.1)
 
-    @pytest.mark.parametrize("threads", (1, 2))
     @pytest.mark.parametrize("kind", ("gaussian", "square_integrable"))
-    def test_bitwise_equal_to_one_component_calls(self, kind, threads):
+    def test_bitwise_equal_to_one_component_calls(self, kind):
         data = self.data(kind)
-        out = radial_decay_series(data, self.TIMES, self.KS, 1, P,
-                                  which=self.WHICH, threads=threads)
+        out = radial_decay_series(data, self.TIMES, self.KS, 1, P, which=self.WHICH)
         assert [(s.source, s.k) for s in out] == [
             (source, k) for source in ("linear", "profile_gap") for k in self.KS]
         for s, (which, k) in zip(out, [(w, k) for w in self.WHICH for k in self.KS]):
@@ -429,8 +419,7 @@ class TestDerivativeGainInvariant:
     def test_linear_radial_slopes_gain_half_per_order(self):
         data = gaussian_radial_data(n=1)
         times = np.geomspace(1e2, 1e4, 24)
-        series = radial_decay_series(data, times, (0, 1, 2), 1, P,
-                                     which="linear", threads=4)
+        series = radial_decay_series(data, times, (0, 1, 2), 1, P, which="linear")
         slopes = [fit_rate(s, (1e2, 1e4)).slope for s in series]
         assert slopes[1] - slopes[0] == pytest.approx(-0.5, abs=0.05)
         assert slopes[2] - slopes[1] == pytest.approx(-0.5, abs=0.05)

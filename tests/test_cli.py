@@ -187,7 +187,7 @@ class TestExitCodes:
 
     def test_non_finite_oracle_source_returns_three_and_names_it(
             self, tmp_path, capsys, monkeypatch):
-        def run_experiment(cfg, threads=1):
+        def run_experiment(cfg):
             g = make_grid(1, 30.0, 64)
             huge = PhysicalField.from_function(g, lambda x: 1e200 * np.exp(-0.5 * x**2))
             reference_solve(huge, PhysicalField.zero(g), T=1.0,
@@ -204,7 +204,7 @@ class TestExitCodes:
 
     def test_quadrature_failure_returns_three_and_names_it(self, tmp_path, capsys,
                                                            monkeypatch):
-        def run_experiment(cfg, threads=1):
+        def run_experiment(cfg):
             # a flat spectral profile never passes the cutoff tail check
             flat = RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, cutoff_hint=1.0)
             linear_norm_radial(flat, 0.0, [("linear", 0)], 1, ModelParams())
@@ -235,7 +235,7 @@ class TestExitCodes:
         def never_converges(fun, t, y, h, Z0, *args):
             return False, 1, Z0, None
 
-        def run_experiment(cfg, threads=1):
+        def run_experiment(cfg):
             g = make_grid(1, 10.0, 16)
             reference_solve(PhysicalField.zero(g), PhysicalField.zero(g), T=1.0,
                             spec=NonlinearitySpec(), params=ModelParams())
@@ -323,6 +323,25 @@ class TestExitCodes:
         assert message in done.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_unwritable_out_returns_two(self, tmp_path, capsys):
+        # --out below a regular file: the run completes, its writes cannot
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, small_linear_config())
+        rc = main(["run", str(cfg), "--out", str(blocker / "x")])
+        assert rc == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: --out: cannot write {blocker / 'x'}" in err
+        assert blocker.read_text() == ""
+
+    def test_threads_option_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_linear_config())
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cfg), "--threads", "2"])
+        assert info.value.code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "usage" in err and "--threads" in err
+
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -338,13 +357,6 @@ class TestDeterminism:
         assert main(["run", str(cfg), "--out", str(b)]) == EXIT_OK
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
         assert (a / "rates.csv").read_bytes() == (b / "rates.csv").read_bytes()
-
-    def test_series_csv_identical_across_thread_counts(self, tmp_path):
-        cfg = write_config(tmp_path, small_linear_config())
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(cfg), "--out", str(a), "--threads", "1"]) == EXIT_OK
-        assert main(["run", str(cfg), "--out", str(b), "--threads", "4"]) == EXIT_OK
-        assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
 
     def test_box_run_csvs_identical_across_blas_thread_counts(self, tmp_path):
         # a reduced 2-D nonlinear_rates run: its half spectra hold more
@@ -396,6 +408,25 @@ class TestReplot:
         rc = main(["replot", str(tmp_path / "missing.csv")])
         assert rc == EXIT_BAD_CONFIG
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag, kind", [
+        ("x/../../evil", "sobolev2"),
+        ("x/a&b<c>", "sobolev2"),
+        ("x/linear", "a/../b"),
+    ], ids=["source_leaves_the_directory", "source_is_markup", "kind_is_a_path"])
+    def test_replot_rejects_names_unfit_for_a_file_or_svg(self, tmp_path, capsys,
+                                                          tag, kind):
+        # the source and the norm kind name the plot files and are written
+        # into the SVG text, so replot refuses anything but [A-Za-z0-9_]+
+        run_dir = tmp_path / "a" / "b" / "run"
+        run_dir.mkdir(parents=True)
+        path = run_dir / "series.csv"
+        rows = [f"{tag},{t},0,{kind},{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
+        assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: " in err and "[A-Za-z0-9_]+" in err
+        assert list(tmp_path.rglob("*.svg")) == []
 
 
 class TestZeroAmplitude:

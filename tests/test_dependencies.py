@@ -7,6 +7,8 @@ never meets an import that installing the package did not provide; and every
 declared runtime dependency must be imported somewhere, so none is installed
 for nothing.  Test-only packages (scipy among them) belong to the ``test``
 extra.  The declared distributions are named like the modules they provide.
+No module imports ``concurrent``, ``threading`` or ``multiprocessing``: every
+run takes one thread.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bousslab"
 
 
-def third_party_imports() -> dict[str, set[str]]:
-    """Top-level third-party module -> the package files that import it."""
+def imported_modules() -> dict[str, set[str]]:
+    """Every absolutely imported module -> the package files that import it."""
     found: dict[str, set[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -35,9 +37,17 @@ def third_party_imports() -> dict[str, set[str]]:
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                if top not in sys.stdlib_module_names and top != "bousslab":
-                    found.setdefault(top, set()).add(path.name)
+                found.setdefault(name, set()).add(path.name)
+    return found
+
+
+def third_party_imports() -> dict[str, set[str]]:
+    """Top-level third-party module -> the package files that import it."""
+    found: dict[str, set[str]] = {}
+    for name, files in imported_modules().items():
+        top = name.split(".")[0]
+        if top not in sys.stdlib_module_names and top != "bousslab":
+            found.setdefault(top, set()).update(files)
     return found
 
 
@@ -63,3 +73,11 @@ def test_scipy_is_a_test_dependency_only():
     assert "scipy" not in declared_runtime_dependencies()
     assert any(spec.startswith("scipy") for spec in project["optional-dependencies"]["test"])
     assert "scipy" not in third_party_imports()
+
+
+def test_no_module_runs_work_on_threads_or_processes():
+    # a thread pool measured slower than one thread on every radial config
+    pools = {"concurrent", "threading", "multiprocessing"}
+    found = {name: sorted(files) for name, files in imported_modules().items()
+             if name.split(".")[0] in pools}
+    assert found == {}

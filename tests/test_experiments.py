@@ -94,6 +94,12 @@ def test_phase_accumulates_over_re_entered_blocks():
     assert 0.03 <= report.timings["work_s"] <= elapsed
 
 
+def test_run_experiment_takes_one_thread_only():
+    cfg = load_config(ROOT / "configs" / "lemma_certify.json")
+    with pytest.raises(ValueError, match="one thread"):
+        run_experiment(cfg, threads=2)
+
+
 @pytest.mark.parametrize("name, phases", [
     ("lemma_certify", {"certify_s", "products_s"}),
     ("oracle_crosscheck", {"symbols_s", "reference_s", "picard_s"}),

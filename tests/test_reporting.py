@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -89,19 +90,19 @@ class TestReportJson:
 class TestSvg:
     def test_plot_writes_wellformed_svg(self, tmp_path):
         path = tmp_path / "plot.svg"
-        out = plot_series_svg(path, [demo_series()],
-                              guides=((-0.5, "reference"),))
+        out = plot_series_svg(path, demo_series(), guides=((-0.5, "reference"),))
         text = out.read_text()
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
         assert "reference" in text
+        assert minidom.parse(str(out)).documentElement.tagName == "svg"
 
     def test_all_zero_series_rejected(self, tmp_path):
         t = np.geomspace(1.0, 10.0, 8)
         zero = DecaySeries(times=t, values=np.zeros(8), k=0,
                            norm_kind="sobolev2", source="linear")
         with pytest.raises(ValueError, match="nothing to plot"):
-            plot_series_svg(tmp_path / "z.svg", [zero])
+            plot_series_svg(tmp_path / "z.svg", zero)
 
     def test_one_file_per_series_with_collision_safe_names(self, tmp_path):
         t = np.geomspace(1.0, 10.0, 8)

@@ -186,10 +186,9 @@ class TestPropagator:
 
     @pytest.mark.parametrize("force", [None, "series", "direct"])
     def test_time_column_equals_elementwise_evaluation(self, force):
-        # a column of times splits the roots on |xi|^2's own shape; the
-        # same values broadcast out element by element split on the whole
-        # (time, frequency) shape, and must give the same bits, both root
-        # branches and t = 0 included
+        # a column of times broadcast against a 2-D |xi|^2 grid and the same
+        # (time, frequency) pairs flattened to 1-D must give the same bits,
+        # both root branches and t = 0 included
         xi = np.fft.fftfreq(32, d=20.0 / 32) * 2.0 * math.pi
         xi2 = xi[:, None] ** 2 + xi[None, :17] ** 2
         t = np.linspace(0.0, 3.0, 7).reshape(-1, 1, 1)
