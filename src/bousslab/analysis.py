@@ -11,7 +11,7 @@ frequency-time grid, rather than assumed from theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -242,7 +242,6 @@ class BoundCertificate:
     passed: bool
     grid_spec: str
     cap: float
-    candidates: tuple[float, ...] = field(repr=False, default=())
 
 
 def _bound_log_ratio(which: str, xi: np.ndarray, t: np.ndarray,
@@ -324,8 +323,7 @@ def certify_bound(which: str, xi_grid: np.ndarray, t_grid: np.ndarray,
     return BoundCertificate(which=which,
                             fitted_c=chosen if passed else math.nan,
                             sup_ratio=sup_ratio, passed=passed,
-                            grid_spec=grid_spec, cap=float(cap),
-                            candidates=tuple(cands))
+                            grid_spec=grid_spec, cap=float(cap))
 
 
 def default_certify_grids(n_xi: int = 200, n_t: int = 200) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ plots from a previously written series table.
 Exit codes: 0 all verdicts pass; 1 at least one verdict failed; 2 invalid
 configuration (message names the offending field or JSON location), an
 output directory that cannot be written (``error: --out: cannot write``),
-or a series table that ``replot`` cannot read; 3 the run failed
+a series table that ``replot`` cannot read, or plots that ``replot``
+cannot write next to it (``error: replot: cannot write``); 3 the run failed
 numerically: it blew up (amplitude guard tripped or non-finite state), the
 reference oracle failed ("reference integration failed", with its cause),
 or a radial quadrature did not converge (the message says which).
@@ -101,7 +102,11 @@ def _cmd_replot(args: argparse.Namespace) -> int:
             if label is not None and isinstance(theory, (int, float)):
                 guides.setdefault(label, []).append(
                     (theory, f"slope {theory:+.2f}"))
-    written = plot_run_svgs(path.parent, series, guides)
+    try:
+        written = plot_run_svgs(path.parent, series, guides)
+    except OSError as exc:
+        print(f"error: replot: cannot write {path.parent}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     for p in written:
         print(p)
     return EXIT_OK

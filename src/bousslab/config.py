@@ -1,7 +1,9 @@
 """Experiment configuration: typed dataclasses with strict JSON loading.
 
-Configs are plain JSON objects mirrored by frozen dataclasses.  Loading is
-strict — unknown keys, wrong types, and out-of-range values raise
+Configs are plain JSON objects mirrored by frozen dataclasses.  Each field
+declares its check once, in its dataclass metadata, and one loader
+(:func:`_load`) walks the fields of every section in declaration order.
+Loading is strict — unknown keys, wrong types, and out-of-range values raise
 ``ConfigError`` with the offending field path — and ``to_dict`` round-trips
 losslessly so that a report can embed the exact configuration it ran.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -28,6 +30,9 @@ MAX_STEPS = 1_000_000
 
 EXPERIMENTS = ("linear_rates", "nonlinear_rates", "profile_gap",
                "nl_vs_linear_gap", "lemma_certify", "oracle_crosscheck")
+
+#: pointwise functions the source term may take for ``f`` and ``g``
+_NONLINEARITY_KINDS = ("none", "quadratic", "cubic")
 
 
 class ConfigError(ValueError):
@@ -53,187 +58,146 @@ def _require(section: str, name: str, value: Any, kinds, pred=None, what: str = 
     return value
 
 
+def _parsed(default: Any, parse) -> Any:
+    """A field whose JSON value ``parse(section, name, value)`` checks and
+    converts to the value to store."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _checked(default: Any, kinds, pred=None, what: str = "", cast=None) -> Any:
+    """A field whose value passes :func:`_require`, stored through ``cast``."""
+    def parse(section: str, name: str, value: Any) -> Any:
+        value = _require(section, name, value, kinds, pred, what)
+        return value if cast is None else cast(value)
+    return _parsed(default, parse)
+
+
+def _real(default: float, pred, what: str) -> Any:
+    """A real number meeting ``pred``, stored as a float."""
+    return _checked(default, (int, float), pred, what, float)
+
+
+def _between(default: float, lo: float, hi: float) -> Any:
+    """A real number in ``[lo, hi]``."""
+    return _real(default, lambda v: lo <= v <= hi, f"must lie in [{lo:g}, {hi:g}]")
+
+
+def _scale(default: float) -> Any:
+    """A box or data size: a real in ``[1/_SCALE_LIMIT, _SCALE_LIMIT]``."""
+    return _between(default, 1 / _SCALE_LIMIT, _SCALE_LIMIT)
+
+
+def _choice(default: Any, options: tuple[str, ...]) -> Any:
+    """One of the strings ``options``."""
+    return _checked(default, str, lambda s: s in options, "one of " + ", ".join(options))
+
+
+def _parse_k_list(section: str, name: str, raw: Any) -> tuple[int, ...]:
+    _require(section, name, raw, list, lambda v: len(v) > 0, "must be nonempty")
+    for i, k in enumerate(raw):
+        _require(section, f"{name}[{i}]", k, int, lambda v: 0 <= v <= 4, "must lie in 0..4")
+    return tuple(raw)
+
+
+def _parse_fit_window(section: str, name: str, raw: Any) -> tuple[float, float]:
+    _require(section, name, raw, list, lambda v: len(v) == 2, "must be [lo, hi]")
+    lo, hi = (float(_require(section, f"{name}[{i}]", end, (int, float),
+                             math.isfinite, "must be finite"))
+              for i, end in enumerate(raw))
+    if not (0 <= lo < hi):
+        raise ConfigError(f"{section}{name}: need 0 <= lo < hi, got {raw}")
+    return lo, hi
+
+
+def _section(cls: type) -> Any:
+    """A nested JSON object loaded as ``cls``; absent, it takes ``cls``'s defaults."""
+    def parse(section: str, name: str, raw: Any) -> Any:
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"{section}{name}: expected a JSON object, got {raw!r}")
+        return _load(cls, raw, f"{section}{name}.")
+    return field(default_factory=cls, metadata={"parse": parse})
+
+
+def _load(cls: type, data: Mapping[str, Any], section: str = "") -> Any:
+    """Build ``cls`` from ``data``, parsing its fields in declaration order.
+
+    An absent field takes its default; a field without one is required.
+    """
+    _check_unknown(section, data, {f.name for f in fields(cls)})
+    out: dict[str, Any] = {}
+    for f in fields(cls):
+        if f.name in data:
+            out[f.name] = f.metadata["parse"](section, f.name, data[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{section}{f.name}: required key is missing")
+    return cls(**out)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Equation parameters and the shape of the nonlinearity."""
 
-    alpha: float = -1.0
-    beta: float = 1.0
-    f_kind: str = "quadratic"
-    g_kind: str = "quadratic"
-    g_sign: float = 1.0
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], section: str = "model.") -> "ModelConfig":
-        _check_unknown(section, data, {f.name for f in fields(cls)})
-        out: dict[str, Any] = {}
-        if "alpha" in data:
-            out["alpha"] = float(_require(section, "alpha", data["alpha"], (int, float),
-                                          lambda a: -_SCALE_LIMIT <= a <= -1.0,
-                                          f"must lie in [-{_SCALE_LIMIT:g}, -1]"))
-        if "beta" in data:
-            out["beta"] = float(_require(section, "beta", data["beta"], (int, float),
-                                         lambda b: b > 0.0, "must be > 0"))
-        for key in ("f_kind", "g_kind"):
-            if key in data:
-                out[key] = _require(section, key, data[key], str,
-                                    lambda s: s in ("none", "quadratic", "cubic"),
-                                    "one of none, quadratic, cubic")
-        if "g_sign" in data:
-            out["g_sign"] = float(_require(section, "g_sign", data["g_sign"], (int, float),
-                                           lambda s: s in (-1.0, 1.0, -1, 1), "must be +-1"))
-        return cls(**out)
+    alpha: float = _between(-1.0, -_SCALE_LIMIT, -1.0)
+    beta: float = _real(1.0, lambda b: b > 0.0, "must be > 0")
+    f_kind: str = _choice("quadratic", _NONLINEARITY_KINDS)
+    g_kind: str = _choice("quadratic", _NONLINEARITY_KINDS)
+    g_sign: float = _real(1.0, lambda s: s in (-1.0, 1.0), "must be +-1")
 
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
     """Grid and time-stepping parameters."""
 
-    n: int = 1
-    L: float = 200.0
-    N: int = 256
-    dt: float = 0.05
-    T: float = 10.0
-    out_every: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any],
-                  section: str = "discretization.") -> "DiscretizationConfig":
-        _check_unknown(section, data, {f.name for f in fields(cls)})
-        out: dict[str, Any] = {}
-        if "n" in data:
-            out["n"] = _require(section, "n", data["n"], int,
-                                lambda v: v in (1, 2, 3), "1, 2, or 3")
-        if "L" in data:
-            out["L"] = float(_require(section, "L", data["L"], (int, float),
-                                      lambda v: 1 / _SCALE_LIMIT <= v <= _SCALE_LIMIT,
-                                      f"must lie in [{1 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"))
-        if "N" in data:
-            out["N"] = _require(section, "N", data["N"], int,
-                                lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")
-        if "dt" in data:
-            out["dt"] = float(_require(section, "dt", data["dt"], (int, float),
-                                       lambda v: 0 < v < math.inf, "must be positive"))
-        if "T" in data:
-            out["T"] = float(_require(section, "T", data["T"], (int, float),
-                                      lambda v: 0 < v < math.inf, "must be positive"))
-        if "out_every" in data:
-            out["out_every"] = _require(section, "out_every", data["out_every"], int,
-                                        lambda v: v >= 1, "must be >= 1")
-        return cls(**out)
+    n: int = _checked(1, int, lambda v: v in (1, 2, 3), "1, 2, or 3")
+    L: float = _scale(200.0)
+    N: int = _checked(256, int, lambda v: v >= 8 and v % 2 == 0, "must be even and >= 8")
+    dt: float = _real(0.05, lambda v: 0 < v < math.inf, "must be positive")
+    T: float = _real(10.0, lambda v: 0 < v < math.inf, "must be positive")
+    out_every: int = _checked(1, int, lambda v: v >= 1, "must be >= 1")
 
 
 @dataclass(frozen=True)
 class DataConfig:
     """Initial data: a named family plus its shape parameters."""
 
-    kind: str = "gaussian"
-    amplitude: float = 1.0
-    width: float = 1.0
-    velocity_amplitude: float = 0.0
-    eps: float = 0.2
-    path: str = ""
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], section: str = "data.") -> "DataConfig":
-        _check_unknown(section, data, {f.name for f in fields(cls)})
-        out: dict[str, Any] = {}
-        if "kind" in data:
-            out["kind"] = _require(section, "kind", data["kind"], str,
-                                   lambda s: s in ("gaussian", "radial_L2", "custom_file"),
-                                   "one of gaussian, radial_L2, custom_file")
-        for key, pred, what in (("amplitude", lambda v: math.isfinite(v), "must be finite"),
-                                ("width", lambda v: 1 / _SCALE_LIMIT <= v <= _SCALE_LIMIT,
-                                 f"must lie in [{1 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"),
-                                ("velocity_amplitude", lambda v: math.isfinite(v), "must be finite"),
-                                ("eps", lambda v: 0 < v < 1, "must lie in (0, 1)")):
-            if key in data:
-                out[key] = float(_require(section, key, data[key], (int, float), pred, what))
-        if "path" in data:
-            out["path"] = _require(section, "path", data["path"], str)
-        cfg = cls(**out)
-        if cfg.kind == "custom_file" and not cfg.path:
-            raise ConfigError(f"{section}path: required when kind is 'custom_file'")
-        return cfg
+    kind: str = _choice("gaussian", ("gaussian", "radial_L2", "custom_file"))
+    amplitude: float = _real(1.0, math.isfinite, "must be finite")
+    width: float = _scale(1.0)
+    velocity_amplitude: float = _real(0.0, math.isfinite, "must be finite")
+    eps: float = _real(0.2, lambda v: 0 < v < 1, "must lie in (0, 1)")
+    path: str = _checked("", str)
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Fit windows, derivative orders, and certification grids."""
 
-    k_list: tuple[int, ...] = (0, 1, 2)
-    fit_window: tuple[float, float] = (10.0, 1000.0)
-    n_times: int = 40
-    slope_tol: float = 0.05
-    c_floor: float = 0.1
-    cap: float = 1e3
-    r0: float = 0.5
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any],
-                  section: str = "analysis.") -> "AnalysisConfig":
-        _check_unknown(section, data, {f.name for f in fields(cls)})
-        out: dict[str, Any] = {}
-        if "k_list" in data:
-            raw = _require(section, "k_list", data["k_list"], list,
-                           lambda v: len(v) > 0, "must be nonempty")
-            for i, k in enumerate(raw):
-                _require(section, f"k_list[{i}]", k, int,
-                         lambda v: 0 <= v <= 4, "must lie in 0..4")
-            out["k_list"] = tuple(raw)
-        if "fit_window" in data:
-            raw = _require(section, "fit_window", data["fit_window"], list,
-                           lambda v: len(v) == 2, "must be [lo, hi]")
-            lo = float(_require(section, "fit_window[0]", raw[0], (int, float),
-                                math.isfinite, "must be finite"))
-            hi = float(_require(section, "fit_window[1]", raw[1], (int, float),
-                                math.isfinite, "must be finite"))
-            if not (0 <= lo < hi):
-                raise ConfigError(f"{section}fit_window: need 0 <= lo < hi, got {raw}")
-            out["fit_window"] = (lo, hi)
-        if "n_times" in data:
-            out["n_times"] = _require(section, "n_times", data["n_times"], int,
-                                      lambda v: v >= 8, "must be >= 8")
-        for key, pred, what in (("slope_tol", lambda v: v > 0, "must be > 0"),
-                                ("c_floor", lambda v: v >= 0, "must be >= 0"),
-                                ("cap", lambda v: v > 0, "must be > 0"),
-                                ("r0", lambda v: v > 0, "must be > 0")):
-            if key in data:
-                out[key] = float(_require(section, key, data[key], (int, float), pred, what))
-        return cls(**out)
+    k_list: tuple[int, ...] = _parsed((0, 1, 2), _parse_k_list)
+    fit_window: tuple[float, float] = _parsed((10.0, 1000.0), _parse_fit_window)
+    n_times: int = _checked(40, int, lambda v: v >= 8, "must be >= 8")
+    slope_tol: float = _real(0.05, lambda v: v > 0, "must be > 0")
+    c_floor: float = _real(0.1, lambda v: v >= 0, "must be >= 0")
+    cap: float = _real(1e3, lambda v: v > 0, "must be > 0")
+    r0: float = _real(0.5, lambda v: v > 0, "must be > 0")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Top-level run description: which experiment, with what pieces."""
 
-    experiment: str
-    seed: int = 0
-    model: ModelConfig = field(default_factory=ModelConfig)
-    discretization: DiscretizationConfig = field(default_factory=DiscretizationConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+    experiment: str = _choice(MISSING, EXPERIMENTS)
+    seed: int = _checked(0, int, lambda v: v >= 0, "must be >= 0")
+    model: ModelConfig = _section(ModelConfig)
+    discretization: DiscretizationConfig = _section(DiscretizationConfig)
+    data: DataConfig = _section(DataConfig)
+    analysis: AnalysisConfig = _section(AnalysisConfig)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
         if not isinstance(data, Mapping):
             raise ConfigError(f"top level: expected a JSON object, got {type(data).__name__}")
-        _check_unknown("", data, {f.name for f in fields(cls)})
-        if "experiment" not in data:
-            raise ConfigError("experiment: required key is missing")
-        exp = _require("", "experiment", data["experiment"], str,
-                       lambda s: s in EXPERIMENTS,
-                       "one of " + ", ".join(EXPERIMENTS))
-        seed = _require("", "seed", data.get("seed", 0), int,
-                        lambda v: v >= 0, "must be >= 0")
-        sections: dict[str, Any] = {}
-        for name, sub in (("model", ModelConfig), ("discretization", DiscretizationConfig),
-                          ("data", DataConfig), ("analysis", AnalysisConfig)):
-            raw = data.get(name, {})
-            if not isinstance(raw, Mapping):
-                raise ConfigError(f"{name}: expected a JSON object, got {raw!r}")
-            sections[name] = sub.from_dict(raw)
-        cfg = cls(experiment=exp, seed=seed, **sections)
+        cfg = _load(cls, data)
+        _check_data_path(cfg)
         _check_box_schedule(cfg)
         _check_certify_band(cfg)
         return cfg
@@ -243,6 +207,12 @@ class ExperimentConfig:
         raw["analysis"]["k_list"] = list(self.analysis.k_list)
         raw["analysis"]["fit_window"] = list(self.analysis.fit_window)
         return raw
+
+
+def _check_data_path(cfg: ExperimentConfig) -> None:
+    """``custom_file`` data are read from ``path``, so it must be given."""
+    if cfg.data.kind == "custom_file" and not cfg.data.path:
+        raise ConfigError("data.path: required when kind is 'custom_file'")
 
 
 def _check_box_schedule(cfg: ExperimentConfig) -> None:

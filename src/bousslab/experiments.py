@@ -87,7 +87,7 @@ def _verdict(criterion: str, name: str, status: str, detail: str,
 
 
 def _model_params(cfg: ExperimentConfig) -> ModelParams:
-    return ModelParams(alpha=cfg.model.alpha, beta=cfg.model.beta)
+    return ModelParams(alpha=cfg.model.alpha)
 
 
 def _nl_spec(cfg: ExperimentConfig) -> NonlinearitySpec:

@@ -56,23 +56,17 @@ def linear_solution(grid: Grid, y0: np.ndarray, t, params: ModelParams) -> np.nd
 class RadialData:
     """Radially symmetric initial data given by spectral profiles ``|xi| -> real``.
 
-    ``class_tag`` records the decay class of the displacement profile:
-    ``"integrable"`` for smooth rapidly decaying transforms (data in L^1),
-    ``"square_integrable"`` for the borderline profile with an integrable
-    power singularity at xi = 0 (data in L^2 but not L^1).
     ``substitution_power = q`` is the radial quadrature substitution
-    ``r = s^q`` that keeps such an integrand smooth at ``r = 0``.
+    ``r = s^q`` that keeps an integrand with an integrable power singularity
+    at ``r = 0`` (the square-integrable profile) smooth there.
     """
 
     u0_hat: Callable[[np.ndarray], np.ndarray]
     u1_hat: Callable[[np.ndarray], np.ndarray]
-    class_tag: str = "integrable"
     cutoff_hint: float = 12.0
     substitution_power: int = 1
 
     def __post_init__(self) -> None:
-        if self.class_tag not in ("integrable", "square_integrable"):
-            raise ValueError(f"unknown data class {self.class_tag!r}")
         if not (self.cutoff_hint > 0.0):
             raise ValueError("cutoff hint must be positive")
         if not (isinstance(self.substitution_power, int) and self.substitution_power >= 1):
@@ -131,7 +125,6 @@ def gaussian_radial_data(amplitude: float = 1.0, width: float = 1.0, n: int = 1,
     u1 = (gaussian_profile(velocity_amplitude, width, n)
           if velocity_amplitude else _zero_profile)
     return RadialData(u0_hat=gaussian_profile(amplitude, width, n), u1_hat=u1,
-                      class_tag="integrable",
                       cutoff_hint=max(8.0, 12.0 / float(width)))
 
 
@@ -143,7 +136,7 @@ def square_integrable_radial_data(n: int, eps: float = 0.2,
     substitution power ``ceil(1/eps)`` makes them bounded there.
     """
     return RadialData(u0_hat=square_integrable_profile(n, eps, amplitude),
-                      u1_hat=_zero_profile, class_tag="square_integrable",
+                      u1_hat=_zero_profile,
                       cutoff_hint=1.0, substitution_power=math.ceil(1.0 / eps))
 
 

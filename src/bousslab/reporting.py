@@ -66,7 +66,15 @@ def read_series_csv(path: str | Path) -> list[DecaySeries]:
         for what, name in (("source", source), ("norm kind", kind)):
             if not _NAME.fullmatch(name):
                 raise ValueError(f"{path}:{ln}: {what} {name!r} is not [A-Za-z0-9_]+")
-        buckets.setdefault((source, int(k), kind), []).append((float(t), float(v)))
+        try:
+            k_int, t_val, value = int(k), float(t), float(v)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
+        for what, x, raw in (("time", t_val, t), ("series value", value, v)):
+            if not (math.isfinite(x) and x >= 0.0):
+                raise ValueError(f"{path}:{ln}: {what} must be finite and "
+                                 f"nonnegative, got {raw}")
+        buckets.setdefault((source, k_int, kind), []).append((t_val, value))
     out = []
     for (source, k, kind), rows in buckets.items():
         rows.sort()

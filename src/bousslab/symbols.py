@@ -54,20 +54,18 @@ _SERIES_SWITCH = 0.5
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants: damping strength ``alpha`` and source weight ``beta``.
+    """Model constant of the linear part: the damping strength ``alpha``.
 
     The linear normalisation fixes the remaining coefficient to 1, which
-    requires ``alpha <= -1`` (strong damping regime); ``beta > 0``.
+    requires ``alpha <= -1`` (strong damping regime).  The source weight
+    ``beta`` is :attr:`~bousslab.nonlinear.NonlinearitySpec.beta`.
     """
 
     alpha: float = -1.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.alpha <= -1.0):
             raise ValueError(f"alpha must satisfy alpha <= -1, got {self.alpha}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 def damping_coefficient(xi2, params: ModelParams):
@@ -294,19 +292,18 @@ def _direct_sine(t, em, z, lam_p, delta):
     return ((np.exp(lam_p * t) - em) / delta,)
 
 
-def _real_kernels(b, disc, c, t, force: str | None):
+def _real_kernels(b, disc, c, t):
     """``(sine, cosine, base, rate)`` for real roots."""
     lam_m = -0.5 * (b + np.sqrt(disc))
     lam_p = c / lam_m
     delta = lam_p - lam_m
     z = delta * t
     em = np.exp(lam_m * t)
-    series = z <= _SERIES_SWITCH if force is None else np.full(z.shape, force == "series")
-    (sine,) = _split(series, _series_sine, _direct_sine, t, em, z, lam_p, delta)
+    (sine,) = _split(z <= _SERIES_SWITCH, _series_sine, _direct_sine, t, em, z, lam_p, delta)
     return sine, em - lam_m * sine, em, lam_p
 
 
-def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) -> PropagatorSymbols:
+def propagator(xi2, t, params: ModelParams) -> PropagatorSymbols:
     """Solution kernels of the mode ODE at (possibly arrays of) ``|xi|^2, t >= 0``.
 
     Real arithmetic throughout, split on the discriminant ``D = b^2 - 4c``;
@@ -326,8 +323,7 @@ def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) ->
     small root explicitly; the equal ``cosine - b sine`` subtracts two terms
     of size ``|lam_-| sine`` and cancels at high frequency.
 
-    ``cosine_dt = -c sine`` on both.  ``_force_branch`` ("series"/"direct")
-    pins the real-root branch, for branch-agreement checks only.
+    ``cosine_dt = -c sine`` on both.
     """
     xi2 = np.asarray(xi2, dtype=np.float64)
     t_arr = np.asarray(t, dtype=np.float64)
@@ -341,7 +337,7 @@ def propagator(xi2, t, params: ModelParams, _force_branch: str | None = None) ->
     sine, cosine, base, rate = _split(
         np.broadcast_to(disc <= 0.0, np.broadcast_shapes(disc.shape, t_arr.shape)),
         lambda b, disc, c, t: _conjugate_kernels(b, disc, t),
-        lambda b, disc, c, t: _real_kernels(b, disc, c, t, _force_branch),
+        _real_kernels,
         b, disc, c, t_arr)
     return PropagatorSymbols(sine, cosine, base, rate, c)
 

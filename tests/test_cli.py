@@ -409,24 +409,49 @@ class TestReplot:
         assert rc == EXIT_BAD_CONFIG
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tag, kind", [
-        ("x/../../evil", "sobolev2"),
-        ("x/a&b<c>", "sobolev2"),
-        ("x/linear", "a/../b"),
-    ], ids=["source_leaves_the_directory", "source_is_markup", "kind_is_a_path"])
+    @pytest.mark.parametrize("tag, kind, k, value, message", [
+        ("x/../../evil", "sobolev2", "0", "0.5", "[A-Za-z0-9_]+"),
+        ("x/a&b<c>", "sobolev2", "0", "0.5", "[A-Za-z0-9_]+"),
+        ("x/linear", "a/../b", "0", "0.5", "[A-Za-z0-9_]+"),
+        ("x/linear", "sobolev2", "zero", "0.5", "invalid literal for int()"),
+        ("x/linear", "sobolev2", "0", "-1.0", "finite and nonnegative, got -1.0"),
+    ], ids=["source_leaves_the_directory", "source_is_markup", "kind_is_a_path",
+            "k_is_not_an_integer", "value_is_negative"])
     def test_replot_rejects_names_unfit_for_a_file_or_svg(self, tmp_path, capsys,
-                                                          tag, kind):
+                                                          tag, kind, k, value, message):
         # the source and the norm kind name the plot files and are written
-        # into the SVG text, so replot refuses anything but [A-Za-z0-9_]+
+        # into the SVG text, so replot refuses anything but [A-Za-z0-9_]+;
+        # a row it cannot parse is named by its line as well
         run_dir = tmp_path / "a" / "b" / "run"
         run_dir.mkdir(parents=True)
         path = run_dir / "series.csv"
-        rows = [f"{tag},{t},0,{kind},{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        rows = [f"{tag},{t},{k},{kind},{value}" for t in range(1, 9)]
         path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
         assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
-        assert f"error: {path}:2: " in err and "[A-Za-z0-9_]+" in err
+        assert f"error: {path}:2: " in err and message in err
         assert list(tmp_path.rglob("*.svg")) == []
+
+    def test_replot_rejects_a_time_that_is_not_a_plot_coordinate(self, tmp_path, capsys):
+        # a NaN time passed the series checks and crashed the tick placement
+        path = tmp_path / "series.csv"
+        rows = ["x/linear,nan,0,sobolev2,0.5"]
+        rows += [f"x/linear,{t},0,sobolev2,{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
+        assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: time must be finite and nonnegative, got nan" in err
+        assert list(tmp_path.glob("*.svg")) == []
+
+    def test_replot_unwritable_plot_returns_two(self, tmp_path, capsys):
+        # a directory where a plot file goes: the series reads, its plot cannot
+        path = tmp_path / "series.csv"
+        rows = [f"x/linear,{t},0,sobolev2,{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
+        (tmp_path / "linear_k0.svg").mkdir()
+        assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: replot: cannot write {tmp_path}: " in err
 
 
 class TestZeroAmplitude:

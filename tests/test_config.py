@@ -1,6 +1,7 @@
 """Config parsing: round trips, unknown keys, and diagnostics."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from bousslab import (AnalysisConfig, ConfigError, DataConfig,
                       DiscretizationConfig, ExperimentConfig, ModelConfig,
                       load_config)
+from bousslab import config, experiments, nonlinear
 from bousslab.config import MAX_STEPS
 from bousslab.nonlinear import _output_count, _output_times
 
@@ -125,6 +127,18 @@ class TestValidation:
                                               r"after t = 0"):
             ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("section,key,wrong", [
+        (f.name, g.name, 1 if g.type == "str" else "x")
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.default_factory is not dataclasses.MISSING
+        for g in dataclasses.fields(f.default_factory)])
+    def test_every_section_field_rejects_booleans_and_wrong_types(self, section, key, wrong):
+        for value in (True, False, wrong):
+            bad = json.loads(json.dumps(VALID))
+            bad[section][key] = value
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+                ExperimentConfig.from_dict(bad)
+
     def test_booleans_are_not_numbers(self):
         bad = json.loads(json.dumps(VALID))
         bad["discretization"]["N"] = True
@@ -204,6 +218,17 @@ class TestValidation:
                 with pytest.raises(ConfigError, match=r"^discretization\.out_every: "
                                                       r"trajectory has 7 output times"):
                     ExperimentConfig.from_dict(cfg)
+
+
+class TestRegistries:
+    # each pair lists the same names twice, in modules that cannot share one
+    # tuple: the experiment runners import the config, and the config's
+    # message order for the kinds is not the solver's
+    def test_config_and_runner_registries_name_the_same_experiments(self):
+        assert set(config.EXPERIMENTS) == set(experiments.EXPERIMENT_INFO)
+
+    def test_config_and_solver_name_the_same_nonlinearity_kinds(self):
+        assert set(config._NONLINEARITY_KINDS) == set(nonlinear._KINDS)
 
 
 class TestOutputCount:

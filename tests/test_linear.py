@@ -171,15 +171,13 @@ class TestRadialNorms:
 
     def test_square_integrable_data_has_finite_norms(self):
         data = square_integrable_radial_data(n=1, eps=0.2)
-        assert data.class_tag == "square_integrable"
         for k in (0, 1):
             v = linear_norm_radial(data, 10.0, [("linear", k)], 1, P)[0]
             assert np.isfinite(v) and v > 0.0
 
     def test_radial_data_validation(self):
-        with pytest.raises(ValueError):
-            RadialData(u0_hat=lambda r: r, u1_hat=lambda r: r,
-                       class_tag="mystery")
+        with pytest.raises(ValueError, match="cutoff hint"):
+            RadialData(u0_hat=lambda r: r, u1_hat=lambda r: r, cutoff_hint=0.0)
 
     def test_discrete_box_agrees_inside_window(self):
         # width-1 Gaussian: transform profile e^(-r^2/2); box large enough

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 from bousslab import (ModelParams, characteristic_roots, damping_coefficient,
                       decay_envelope, mode_energy, phi, phi_divided_difference,
                       profile_symbols, propagator, restoring_coefficient)
+from bousslab import symbols
 
 
 class TestModelParams:
     def test_defaults(self):
         p = ModelParams()
-        assert p.alpha == -1.0 and p.beta == 1.0
+        assert p.alpha == -1.0
 
     @pytest.mark.parametrize("kw", [dict(alpha=-0.5), dict(alpha=0.0),
-                                    dict(beta=0.0), dict(beta=-1.0)])
+                                    dict(alpha=float("nan")), dict(alpha=float("inf"))])
     def test_out_of_regime_parameters_rejected(self, kw):
         with pytest.raises(ValueError):
             ModelParams(**kw)
@@ -185,17 +186,21 @@ class TestPropagator:
             propagator(-1.0, 1.0, ModelParams())
 
     @pytest.mark.parametrize("force", [None, "series", "direct"])
-    def test_time_column_equals_elementwise_evaluation(self, force):
+    def test_time_column_equals_elementwise_evaluation(self, force, monkeypatch):
         # a column of times broadcast against a 2-D |xi|^2 grid and the same
         # (time, frequency) pairs flattened to 1-D must give the same bits,
-        # both root branches and t = 0 included
+        # both root branches and t = 0 included; the real-root kernels take
+        # their series where z <= _SERIES_SWITCH, so +-inf pins one branch
+        if force is not None:
+            monkeypatch.setattr(symbols, "_SERIES_SWITCH",
+                                math.inf if force == "series" else -math.inf)
         xi = np.fft.fftfreq(32, d=20.0 / 32) * 2.0 * math.pi
         xi2 = xi[:, None] ** 2 + xi[None, :17] ** 2
         t = np.linspace(0.0, 3.0, 7).reshape(-1, 1, 1)
         p = ModelParams(alpha=-1.5)
-        column = propagator(xi2, t, p, _force_branch=force)
+        column = propagator(xi2, t, p)
         flat = [np.broadcast_to(a, (7,) + xi2.shape).ravel() for a in (xi2, t)]
-        elementwise = propagator(*flat, p, _force_branch=force)
+        elementwise = propagator(*flat, p)
         assert (damping_coefficient(xi2, p) ** 2 > 4 * restoring_coefficient(xi2)).any()
         for f in ("sine", "cosine", "sine_dt", "cosine_dt"):
             assert np.array_equal(getattr(column, f).ravel(), getattr(elementwise, f))
@@ -211,15 +216,17 @@ class TestPropagator:
         rhs = sym.sine_dt + b * sym.sine
         assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(lhs)))
 
-    def test_branch_agreement_in_switch_band(self):
+    def test_branch_agreement_in_switch_band(self, monkeypatch):
         # the real-root pair is the only one with two branches: xi2 = 2 gives
         # delta = sqrt(12), just past confluence, so t in [0.1, 0.2] puts
         # delta t in the band around the switch at 1/2; likewise xi2 = 4
         p = ModelParams(alpha=-1.0)
         for xi2, tvals in ((2.0, np.linspace(0.1, 0.2, 8)),
                            (4.0, np.linspace(0.022, 0.039, 8))):
-            s1 = propagator(xi2, tvals, p, _force_branch="series")
-            s2 = propagator(xi2, tvals, p, _force_branch="direct")
+            monkeypatch.setattr(symbols, "_SERIES_SWITCH", math.inf)
+            s1 = propagator(xi2, tvals, p)
+            monkeypatch.setattr(symbols, "_SERIES_SWITCH", -math.inf)
+            s2 = propagator(xi2, tvals, p)
             for f in ("sine", "cosine", "sine_dt", "cosine_dt"):
                 a, b = getattr(s1, f), getattr(s2, f)
                 assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(a)))
