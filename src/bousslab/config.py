@@ -47,11 +47,16 @@ def _check_unknown(section: str, data: Mapping[str, Any], allowed: set[str]) -> 
                           f"(allowed: {', '.join(sorted(allowed))})")
 
 
+#: the JSON type each field's Python ``kinds`` admit, as the errors name it
+_JSON_TYPES = {(int, float): "a number", int: "an integer", str: "a string", list: "a list"}
+
+
 def _require(section: str, name: str, value: Any, kinds, pred=None, what: str = "") -> Any:
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigError(f"{section}{name}: expected a number, got a boolean")
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{section}{name}: expected {what or kinds}, got {value!r}")
+    """``value`` if it is one of ``kinds`` (never a boolean) and meets ``pred``;
+    ``what`` describes ``pred`` in the error."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        got = "a boolean" if isinstance(value, bool) else repr(value)
+        raise ConfigError(f"{section}{name}: expected {_JSON_TYPES[kinds]}, got {got}")
     if pred is not None and not pred(value):
         raise ConfigError(f"{section}{name}: invalid value {value!r}" +
                           (f" ({what})" if what else ""))

@@ -176,11 +176,15 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     relative tail the doubling tail check still verifies (the largest tail
     on the shipped configs is 2.3e-24).
 
-    All components share the cutoff and panel schedule at ``t``, so each node
-    set evaluates ``propagator`` and/or ``profile_symbols`` once and weighs
-    the kernel by ``r^(2k+n-1)`` per component; every component still
-    converges on its own (see ``spectral._radial_integral``), so each value
-    is bitwise the one a one-component call gives.
+    All components share the cutoff and panel schedule at ``t``, so each
+    integrand call evaluates ``propagator`` and/or ``profile_symbols`` once
+    and weighs the kernel by ``r^(2k+n-1)`` per component; every component
+    still converges on its own (see ``spectral._radial_integral``), so each
+    value is bitwise the one a one-component call gives.  One call covers
+    the first two panel sums of both the body and the tail of a cutoff, so
+    a time at which nothing refines further costs one kernel evaluation.
+    Overflow or NaN in the kernels raises the quadrature's
+    :class:`~bousslab.spectral.QuadratureError`, with no numpy warning.
     """
     if n not in SPHERE_SURFACE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -211,18 +215,25 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
         if "gap" in need:
             # subtracted before squaring: no cancellation of two large norms
             kernels["gap"] = (sine - g0) * u1 + (cosine - h0) * u0
-        rows = []
-        for i in live:
+        out = np.empty((live.size, r.size))
+        for row, i in zip(out, live):
             w = kernels[whiches[i]]
-            rows.append(r**weights[i] * w * w)
-        return np.stack(rows)
+            if weights[i]:
+                np.multiply(r**weights[i], w, out=row)
+                row *= w
+            else:
+                np.multiply(w, w, out=row)
+        return out
 
     cutoff = data.cutoff_hint
     if t >= 50.0:
         cutoff = min(cutoff, math.sqrt(_ENVELOPE_EXPONENT / (abs(params.alpha) * t)))
     cycles = cutoff * (t + 1.0) / (2.0 * math.pi)
     panels0 = max(8, int(3.0 * cycles) + 8)
-    values = _radial_integral(integrand, len(components), cutoff, panels0, rtol,
-                              substitution_power=data.substitution_power,
-                              max_doublings=3)
+    # an overflow or NaN anywhere in the kernels reaches the quadrature's
+    # non-finite check, which names the interval; numpy's warning would not
+    with np.errstate(all="ignore"):
+        values = _radial_integral(integrand, len(components), cutoff, panels0, rtol,
+                                  substitution_power=data.substitution_power,
+                                  max_doublings=3)
     return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]

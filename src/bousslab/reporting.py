@@ -48,12 +48,16 @@ def write_series_csv(path: str | Path, experiment_id: str,
 
 
 def read_series_csv(path: str | Path) -> list[DecaySeries]:
-    """Inverse of :func:`write_series_csv` (used by replotting)."""
+    """Inverse of :func:`write_series_csv` (used by replotting).
+
+    A row that does not parse, or repeats a time of its series, raises
+    ``ValueError`` naming ``<path>:<line>``.
+    """
     text = Path(path).read_text().splitlines()
     if not text or text[0].split(",") != list(SERIES_COLUMNS):
         raise ValueError(f"{path}: not a series csv "
                          f"(expected header {','.join(SERIES_COLUMNS)})")
-    buckets: dict[tuple[str, int, str], list[tuple[float, float]]] = {}
+    buckets: dict[tuple[str, int, str], dict[float, float]] = {}
     for ln, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
@@ -74,12 +78,16 @@ def read_series_csv(path: str | Path) -> list[DecaySeries]:
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"{path}:{ln}: {what} must be finite and "
                                  f"nonnegative, got {raw}")
-        buckets.setdefault((source, k_int, kind), []).append((t_val, value))
+        rows = buckets.setdefault((source, k_int, kind), {})
+        if t_val in rows:
+            raise ValueError(f"{path}:{ln}: repeated time {t} in series "
+                             f"{source}:k{k_int}:{kind}")
+        rows[t_val] = value
     out = []
     for (source, k, kind), rows in buckets.items():
-        rows.sort()
-        out.append(DecaySeries(times=np.array([r[0] for r in rows]),
-                               values=np.array([r[1] for r in rows]),
+        times = sorted(rows)
+        out.append(DecaySeries(times=np.array(times),
+                               values=np.array([rows[t] for t in times]),
                                k=k, norm_kind=kind, source=source))
     return out
 

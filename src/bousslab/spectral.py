@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -298,7 +298,9 @@ def l1_norm(field: PhysicalField) -> float:
 # radial quadrature (continuum norms of radially symmetric spectra)
 # ---------------------------------------------------------------------------
 
-#: most nodes one panel sum may use; the shipped configs stay below 2^15
+#: most nodes one integrand call may see: a panel sum that needs more raises,
+#: and the panel sums batched into one call total at most this many nodes.
+#: The shipped configs stay below 2^15 nodes per call
 _MAX_NODES = 2**20
 
 
@@ -308,47 +310,92 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_sum(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-               a: float, b: float, panels: int, order: int = 12) -> np.ndarray:
-    """Composite Gauss-Legendre sums over ``[a, b]`` of the ``live`` rows of ``f``.
+def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
+               pack: Sequence[tuple[float, float, int]],
+               order: int) -> list[tuple[bool, np.ndarray]]:
+    """``(finite, sums)`` per segment of ``pack``, from one call of ``f``.
 
-    Raises :class:`QuadratureError` rather than evaluate more than
-    ``_MAX_NODES`` nodes or sum non-finite values.
+    Apart from :func:`_panel_sums` so that the node values are freed before
+    its caller takes the first sum and refines on.
     """
-    if panels * order > _MAX_NODES:
-        raise QuadratureError(
-            f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
-            f"would need {panels * order} nodes (limit {_MAX_NODES})")
     x, w = _leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * x[None, :]).ravel()
-    vals = np.asarray(f(nodes, live), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError(
-            f"radial quadrature did not converge: non-finite integrand values "
-            f"on [{a:g}, {b:g}]")
-    weighted = vals * (half * w[None, :]).ravel()
-    # one 1-D sum per row: the same summation order as a scalar integrand
-    return np.array([np.sum(row) for row in weighted])
+    nodes, weights = [], []
+    for a, b, panels in pack:
+        edges = np.linspace(a, b, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        nodes.append((mid + half * x[None, :]).ravel())
+        weights.append((half * w[None, :]).ravel())
+    vals = np.asarray(f(np.concatenate(nodes), live), dtype=np.float64)
+    out = []
+    start = 0
+    for wts in weights:
+        seg = vals[:, start:start + wts.size]
+        start += wts.size
+        finite = bool(np.all(np.isfinite(seg)))
+        seg *= wts
+        # one sum per row along the contiguous node axis: the same summation
+        # order as a scalar integrand
+        out.append((finite, seg.sum(axis=1)))
+    return out
+
+
+def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
+                segments: Sequence[tuple[float, float, int]],
+                order: int = 12) -> Iterator[np.ndarray]:
+    """Composite Gauss-Legendre sums of the ``live`` rows of ``f``, one per segment.
+
+    ``segments`` lists ``(a, b, panels)``; the row sums over each ``[a, b]``
+    with ``panels`` panels come out in that order.  Consecutive segments
+    share one call of ``f`` while their nodes total at most ``_MAX_NODES``;
+    each row of a segment is summed alone, in node order, so every sum is
+    bitwise the one a call per segment gives.  ``f`` returns a new array,
+    which the sums overwrite.
+
+    A segment is checked when its sums are taken: it raises
+    :class:`QuadratureError` rather than evaluate more than ``_MAX_NODES``
+    nodes or sum non-finite values.  So the errors fire in segment order,
+    where the caller first uses the failing segment.
+    """
+    start = 0
+    while start < len(segments):
+        stop, size = start, 0
+        while stop < len(segments) and size + segments[stop][2] * order <= _MAX_NODES:
+            size += segments[stop][2] * order
+            stop += 1
+        if stop == start:
+            a, b, panels = segments[start]
+            raise QuadratureError(
+                f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
+                f"would need {panels * order} nodes (limit {_MAX_NODES})")
+        for (a, b, _), (finite, sums) in zip(segments[start:stop],
+                                             _pack_sums(f, live, segments[start:stop], order)):
+            if not finite:
+                raise QuadratureError(
+                    f"radial quadrature did not converge: non-finite integrand values "
+                    f"on [{a:g}, {b:g}]")
+            yield sums
+        start = stop
 
 
 def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      live: np.ndarray, a: float, b: float, panels0: int,
-                      rtol: float, atol: np.ndarray) -> np.ndarray:
+                      live: np.ndarray, a: float, b: float, panels: int,
+                      first: Iterator[np.ndarray], rtol: float,
+                      atol: np.ndarray) -> np.ndarray:
     """Integrals of the ``live`` rows of ``f`` over ``[a, b]`` by panel doubling.
 
-    Each row stops at the first doubling where it changes by at most
+    ``first`` yields the panel sums at ``panels`` and ``2 panels``.  Each row
+    stops at the first doubling where it changes by at most
     ``max(rtol * |value|, atol[row])`` and is left out of later panel sums.
     """
-    panels = max(4, int(panels0))
     out = np.empty(live.size)
     rows = np.arange(live.size)  # positions in ``live`` still refining
-    prev = _panel_sum(f, live, a, b, panels)
-    for _ in range(12):
-        panels *= 2
-        cur = _panel_sum(f, live[rows], a, b, panels)
+    prev, cur = next(first), next(first)
+    panels *= 2  # the panel count of ``cur``
+    for doubling in range(12):
+        if doubling:
+            panels *= 2
+            (cur,) = _panel_sums(f, live[rows], [(a, b, panels)])
         done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
         out[rows[done]] = cur[done]
         rows, prev = rows[~done], cur[~done]
@@ -365,13 +412,19 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """``int_0^inf integrand(r)[i] dr`` for each of ``count`` components.
 
     ``integrand(r, live)`` returns the rows ``live`` (an index array) at the
-    nodes ``r``, shape ``(live.size, r.size)``, so one kernel evaluation per
-    node set serves every component.  Each row keeps its own convergence
-    state, exactly as if it were integrated alone: panel doubling on
-    ``[0, cutoff]`` to ``rtol``, then the truncation check on
+    nodes ``r`` as a new array of shape ``(live.size, r.size)``, so one
+    kernel evaluation per node set serves every component.  Each row keeps
+    its own convergence state, exactly as if it were integrated alone: panel
+    doubling on ``[0, cutoff]`` to ``rtol``, then the truncation check on
     ``[cutoff, 2 cutoff]`` with an absolute floor of 1e-13 of its own body;
     a relative tail above 1e-12 doubles its cutoff, at most
     ``max_doublings`` times.  Finished rows drop out of later panel sums.
+
+    Every cutoff needs at least the first two panel sums of the body and of
+    the tail, so those four node sets go to one integrand call (more only
+    where they exceed ``_MAX_NODES``); the later doublings make one call
+    each.  The sums, and the checks of :func:`_panel_sums` in body-then-tail
+    order, are those of one call per panel sum.
 
     ``substitution_power = q`` integrates in the variable ``s = r^(1/q)``,
     which regularises integrable endpoint singularities ``r^(-a)`` with
@@ -389,13 +442,16 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     totals = np.empty(count)
     live = np.arange(count)
     c = float(cutoff)
+    body_panels, tail_panels = max(4, int(panels0)), max(8, int(panels0) // 2)
     for _ in range(max_doublings + 1):
-        body = _refined_integral(g, live, 0.0, c ** (1.0 / q), panels0, rtol,
+        lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
+        first = _panel_sums(g, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
+                                      (lo, hi, tail_panels), (lo, hi, 2 * tail_panels)])
+        body = _refined_integral(g, live, 0.0, lo, body_panels, first, rtol,
                                  np.full(live.size, 1e-300))
         # the tail only needs to be located to ~1e-13 of the body, so the
         # refinement there carries an absolute floor (tiny tails stop early)
-        tail = _refined_integral(g, live, c ** (1.0 / q), (2.0 * c) ** (1.0 / q),
-                                 max(8, panels0 // 2), 1e-6,
+        tail = _refined_integral(g, live, lo, hi, tail_panels, first, 1e-6,
                                  1e-13 * np.maximum(np.abs(body), 1e-300))
         total = body + np.maximum(tail, 0.0)
         done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)

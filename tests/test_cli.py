@@ -230,6 +230,24 @@ class TestExitCodes:
         assert "radial quadrature did not converge: non-finite" in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_radial_kernel_prints_only_the_quadrature_error(self, tmp_path):
+        # the squared kernels of a 1e300 amplitude overflow; numpy's
+        # RuntimeWarning used to precede the error on stderr
+        cfg = json.loads((ROOT / "configs" / "linear_rates_gaussian_1d.json").read_text())
+        cfg["data"]["amplitude"] = 1e300
+        path = write_config(tmp_path, cfg)
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        src = str(Path(bousslab.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "bousslab.cli", "run", str(path),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_BLOWUP
+        assert done.stderr == ("error: radial quadrature did not converge: non-finite "
+                               "integrand values on [0, 0.8]\n")
+        assert not (tmp_path / "o").exists()
+
     def test_reference_integration_failure_returns_three_and_names_it(
             self, tmp_path, capsys, monkeypatch):
         def never_converges(fun, t, y, h, Z0, *args):
@@ -441,6 +459,17 @@ class TestReplot:
         assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert f"error: {path}:2: time must be finite and nonnegative, got nan" in err
+        assert list(tmp_path.glob("*.svg")) == []
+
+    def test_replot_names_a_repeated_time_by_file_and_line(self, tmp_path, capsys):
+        # the repeat used to reach DecaySeries, whose error named no file
+        path = tmp_path / "series.csv"
+        rows = [f"x/linear,{t},0,sobolev2,{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        rows.insert(4, "x/linear,2,0,sobolev2,0.5")
+        path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
+        assert main(["replot", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:6: repeated time 2 in series linear:k0:sobolev2\n"
         assert list(tmp_path.glob("*.svg")) == []
 
     def test_replot_unwritable_plot_returns_two(self, tmp_path, capsys):

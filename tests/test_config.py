@@ -145,6 +145,53 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "alpha", "x", "model.alpha: expected a number, got 'x'"),
+        ("model", "alpha", True, "model.alpha: expected a number, got a boolean"),
+        ("data", "kind", True, "data.kind: expected a string, got a boolean"),
+        ("data", "kind", 1, "data.kind: expected a string, got 1"),
+        ("data", "path", 1, "data.path: expected a string, got 1"),
+        ("discretization", "n", 2.0, "discretization.n: expected an integer, got 2.0"),
+        ("analysis", "k_list", 3, "analysis.k_list: expected a list, got 3"),
+        ("analysis", "k_list", [0, False],
+         "analysis.k_list[1]: expected an integer, got a boolean"),
+        ("analysis", "fit_window", [1.0, "x"],
+         "analysis.fit_window[1]: expected a number, got 'x'"),
+    ])
+    def test_type_errors_name_the_json_type(self, section, key, value, message):
+        bad = json.loads(json.dumps(VALID))
+        bad[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(bad)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("section,key", [
+        (f.name, g.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.default_factory is not dataclasses.MISSING
+        for g in dataclasses.fields(f.default_factory)])
+    def test_every_section_field_names_a_json_type_for_a_boolean(self, section, key):
+        bad = json.loads(json.dumps(VALID))
+        bad[section][key] = True
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected "
+                                              r"(a number|an integer|a string|a list), "
+                                              r"got a boolean$"):
+            ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "alpha", 0.5, "model.alpha: invalid value 0.5 (must lie in [-1e+100, -1])"),
+        ("data", "kind", "x", "data.kind: invalid value 'x' "
+                              "(one of gaussian, radial_L2, custom_file)"),
+        ("analysis", "k_list", [], "analysis.k_list: invalid value [] (must be nonempty)"),
+    ])
+    def test_range_text_is_in_the_predicate_message_only(self, section, key, value,
+                                                         message):
+        bad = json.loads(json.dumps(VALID))
+        bad[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(bad)
+        assert str(err.value) == message
+
     def test_custom_file_requires_path(self):
         bad = json.loads(json.dumps(VALID))
         bad["data"] = {"kind": "custom_file"}

@@ -277,13 +277,13 @@ class TestRadialDomain:
     def test_late_time_node_count(self, monkeypatch):
         # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 21 060
         nodes = []
-        real = bousslab.spectral._panel_sum
+        real = bousslab.spectral._panel_sums
 
-        def counting(f, live, a, b, panels, order=12):
-            nodes.append(panels * order)
-            return real(f, live, a, b, panels, order)
+        def counting(f, live, segments, order=12):
+            nodes.extend(panels * order for _, _, panels in segments)
+            return real(f, live, segments, order)
 
-        monkeypatch.setattr(bousslab.spectral, "_panel_sum", counting)
+        monkeypatch.setattr(bousslab.spectral, "_panel_sums", counting)
         linear_norm_radial(gaussian_radial_data(n=1), 1e4, [("linear", 0)], 1, P)
         assert 0 < sum(nodes) <= 30_000
 

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bousslab.linear
 from bousslab import (ModelParams, PhysicalField, QuadratureError, RadialData,
-                      forward_transform, inverse_transform, l1_norm,
-                      linear_norm_radial, make_grid, neg_sobolev_norm,
-                      sobolev_norm)
+                      forward_transform, gaussian_radial_data, inverse_transform,
+                      l1_norm, linear_norm_radial, make_grid, neg_sobolev_norm,
+                      sobolev_norm, spectral)
+from bousslab.spectral import _panel_sums, _radial_integral
 
 from conftest import l2_norm, linf_norm, random_smooth_field
 
@@ -327,3 +329,106 @@ class TestRadialQuadrature:
             tracemalloc.stop()
         assert peak < 160 * 2**20
         assert elapsed < 30.0
+
+
+def four_rows(r, live):
+    """The ``live`` rows of four distinct integrands at the nodes ``r``."""
+    table = (np.exp(-r * r), np.cos(3.0 * r) / (1.0 + r), r**3 * np.exp(-r), np.sqrt(r))
+    return np.stack([table[i] for i in live])
+
+
+def one_row_panel_sum(f, row, a, b, panels, order=12):
+    """The composite Gauss-Legendre sum of one row over ``[a, b]`` as a
+    scalar integrand gives it: the weighted node values in one 1-D sum."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    vals = f((mid + half * x).ravel(), np.array([row]))[0]
+    return np.sum(vals * (half * w).ravel())
+
+
+def singular_then(tail_value):
+    """``r^-0.9`` on ``[0, 2]``, whose panel doubling never meets rtol, and
+    ``tail_value`` beyond."""
+    return lambda r, live: np.where(r <= 2.0, r**-0.9, tail_value)[None, :]
+
+
+def smooth_then(tail_value):
+    """``exp(-r^2)`` on ``[0, 2]``, converged at the first doubling, and
+    ``tail_value`` beyond."""
+    return lambda r, live: np.where(r <= 2.0, np.exp(-r * r), tail_value)[None, :]
+
+
+class TestPanelSums:
+    """Several panel sums from one integrand call (``spectral._panel_sums``)."""
+
+    SEGMENTS = [(0.0, 1.0, 8), (0.0, 1.0, 16), (1.0, 2.0, 8), (1.0, 2.0, 16),
+                (0.5, 3.0, 5)]
+
+    @pytest.mark.parametrize("live", ([0, 1, 2, 3], [2, 0], [3]))
+    def test_batched_sums_are_bitwise_the_one_segment_sums(self, live):
+        live = np.array(live)
+        batched = list(_panel_sums(four_rows, live, self.SEGMENTS))
+        assert len(batched) == len(self.SEGMENTS)
+        for segment, sums in zip(self.SEGMENTS, batched, strict=True):
+            (alone,) = _panel_sums(four_rows, live, [segment])
+            assert np.array_equal(sums, alone)
+            assert np.array_equal(sums, [one_row_panel_sum(four_rows, i, *segment)
+                                         for i in live])
+
+    def test_calls_are_packed_below_the_node_limit(self, monkeypatch):
+        # 96 + 192 + 96 nodes share the first call; the last 192 would not fit
+        segments = self.SEGMENTS[:4]
+        expected = list(_panel_sums(four_rows, np.arange(4), segments))
+        sizes = []
+
+        def counted(r, live):
+            sizes.append(r.size)
+            return four_rows(r, live)
+
+        monkeypatch.setattr(spectral, "_MAX_NODES", 400)
+        got = list(_panel_sums(counted, np.arange(4), segments))
+        assert sizes == [384, 192]
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+    @pytest.mark.parametrize("f, panels0, limit, sizes, message", [
+        # one call per panel sum made 96, 192 and 384 nodes on the body and
+        # stopped at its next doubling; the tail's NaN was never reached
+        (singular_then(np.nan), 8, 400, [384, 384],
+         "a panel sum on [0, 2] would need 768 nodes (limit 400)"),
+        # the body converged at its first doubling, then the tail's values
+        (smooth_then(np.nan), 8, 400, [384],
+         "non-finite integrand values on [2, 4]"),
+        # 4 panels on the body, then the tail's 8 (96 nodes) and 16 (192)
+        (smooth_then(0.0), 4, 150, [144, 96],
+         "a panel sum on [2, 4] would need 192 nodes (limit 150)"),
+    ], ids=["body_limit_before_tail_nan", "tail_nan", "tail_limit"])
+    def test_errors_name_the_interval_of_one_call_per_sum(
+            self, monkeypatch, f, panels0, limit, sizes, message):
+        seen = []
+
+        def counted(r, live):
+            seen.append(r.size)
+            return f(r, live)
+
+        monkeypatch.setattr(spectral, "_MAX_NODES", limit)
+        with pytest.raises(QuadratureError) as err:
+            _radial_integral(counted, 1, 2.0, panels0, 1e-9, substitution_power=1,
+                             max_doublings=0)
+        assert str(err.value) == "radial quadrature did not converge: " + message
+        assert seen == sizes
+
+    def test_one_kernel_evaluation_when_nothing_refines(self, monkeypatch):
+        # t = 1e3: 128 and 256 body panels, 64 and 128 tail panels, all of
+        # which converge at their first doubling
+        calls = []
+        real = bousslab.linear.propagator
+
+        def counted(xi2, t, params):
+            calls.append(xi2.size)
+            return real(xi2, t, params)
+
+        monkeypatch.setattr(bousslab.linear, "propagator", counted)
+        linear_norm_radial(gaussian_radial_data(n=1), 1e3, [("linear", 0)], 1, ModelParams())
+        assert calls == [12 * (128 + 256 + 64 + 128)]
