@@ -8,7 +8,8 @@ directory per config).  For every config the script prints whether
 ``series.csv`` and ``rates.csv`` are byte-identical; for a file that is
 not, the largest relative move ``|a - b| / max(|a|, |b|)`` of each numeric
 column, with the row where it occurs, and every text cell that changed.
-It then lists the ``report.json`` verdicts whose status or value moved.
+It then lists the ``report.json`` verdicts whose status, value or
+threshold moved; a ``[lo, hi]`` threshold moves when either end does.
 Exit status: 0 when every config is in both runs with the same rows, 1
 otherwise.
 """
@@ -76,7 +77,8 @@ def compare_csv(path_a: Path, path_b: Path) -> tuple[bool, list[str]]:
 
 
 def compare_reports(path_a: Path, path_b: Path) -> list[str]:
-    """The verdicts whose status or value moved between two ``report.json``."""
+    """The verdicts whose status, value or threshold moved between two
+    ``report.json``."""
     verdicts = []
     for path in (path_a, path_b):
         report = json.loads(path.read_text())
@@ -91,11 +93,12 @@ def compare_reports(path_a: Path, path_b: Path) -> list[str]:
         moves = []
         if va["status"] != vb["status"]:
             moves.append(f"status {va['status']} -> {vb['status']}")
-        a, b = va.get("value"), vb.get("value")
-        if a != b:
-            move = (_relative_move(a, b) if isinstance(a, (int, float))
-                    and isinstance(b, (int, float)) else math.inf)
-            moves.append(f"value {a!r} -> {b!r} (relative move {move:.2g})")
+        for field in ("value", "threshold"):
+            a, b = va.get(field), vb.get(field)
+            if a != b:
+                move = (_relative_move(a, b) if isinstance(a, (int, float))
+                        and isinstance(b, (int, float)) else math.inf)
+                moves.append(f"{field} {a!r} -> {b!r} (relative move {move:.2g})")
         if moves:
             lines.append(f"{name}: " + ", ".join(moves))
     return lines

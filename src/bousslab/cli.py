@@ -27,8 +27,8 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .experiments import list_experiments, run_experiment
 from .nonlinear import BlowUpError, ReferenceIntegrationError
-from .reporting import (plot_run_svgs, read_series_csv, write_rates_csv,
-                        write_report_json, write_series_csv)
+from .reporting import (plot_run_svgs, read_series_csv, slope_guides,
+                        write_rates_csv, write_report_json, write_series_csv)
 from .spectral import QuadratureError
 
 EXIT_OK = 0
@@ -89,21 +89,15 @@ def _cmd_replot(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    guides: dict[str, list] = {}
+    fits = []
     report_path = path.parent / "report.json"
     if report_path.exists():
         try:
             fits = json.loads(report_path.read_text()).get("fits", [])
         except (OSError, json.JSONDecodeError):
-            fits = []
-        for fit in fits:
-            theory = fit.get("theory_slope")
-            label = fit.get("label")
-            if label is not None and isinstance(theory, (int, float)):
-                guides.setdefault(label, []).append(
-                    (theory, f"slope {theory:+.2f}"))
+            pass
     try:
-        written = plot_run_svgs(path.parent, series, guides)
+        written = plot_run_svgs(path.parent, series, slope_guides(fits))
     except OSError as exc:
         print(f"error: replot: cannot write {path.parent}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -234,6 +234,19 @@ def plot_series_svg(path: str | Path, series: DecaySeries,
     return p
 
 
+def slope_guides(fits: Sequence[Mapping]) -> dict[str, list[tuple[float, str]]]:
+    """The theory-slope guide lines of each series label, from fit records.
+
+    A record without a label or a numeric ``theory_slope`` gives none.
+    """
+    guides: dict[str, list[tuple[float, str]]] = {}
+    for fit in fits:
+        theory, label = fit.get("theory_slope"), fit.get("label")
+        if label is not None and isinstance(theory, (int, float)):
+            guides.setdefault(label, []).append((theory, f"slope {theory:+.2f}"))
+    return guides
+
+
 def plot_run_svgs(out_dir: str | Path, series_list: Sequence[DecaySeries],
                   guides: Mapping[str, Sequence[tuple[float, str]]] | None = None,
                   ) -> list[Path]:

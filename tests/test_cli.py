@@ -406,7 +406,7 @@ class TestReplot:
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out_dir)]) == EXIT_OK
         originals = sorted(p.name for p in out_dir.glob("*.svg"))
-        byte_sizes = {p.name: p.stat().st_size for p in out_dir.glob("*.svg")}
+        svgs = {p.name: p.read_bytes() for p in out_dir.glob("*.svg")}
         for p in out_dir.glob("*.svg"):
             p.unlink()
         capsys.readouterr()
@@ -415,9 +415,9 @@ class TestReplot:
         regenerated = sorted(p.name for p in out_dir.glob("*.svg"))
         assert regenerated == originals
         # theory-slope guides come back from the sibling report.json, so the
-        # regenerated plots carry the same content as the originals
+        # regenerated plots equal the originals byte for byte
         for p in out_dir.glob("*.svg"):
-            assert p.stat().st_size == byte_sizes[p.name]
+            assert p.read_bytes() == svgs[p.name]
         stdout = capsys.readouterr().out
         for name in originals:
             assert name in stdout

@@ -1,27 +1,38 @@
-"""The run path, and the gap run that compares the states as they are marched.
+"""The run path, the gap run that compares the states as they are marched,
+and the verdict rows declared through ``_gate``.
 
 :func:`~bousslab.experiments.run_experiment` owns each run's report and its
 clock; the runners add their phase timings through ``_phase``.  Oracle for
 the gap run: the comparison as it was made over a stored trajectory of
-:func:`~bousslab.nonlinear.solve`, kept here as a test-local loop.
+:func:`~bousslab.nonlinear.solve`, kept here as a test-local loop.  Oracle
+for the gated rows' share of tolerance: the benchmark's own ``tol_used``
+(``perfbench/run.py``), which re-derives it from the verdict names and the
+config echo, imported unchanged.
 """
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
+import math
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from bousslab import ExperimentConfig, load_config, solve, sobolev_norm
-from bousslab.experiments import (RunReport, _box_data, _model_params, _nl_spec,
-                                  _phase, run_experiment)
+from bousslab import experiments
+from bousslab.experiments import (RunReport, _box_data, _gate, _model_params,
+                                  _nl_spec, _phase, run_experiment)
+from bousslab.reporting import write_report_json
 from bousslab.symbols import propagator
 
 ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 
 
 def reduced_gap_config(**discretization) -> ExperimentConfig:
@@ -122,3 +133,127 @@ def test_crosscheck_passes_ac1_when_a_sample_is_near_confluence():
                         "root_sum_product"}
     assert all(v["status"] == "pass" for v in ac1.values())
     assert "on 499 samples" in ac1["kernel_ode_residual"]["detail"]
+
+
+# ---------------------------------------------------------------------------
+# gated verdict rows
+# ---------------------------------------------------------------------------
+
+
+def gated(value, rule, *also) -> dict:
+    report = RunReport("x", {})
+    status = _gate(report, "AC0", "row", value, rule, "x", *also)
+    (row,) = report.verdicts
+    assert row["status"] == status
+    return row
+
+
+@pytest.mark.parametrize("rule, edge, outward, status, threshold", [
+    (("at_most", 0.5), 0.5, 1.0, "pass", 0.5),
+    (("below", 0.5), 0.5, 1.0, "fail", 0.5),
+    (("at_least", 0.5), 0.5, -1.0, "pass", 0.5),
+    (("within", -0.5, 0.25), 0.25, 1.0, "pass", [-0.5, 0.25]),
+    (("within", -0.5, 0.25), -0.5, -1.0, "pass", [-0.5, 0.25]),
+    (("near", -0.5, 0.25), -0.25, 1.0, "pass", 0.25),
+    (("near", -0.5, 0.25), -0.75, -1.0, "pass", 0.25),
+], ids=["at_most", "below", "at_least", "within_hi", "within_lo", "near_hi",
+        "near_lo"])
+def test_gate_at_its_boundary(rule, edge, outward, status, threshold):
+    # the boundary value uses the whole tolerance; a step outward fails
+    row = gated(edge, rule)
+    assert (row["status"], row["value"], row["threshold"], row["used"]) == (
+        status, edge, threshold, 1.0)
+    past = gated(edge + outward * 1e-12, rule)
+    assert past["status"] == "fail" and past["used"] > 1.0
+
+
+@pytest.mark.parametrize("rule", [("at_most", 1.0), ("below", 1.0),
+                                  ("at_least", 1.0), ("within", -1.0, 1.0),
+                                  ("near", 0.0, 1.0)],
+                         ids=lambda r: r[0])
+def test_gate_fails_a_nan_value_using_an_infinite_share(rule):
+    row = gated(math.nan, rule)
+    assert row["status"] == "fail" and row["used"] == math.inf
+    assert "x = nan" in row["detail"]
+
+
+def test_gate_shares_and_detail():
+    # a shrinking trend uses none of an upper bound, as perfbench reads AC8
+    assert gated(-0.2, ("at_most", 0.05))["used"] == 0.0
+    assert gated(0.2, ("at_least", 0.1))["used"] == 0.5
+    assert gated(-0.4, ("near", -0.5, 0.25))["detail"] == "x = -0.4 within -0.5 +- 0.25"
+    # a certificate: the row keeps its first value and threshold, must meet
+    # both checks, and uses the larger share
+    row = gated(0.5, ("at_least", 0.1), (20.0, ("at_most", 1000.0), "sup C"))
+    assert row == {"criterion": "AC0", "name": "row", "status": "pass",
+                   "detail": "x = 0.5 >= 0.1, sup C = 20 <= 1000",
+                   "value": 0.5, "threshold": 0.1, "used": 0.2}
+    failed = gated(math.nan, ("at_least", 0.1), (2e3, ("at_most", 1000.0), "sup C"))
+    assert failed["status"] == "fail" and failed["used"] == math.inf
+    assert gated(0.5, ("at_least", 0.1),
+                 (2e3, ("at_most", 1000.0), "sup C"))["status"] == "fail"
+
+
+def test_schema_accepts_used_and_a_band_threshold(tmp_path):
+    schema = json.loads((ROOT / "src" / "bousslab" / "schema"
+                         / "report_schema.json").read_text())
+    report = RunReport("linear_rates", {})
+    _gate(report, "AC5", "band", -0.06, ("within", -0.1, 0.02), "slope")
+    _gate(report, "AC7", "nan", math.nan, ("at_most", 1.0), "x")
+    path = write_report_json(tmp_path / "report.json", report.to_dict())
+    written = json.loads(path.read_text())
+    jsonschema.validate(written, schema)
+    assert [v["used"] for v in written["verdicts"]] == [
+        pytest.approx(1.0 / 3.0), "inf"]
+    written["verdicts"][0]["threshold"] = [-0.1, 0.0, 0.02]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(written, schema)
+
+
+def test_moving_a_declared_threshold_moves_the_whole_row(monkeypatch):
+    # the AC5 band is declared once: status, detail, threshold and share
+    # follow it together while the measured slope stays
+    cfg = load_config(ROOT / "configs" / "linear_rates_radial_l2_1d.json")
+
+    def k0_row() -> dict:
+        report = run_experiment(cfg)
+        return next(v for v in report.verdicts
+                    if v["name"] == "slope[linear:k0:sobolev2]")
+
+    shipped = k0_row()
+    monkeypatch.setattr(experiments, "_AC5_K0_BAND", ("within", -0.05, 0.02))
+    moved = k0_row()
+    assert moved["value"] == shipped["value"] < -0.05
+    assert (shipped["status"], moved["status"]) == ("pass", "fail")
+    assert (shipped["threshold"], moved["threshold"]) == ([-0.1, 0.02], [-0.05, 0.02])
+    assert "in [-0.1, 0.02]" in shipped["detail"]
+    assert "in [-0.05, 0.02]" in moved["detail"]
+    assert shipped["used"] < 1.0 < moved["used"]
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """``perfbench/run.py``, imported from its directory as the benchmark runs it."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      ROOT / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+    return module
+
+
+#: input gates check the config, not the computed result, and perfbench's
+#: tol_used leaves them out
+INPUT_GATES = ("domain_size_rule", "data_smallness")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_largest_used_share_is_perfbench_tol_used(name, perfbench_run):
+    report = run_experiment(load_config(ROOT / "configs" / f"{name}.json")).to_dict()
+    used = [v["used"] for v in report["verdicts"]
+            if "used" in v and v["name"] not in INPUT_GATES]
+    assert max([0.0] + used) == perfbench_run.tol_used(report)

@@ -40,7 +40,8 @@ def test_rate_table_slopes_match_linear_decay_law():
         assert abs(float(fitted) - theory) <= 0.05, (n, k, fitted)
 
 
-def write_run(root: Path, value: str, slope: str, status: str) -> Path:
+def write_run(root: Path, value: str, slope: str, status: str,
+              threshold: float | list = 0.1) -> Path:
     """A run root with one config holding the three compared artifacts."""
     run = root / "cfg"
     run.mkdir(parents=True)
@@ -49,7 +50,7 @@ def write_run(root: Path, value: str, slope: str, status: str) -> Path:
     (run / "rates.csv").write_text("k,slope,stderr,theory_slope,verdict\n"
                                    f"0,{slope},0.01,-0.5,{status}\n")
     verdicts = [{"criterion": "AC7", "name": "slope", "status": status,
-                 "value": float(slope)},
+                 "value": float(slope), "threshold": threshold},
                 {"criterion": "AC7", "name": "exact", "status": "pass"}]
     (run / "report.json").write_text(json.dumps({"verdicts": verdicts}))
     return root
@@ -72,3 +73,17 @@ def test_csv_drift_reports_identical_files_and_the_largest_moves(tmp_path):
         "    verdict: row 1: 'pass' -> 'fail'",
         "  report.json: verdicts moved: 1",
         "    AC7 slope: status pass -> fail, value -0.5 -> -0.25 (relative move 0.5)"]
+
+
+def test_csv_drift_reports_a_moved_threshold(tmp_path):
+    # thresholds move like values; a [lo, hi] band moves when either end does
+    a = write_run(tmp_path / "a", "0.5", "-0.5", "pass", threshold=[-0.1, 0.02])
+    band = write_run(tmp_path / "band", "0.5", "-0.5", "pass", threshold=[-0.05, 0.02])
+    scalar = write_run(tmp_path / "scalar", "0.5", "-0.5", "pass", threshold=0.2)
+    assert run_script("csv_drift.py", str(a), str(band)).splitlines()[3:] == [
+        "  report.json: verdicts moved: 1",
+        "    AC7 slope: threshold [-0.1, 0.02] -> [-0.05, 0.02] (relative move inf)"]
+    b = write_run(tmp_path / "b", "0.5", "-0.5", "pass")
+    assert run_script("csv_drift.py", str(b), str(scalar)).splitlines()[3:] == [
+        "  report.json: verdicts moved: 1",
+        "    AC7 slope: threshold 0.1 -> 0.2 (relative move 0.5)"]
