@@ -93,9 +93,11 @@ def _cmd_replot(args: argparse.Namespace) -> int:
     report_path = path.parent / "report.json"
     if report_path.exists():
         try:
-            fits = json.loads(report_path.read_text()).get("fits", [])
-        except (OSError, json.JSONDecodeError):
-            pass
+            report = json.loads(report_path.read_text())
+        except (OSError, ValueError):
+            report = None
+        if isinstance(report, dict) and isinstance(report.get("fits"), list):
+            fits = [fit for fit in report["fits"] if isinstance(fit, dict)]
     try:
         written = plot_run_svgs(path.parent, series, slope_guides(fits))
     except OSError as exc:

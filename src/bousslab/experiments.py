@@ -38,7 +38,8 @@ from .nonlinear import (NonlinearitySpec, Trajectory, _step_count,
                         linear_trajectory, march, picard_iterate,
                         reference_solve, solve)
 from .reporting import slope_guides
-from .spectral import Grid, PhysicalField, make_grid, sobolev_norm
+from .spectral import (Grid, PhysicalField, forward_transform, inverse_transform,
+                       make_grid, sobolev_norm)
 from .symbols import (ModelParams, RootPair, characteristic_roots,
                       damping_coefficient, mode_energy, propagator,
                       restoring_coefficient)
@@ -401,15 +402,13 @@ def _random_smooth_fields(grid: Grid, rng: np.random.Generator,
     """Random real fields with a Gaussian-damped spectrum, shaped
     ``(*stack, *grid.shape)``, from one draw of ``rng``.
 
+    Real white noise is damped by ``exp(-|xi|^2 / 2)`` on the half lattice.
     The noise fills the stack in C order, so the fields are those of one
     draw per field in that order.
     """
-    # one complex work array, transformed in place; the real part is copied
-    # out so that it does not keep the work array alive
-    work = rng.standard_normal(stack + grid.shape).astype(np.complex128)
-    np.fft.fftn(work, axes=grid.axes, out=work)
-    work *= np.exp(-grid.xi2 / 2.0)
-    return np.fft.ifftn(work, axes=grid.axes, out=work).real.copy()
+    coeffs = forward_transform(grid, rng.standard_normal(stack + grid.shape))
+    coeffs *= np.exp(-grid.xi2_half / 2.0)
+    return inverse_transform(grid, coeffs)
 
 
 def _lemma_certify(cfg: ExperimentConfig, report: RunReport) -> None:

@@ -56,22 +56,23 @@ def linear_solution(grid: Grid, y0: np.ndarray, t, params: ModelParams) -> np.nd
 class RadialData:
     """Radially symmetric initial data given by spectral profiles ``|xi| -> real``.
 
-    ``substitution_power = q`` is the radial quadrature substitution
-    ``r = s^q`` that keeps an integrand with an integrable power singularity
-    at ``r = 0`` (the square-integrable profile) smooth there.
+    ``substitution_power = q`` (a finite real ``q >= 1``) is the radial
+    quadrature substitution ``r = s^q`` that keeps an integrand with an
+    integrable power singularity at ``r = 0`` smooth there.
     """
 
     u0_hat: Callable[[np.ndarray], np.ndarray]
     u1_hat: Callable[[np.ndarray], np.ndarray]
     cutoff_hint: float = 12.0
-    substitution_power: int = 1
+    substitution_power: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.cutoff_hint > 0.0):
             raise ValueError("cutoff hint must be positive")
-        if not (isinstance(self.substitution_power, int) and self.substitution_power >= 1):
-            raise ValueError(f"substitution power must be a positive integer, "
-                             f"got {self.substitution_power!r}")
+        q = self.substitution_power
+        real = isinstance(q, (int, float)) and not isinstance(q, bool)
+        if not (real and math.isfinite(q) and q >= 1):
+            raise ValueError(f"substitution power must be a finite real >= 1, got {q!r}")
 
 
 def _zero_profile(r: np.ndarray) -> np.ndarray:
@@ -132,12 +133,14 @@ def square_integrable_radial_data(n: int, eps: float = 0.2,
                                   amplitude: float = 1.0) -> RadialData:
     """Square-integrable-only displacement data, zero velocity, ``0 < eps < 1``.
 
-    The norm integrands behave like ``r^(eps - 1 + 2k)`` at ``r = 0``; the
-    substitution power ``ceil(1/eps)`` makes them bounded there.
+    The norm integrands behave like ``r^(eps - 1 + 2k)`` at ``r = 0``; under
+    ``r = s^q`` the ``k = 0`` one becomes ``q s^(q eps - 1)``, which the
+    power ``q = 1/eps`` makes constant (panel doubling converges slowly on
+    a fractional power of ``s``).
     """
     return RadialData(u0_hat=square_integrable_profile(n, eps, amplitude),
                       u1_hat=_zero_profile,
-                      cutoff_hint=1.0, substitution_power=math.ceil(1.0 / eps))
+                      cutoff_hint=1.0, substitution_power=1.0 / eps)
 
 
 _WHICH = ("linear", "profile", "gap")

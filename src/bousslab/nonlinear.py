@@ -217,7 +217,7 @@ class _Source:
         # leading-axis transforms on the kept columns, and in 3-D the outer
         # axis on the two blocks of kept middle-axis rows (modes 0..N//3 and
         # -N//3..-1)
-        N, keep = grid.N, grid.N // 3 + 1
+        N, keep = grid.N, grid.dealias_cut + 1
         cols = (Ellipsis, slice(0, keep))
         self.leading = [(-2, cols)] if grid.n >= 2 else []
         if grid.n == 3:

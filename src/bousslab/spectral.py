@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * Real fields are carried as half spectra, the one spectral format of the
-  package (``rfftn`` layout): the full lattice on the first ``n - 1`` axes
-  and ``m = 0 .. N/2`` on the last, shape :attr:`Grid.half_shape`.  The
+  package (``rfftn`` layout): every mode on the first ``n - 1`` axes and
+  ``m = 0 .. N/2`` on the last, shape :attr:`Grid.half_shape`.  The
   other half is the complex conjugate of the mode ``-m``, so Hermitian
   symmetry holds by construction and every half spectrum is the transform
   of a real field.
@@ -30,10 +30,12 @@ Conventions used throughout the package:
   spectrum (:func:`sobolev_norm`) and only the Lebesgue norm
   :func:`l1_norm` reads physical samples.
 * Frequencies are ``xi = 2 pi m / L`` with integer multi-index ``m`` in
-  ``[-N/2, N/2)`` per axis, stored in ``numpy.fft`` ordering; ``xi = 0``
-  occurs exactly once.  On the half lattice the last-axis index ``N/2``
-  holds the Nyquist mode, whose ``|xi|`` is that of ``-N/2``; the 2/3 mask
-  and ``|xi|^2`` restrict unchanged to the half lattice.
+  ``[-N/2, N/2)`` per axis, in ``numpy.fft`` ordering; ``xi = 0`` occurs
+  exactly once.  :class:`Grid` builds ``|xi|^2`` and the 2/3-rule mask on
+  the half lattice alone, from ``fftfreq`` whole on the first ``n - 1``
+  axes and its first ``N/2 + 1`` entries on the last: the last-axis index
+  ``N/2`` holds ``m = -N/2``, whose square is bitwise that of the Nyquist
+  mode ``+N/2`` that ``rfftn`` stores there.
 * Physical coordinates are centred, ``x in [-L/2, L/2)`` per axis, which is
   convenient for compactly supported data.  Coefficient phases refer to the
   FFT sample ordering; everything downstream (norms, radial multipliers)
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -94,35 +96,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.dx**self.n
 
-    @cached_property
-    def xi_axis(self) -> np.ndarray:
-        """Frequencies 2*pi*m/L along one axis, in FFT ordering."""
-        xi = TWO_PI * np.fft.fftfreq(self.N, d=self.dx)
-        xi.flags.writeable = False
-        return xi
-
-    @cached_property
-    def xi2(self) -> np.ndarray:
-        """Lattice of |xi|^2, shape ``self.shape``."""
-        axes = np.meshgrid(*([self.xi_axis] * self.n), indexing="ij", sparse=True)
-        out = sum(a * a for a in axes)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask: keep |m| <= N//3 on every axis."""
-        m = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer mode numbers
-        keep = np.abs(m) <= self.N // 3
-        axes = np.meshgrid(*([keep] * self.n), indexing="ij", sparse=True)
-        out = axes[0]
-        for a in axes[1:]:
-            out = out & a
-        out = np.ascontiguousarray(np.broadcast_to(out, self.shape))
-        out.flags.writeable = False
-        return out
-
     @property
     def half_shape(self) -> tuple[int, ...]:
         """Shape of a half spectrum: ``N//2 + 1`` modes on the last axis."""
@@ -135,22 +108,32 @@ class Grid:
 
     @cached_property
     def fft_scale(self) -> float:
-        """Factor from ``fftn`` sums to unitary-convention coefficients."""
+        """Factor from discrete Fourier sums to unitary-convention coefficients."""
         return self.cell_volume * TWO_PI ** (-0.5 * self.n)
 
-    # the half lattice is the first N//2 + 1 last-axis indices of the full
-    # one; index N/2 holds the mode -N/2, whose |m| and |xi| equal those of
-    # the +N/2 mode that rfftn stores there
+    @property
+    def dealias_cut(self) -> int:
+        """Largest ``|m|`` the 2/3 rule keeps on every axis (Orszag 1971)."""
+        return self.N // 3
+
+    def _on_half_lattice(self, per_axis: np.ndarray, combine: np.ufunc) -> np.ndarray:
+        """``per_axis`` (``fftfreq`` order) on every axis of the half lattice,
+        its first ``N//2 + 1`` entries on the last, folded by ``combine``."""
+        axes = [per_axis] * (self.n - 1) + [per_axis[: self.N // 2 + 1]]
+        out = reduce(combine, np.meshgrid(*axes, indexing="ij", sparse=True))
+        return _frozen(np.broadcast_to(out, self.half_shape))
 
     @cached_property
     def xi2_half(self) -> np.ndarray:
         """|xi|^2 on the half lattice, shape ``self.half_shape``."""
-        return _frozen(self.xi2[..., : self.N // 2 + 1])
+        xi = TWO_PI * np.fft.fftfreq(self.N, d=self.dx)
+        return self._on_half_lattice(xi * xi, np.add)
 
     @cached_property
     def dealias_mask_half(self) -> np.ndarray:
-        """The 2/3-rule mask on the half lattice."""
-        return _frozen(self.dealias_mask[..., : self.N // 2 + 1])
+        """The 2/3-rule mask on the half lattice: ``|m| <= dealias_cut`` on every axis."""
+        m = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer mode numbers
+        return self._on_half_lattice(np.abs(m) <= self.dealias_cut, np.logical_and)
 
     @cached_property
     def half_multiplicity(self) -> np.ndarray:
@@ -408,7 +391,7 @@ def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      count: int, cutoff: float, panels0: int, rtol: float,
-                     substitution_power: int, max_doublings: int) -> np.ndarray:
+                     substitution_power: float, max_doublings: int) -> np.ndarray:
     """``int_0^inf integrand(r)[i] dr`` for each of ``count`` components.
 
     ``integrand(r, live)`` returns the rows ``live`` (an index array) at the
@@ -426,13 +409,14 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     each.  The sums, and the checks of :func:`_panel_sums` in body-then-tail
     order, are those of one call per panel sum.
 
-    ``substitution_power = q`` integrates in the variable ``s = r^(1/q)``,
-    which regularises integrable endpoint singularities ``r^(-a)`` with
-    ``q * (1 - a) >= 1``.
+    ``substitution_power = q``, a real number ``>= 1``, integrates in the
+    variable ``s = r^(1/q)``, which turns an endpoint singularity ``r^(-a)``
+    into ``s^(q (1 - a) - 1)``: bounded for ``q * (1 - a) >= 1`` and
+    constant for ``q * (1 - a) == 1``.
     """
-    q = int(substitution_power)
-    if q < 1:
-        raise ValueError("substitution power must be a positive integer")
+    q = substitution_power
+    if not q >= 1:
+        raise ValueError(f"substitution power must be a real number >= 1, got {q!r}")
     if q == 1:
         g = integrand
     else:

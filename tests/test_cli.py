@@ -167,6 +167,16 @@ class TestExitCodes:
         assert rc == EXIT_BLOWUP
         assert "blow-up" in capsys.readouterr().err
 
+    def test_radial_l2_with_fractional_inverse_eps_runs(self, tmp_path, capsys):
+        # 1/0.3 is not an integer: the substitution r = s^(1/eps) keeps the
+        # quadrature smooth, where r = s^ceil(1/eps) needed over 2^20 nodes
+        # and exited 3
+        cfg = json.loads((ROOT / "configs" / "linear_rates_radial_l2_1d.json").read_text())
+        cfg["data"]["eps"] = 0.3
+        path = write_config(tmp_path, cfg)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_oracle_on_stiff_512_mode_grid_passes(self, tmp_path):
         # |xi|^4 damping on 512 modes: an explicit oracle overflows here, the
         # implicit one is not limited by it
@@ -421,6 +431,26 @@ class TestReplot:
         stdout = capsys.readouterr().out
         for name in originals:
             assert name in stdout
+
+    @pytest.mark.parametrize("report", ["[]", '{"fits": [1]}', '{"fits": {"a": 1}}',
+                                        '{"fits": "x"}', '{"fits": [', b"\xff\xfe"],
+                             ids=["not_an_object", "fit_not_an_object", "fits_an_object",
+                                  "fits_a_string", "malformed_json", "not_utf8"])
+    def test_replot_takes_no_guides_from_an_unusable_report(self, tmp_path, capsys,
+                                                            report):
+        path = tmp_path / "series.csv"
+        rows = [f"x/linear,{t},0,sobolev2,{(1.0 + t) ** -0.5}" for t in range(1, 9)]
+        path.write_text("experiment_id,t,k,norm_kind,value\n" + "\n".join(rows) + "\n")
+        assert main(["replot", str(path)]) == EXIT_OK
+        plain = (tmp_path / "linear_k0.svg").read_bytes()
+        report_path = tmp_path / "report.json"
+        if isinstance(report, bytes):
+            report_path.write_bytes(report)
+        else:
+            report_path.write_text(report)
+        assert main(["replot", str(path)]) == EXIT_OK
+        assert (tmp_path / "linear_k0.svg").read_bytes() == plain
+        assert capsys.readouterr().err == ""
 
     def test_replot_missing_series_returns_two(self, tmp_path, capsys):
         rc = main(["replot", str(tmp_path / "missing.csv")])

@@ -196,13 +196,33 @@ class TestSquareIntegrableData:
     """The profile r^(-(n-eps)/2) on r <= 1, for the whole range 0 < eps < 1."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    @pytest.mark.parametrize("eps", (0.05, 0.1, 0.2, 0.5))
+    @pytest.mark.parametrize("eps", (0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7))
     def test_closed_form_at_time_zero(self, eps, n):
         # c_n int_0^1 r^(n-1) r^(eps-n) dr = c_n / eps
         data = square_integrable_radial_data(n=n, eps=eps)
-        assert data.substitution_power == math.ceil(1.0 / eps)
+        assert data.substitution_power == 1.0 / eps
         val = linear_norm_radial(data, 0.0, [("linear", 0)], n, P)[0]
         assert val == pytest.approx(math.sqrt(SPHERE_SURFACE[n] / eps), rel=1e-12)
+
+    @pytest.mark.parametrize("n", (1, 3))
+    @pytest.mark.parametrize("t", (0.5, 5.0))
+    @pytest.mark.parametrize("eps", (0.3, 0.45, 0.7))
+    def test_fractional_inverse_eps_matches_weighted_quadrature(self, eps, t, n):
+        # 1/eps is not an integer here; the reference integrates the same
+        # c_n int_0^1 r^(eps - 1 + 2k) cosine(r, t)^2 dr by QUADPACK's
+        # algebraic-weight rule, which takes the endpoint power exactly
+        integrate = pytest.importorskip("scipy.integrate")
+
+        def cosine2(r: float) -> float:
+            return float(propagator(np.asarray(r * r), t, P).cosine) ** 2
+
+        data = square_integrable_radial_data(n=n, eps=eps)
+        got = linear_norm_radial(data, t, [("linear", 0), ("linear", 1)], n, P)
+        for k, val in enumerate(got):
+            ref, _ = integrate.quad(cosine2, 0.0, 1.0, weight="alg",
+                                    wvar=(eps - 1.0 + 2 * k, 0.0),
+                                    epsabs=0.0, epsrel=1e-13, limit=200)
+            assert val == pytest.approx(math.sqrt(SPHERE_SURFACE[n] * ref), rel=1e-9)
 
     def test_small_eps_converges_at_late_time(self):
         data = square_integrable_radial_data(n=1, eps=0.1)
@@ -215,10 +235,16 @@ class TestSquareIntegrableData:
         with pytest.raises(ValueError, match="0 < eps < 1"):
             square_integrable_profile(3, eps)
 
-    def test_substitution_power_validated(self):
+    @pytest.mark.parametrize("q", (0, 0.5, -2.0, math.nan, math.inf, True, "2", None))
+    def test_substitution_power_validated(self, q):
         with pytest.raises(ValueError, match="substitution power"):
             RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like,
-                       substitution_power=0)
+                       substitution_power=q)
+
+    @pytest.mark.parametrize("q", (1, 1.0, 10 / 3, 7, np.float64(2.5)))
+    def test_real_substitution_power_accepted(self, q):
+        data = RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, substitution_power=q)
+        assert data.substitution_power == q
 
 
 def wide_domain_norms(data, t, components, n, params):

@@ -20,7 +20,7 @@ from scipy.sparse import csc_matrix
 
 import bousslab.linear
 import bousslab.nonlinear
-from bousslab import (BlowUpError, ModelParams, NonlinearitySpec,
+from bousslab import (BlowUpError, Grid, ModelParams, NonlinearitySpec,
                       PhysicalField, ReferenceIntegrationError, Trajectory,
                       damping_coefficient, inverse_transform,
                       linear_solution, linear_trajectory, make_grid, march,
@@ -310,6 +310,29 @@ class TestSource:
             masked = out[~g.dealias_mask_half]
             assert masked.size > 0 and np.all(masked == 0.0)
             assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("cut", [None, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kept_columns_and_mask_come_from_the_declared_cut(self, n, cut, monkeypatch):
+        # the 2/3 cut is declared once, on Grid: moving it moves both the
+        # mask and the source evaluator's pruned blocks
+        if cut is not None:
+            monkeypatch.setattr(Grid, "dealias_cut", property(lambda self: cut))
+        g = make_grid(n, 20.0, 16)
+        cut = g.dealias_cut
+        m = np.fft.fftfreq(16, d=1.0 / 16)
+        keep = np.abs(m) <= cut
+        for axis in range(n):
+            sel = [0] * n
+            sel[axis] = slice(None)
+            assert np.array_equal(g.dealias_mask_half[tuple(sel)],
+                                  keep[: g.half_shape[axis]])
+        source = _Source(g, QUAD_SPEC)
+        assert all(blk[-1] == slice(0, cut + 1) for _, blk in source.leading)
+        covered = np.zeros(g.half_shape, dtype=bool)
+        for blk in source.masked:
+            covered[blk] = True
+        assert np.array_equal(covered, ~g.dealias_mask_half)
 
     @pytest.mark.parametrize("grid", ["1d_64", "2d_128", "3d_16"])
     def test_nan_in_a_masked_out_mode_still_blows_up(self, grid, monkeypatch):

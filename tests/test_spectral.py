@@ -27,10 +27,39 @@ from bousslab.spectral import _panel_sums, _radial_integral
 from conftest import l2_norm, linf_norm, random_smooth_field
 
 
+#: the lattices the half-lattice arrays are checked on, odd N // 3 included
+LATTICES = [(n, N) for n in (1, 2, 3) for N in (8, 12, 16)]
+
+
+def full_lattice(per_axis: np.ndarray, n: int, combine) -> np.ndarray:
+    """The dense n-D lattice of ``per_axis`` values (``fftfreq`` order),
+    folded over the axes by ``combine``, first axis first."""
+    axes = np.meshgrid(*([per_axis] * n), indexing="ij")
+    out = axes[0]
+    for a in axes[1:]:
+        out = combine(out, a)
+    return out
+
+
+def half(N: int) -> tuple:
+    """The half-lattice block of a full lattice: last-axis indices 0 .. N/2."""
+    return (Ellipsis, slice(0, N // 2 + 1))
+
+
 class TestGrid:
-    def test_frequencies_are_integer_modes_on_2pi_box(self):
-        g = make_grid(1, 2.0 * math.pi, 8)
-        assert np.allclose(g.xi_axis, [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-12)
+    @pytest.mark.parametrize("n, N", LATTICES)
+    def test_frequencies_are_integer_modes_on_2pi_box(self, n, N):
+        g = make_grid(n, 2.0 * math.pi, N)
+        xi = 2.0 * math.pi * np.fft.fftfreq(N, d=2.0 * math.pi / N)
+        m = np.fft.fftfreq(N, d=1.0 / N)
+        assert np.allclose(xi, m, atol=1e-12)
+        assert np.array_equal(g.xi2_half, full_lattice(xi * xi, n, np.add)[half(N)])
+        assert np.allclose(g.xi2_half, full_lattice(m * m, n, np.add)[half(N)], atol=1e-12)
+        # the Nyquist index holds the mode -N/2, whose square is that of +N/2
+        assert g.xi2_half[(0,) * (n - 1) + (N // 2,)] == pytest.approx((N / 2) ** 2,
+                                                                        rel=1e-15)
+        if (n, N) == (1, 8):
+            assert np.allclose(g.xi2_half, [0, 1, 4, 9, 16], atol=1e-12)
 
     def test_cell_volume_and_frequency_spacing(self):
         g = make_grid(2, 10.0, 16)
@@ -46,15 +75,29 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(**bad)
 
-    def test_dealias_mask_keeps_low_third(self):
-        g = make_grid(1, 2.0 * math.pi, 12)
-        m = np.fft.fftfreq(12, d=1.0 / 12)
-        assert np.array_equal(g.dealias_mask, np.abs(m) <= 4)
+    @pytest.mark.parametrize("n, N", LATTICES)
+    def test_dealias_mask_keeps_low_third(self, n, N):
+        g = make_grid(n, 2.0 * math.pi, N)
+        assert g.dealias_cut == N // 3
+        keep = np.abs(np.fft.fftfreq(N, d=1.0 / N)) <= N // 3
+        full = full_lattice(keep, n, np.logical_and)
+        assert g.dealias_mask_half.dtype == bool
+        assert np.array_equal(g.dealias_mask_half, full[half(N)])
+        # the Nyquist index -N/2 is above the cut
+        assert not g.dealias_mask_half[..., N // 2].any()
+        if (n, N) == (1, 12):
+            assert g.dealias_mask_half.tolist() == [True] * 5 + [False] * 2
 
-    def test_squared_frequency_lattice(self):
-        g = make_grid(2, 2.0 * math.pi, 8)
-        xi = g.xi_axis
-        assert np.allclose(g.xi2, xi[:, None] ** 2 + xi[None, :] ** 2)
+    @pytest.mark.parametrize("n, N", LATTICES)
+    def test_squared_frequency_lattice(self, n, N):
+        g = make_grid(n, 7.0, N)
+        xi = 2.0 * math.pi * np.fft.fftfreq(N, d=7.0 / N)
+        assert g.xi2_half.shape == g.half_shape
+        assert np.array_equal(g.xi2_half, full_lattice(xi * xi, n, np.add)[half(N)])
+        sparse = np.ix_(*([xi] * n))
+        assert np.allclose(g.xi2_half, sum(a ** 2 for a in sparse)[half(N)])
+        assert not g.xi2_half.flags.writeable
+        assert not g.dealias_mask_half.flags.writeable
 
 
 class TestTransform:
@@ -139,19 +182,22 @@ class TestHalfSpectrum:
             stacked = sobolev_norm(g, stack, k)
             assert [sobolev_norm(g, c, k) for c in stack] == stacked.tolist()
 
-    @pytest.mark.parametrize("n, N", [(1, 16), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("n, N", LATTICES)
     def test_layout_matches_the_full_spectrum(self, rng, n, N):
         g = make_grid(n, 7.0, N)
         stack = rng.standard_normal((2,) + g.shape)
-        half = forward_transform(g, stack)
-        assert half.shape == (2,) + g.half_shape
-        assert np.max(np.abs(inverse_transform(g, half) - stack)) <= 1e-13
-        keep = (slice(None),) * (n - 1) + (slice(0, N // 2 + 1),)
-        for values, coeffs in zip(stack, half):
+        coeffs_half = forward_transform(g, stack)
+        assert coeffs_half.shape == (2,) + g.half_shape
+        assert np.max(np.abs(inverse_transform(g, coeffs_half) - stack)) <= 1e-13
+        for values, coeffs in zip(stack, coeffs_half):
             full = g.fft_scale * np.fft.fftn(values)
-            assert np.max(np.abs(coeffs - full[keep])) <= 1e-13 * np.max(np.abs(full))
-        assert np.array_equal(g.xi2_half, g.xi2[keep])
-        assert np.array_equal(g.dealias_mask_half, g.dealias_mask[keep])
+            assert np.max(np.abs(coeffs - full[half(N)])) <= 1e-13 * np.max(np.abs(full))
+        # each half-lattice array is the half block of its full-lattice formula
+        xi = 2.0 * math.pi * np.fft.fftfreq(N, d=7.0 / N)
+        keep = np.abs(np.fft.fftfreq(N, d=1.0 / N)) <= N // 3
+        assert np.array_equal(g.xi2_half, full_lattice(xi * xi, n, np.add)[half(N)])
+        assert np.array_equal(g.dealias_mask_half,
+                              full_lattice(keep, n, np.logical_and)[half(N)])
 
     @pytest.mark.parametrize("n, N", [(1, 64), (1, 512), (2, 128), (3, 16)])
     def test_per_axis_transforms_equal_rfftn_and_irfftn(self, rng, n, N):
