@@ -147,17 +147,13 @@ _WHICH = ("linear", "profile", "gap")
 
 
 #: late-time cutoff ``r^2 <= _ENVELOPE_EXPONENT / (|alpha| t)`` of the radial
-#: norms (t >= 50).  In the oscillatory band the kernels carry the roots'
-#: real part, so ``|kernel|^2 <~ poly(r, t) * exp(-|alpha| r^2 t / (1 + r^2))``
-#: (``exp(alpha r^2 t)`` exactly for the profile kernels and for alpha = -1);
-#: beyond the band they fall like ``exp(-2t) <= e^-100``.  At the cutoff the
-#: envelope is ``exp(-S / (1 + r^2))`` with ``r^2 <= S / (|alpha| t)``, so S
-#: must clear the 1e-12 relative tail gate of ``spectral._radial_integral``
-#: (``e^-27.6``) with room for the polynomial prefactors.  S = 64 leaves
-#: ``e^-64 ~ 1.6e-28`` (``e^-45`` at alpha = -3, t = 50): on the shipped
-#: configs the largest relative tail is 2.3e-24 and no cutoff is doubled,
-#: while S = 48 left 1.3e-17 and S = 36 missed the gate (1.2e-12) and needed
-#: eight cutoff doublings.
+#: norms (t >= 50).  In the oscillatory band ``|kernel|^2 <~ poly(r, t) *
+#: exp(-|alpha| r^2 t / (1 + r^2))`` (``exp(alpha r^2 t)`` exactly for the
+#: profile kernels and for alpha = -1): ``e^-64`` at the cutoff against the
+#: 1e-12 relative tail gate (``e^-27.6``) of ``spectral._radial_integral``;
+#: the largest shipped tail is 2.3e-24.  Beyond the band the slow real root
+#: rules: -1 at alpha = -1, but about -0.125 at alpha = -10, r = 0.3, where
+#: the tail check refines and doubles the cutoff.
 _ENVELOPE_EXPONENT = 64.0
 
 
@@ -173,19 +169,18 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     and the integration variable is ``r = s^q`` with
     ``q = data.substitution_power``.
 
-    The domain is ``[0, data.cutoff_hint]``; at ``t >= 50`` it shrinks to
-    ``r^2 <= 64 / (|alpha| t)``, where the squared kernels' envelope
-    ``exp(alpha r^2 t)`` has fallen to ``e^-64``, far below the 1e-12
-    relative tail the doubling tail check still verifies (the largest tail
-    on the shipped configs is 2.3e-24).
+    The domain is ``[0, data.cutoff_hint]``, at ``t >= 50`` cut to
+    ``r^2 <= 64 / (|alpha| t)`` (see ``_ENVELOPE_EXPONENT``); the tail check
+    still verifies it.
 
     All components share the cutoff and panel schedule at ``t``, so each
     integrand call evaluates ``propagator`` and/or ``profile_symbols`` once
     and weighs the kernel by ``r^(2k+n-1)`` per component; every component
     still converges on its own (see ``spectral._radial_integral``), so each
     value is bitwise the one a one-component call gives.  One call covers
-    the first two panel sums of both the body and the tail of a cutoff, so
-    a time at which nothing refines further costs one kernel evaluation.
+    the body's first two panel sums and the tail's coarse one, so a time
+    whose body converges at once and whose coarse tails are below their
+    floor costs one kernel evaluation.
     Overflow or NaN in the kernels raises the quadrature's
     :class:`~bousslab.spectral.QuadratureError`, with no numpy warning.
     """

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -283,7 +284,7 @@ def l1_norm(field: PhysicalField) -> float:
 
 #: most nodes one integrand call may see: a panel sum that needs more raises,
 #: and the panel sums batched into one call total at most this many nodes.
-#: The shipped configs stay below 2^15 nodes per call
+#: The shipped configs need one call of at most 16 380 nodes per cutoff
 _MAX_NODES = 2**20
 
 
@@ -403,11 +404,13 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a relative tail above 1e-12 doubles its cutoff, at most
     ``max_doublings`` times.  Finished rows drop out of later panel sums.
 
-    Every cutoff needs at least the first two panel sums of the body and of
-    the tail, so those four node sets go to one integrand call (more only
-    where they exceed ``_MAX_NODES``); the later doublings make one call
-    each.  The sums, and the checks of :func:`_panel_sums` in body-then-tail
-    order, are those of one call per panel sum.
+    A cutoff's first integrand call (more past ``_MAX_NODES``) holds the
+    body's sums at ``p`` and ``2 p`` panels and a coarse tail sum at half
+    that first density.  A coarse tail within its floor is the tail; the
+    other rows take the tail at twice those panels in a second call and
+    refine on.  One coarse sum suffices: the body converges (to 1e-9 on
+    every shipped call) at its first doubling, so ``p`` panels resolve the
+    integrand, and the floor is 10 times below the gate.
 
     ``substitution_power = q``, a real number ``>= 1``, integrates in the
     variable ``s = r^(1/q)``, which turns an endpoint singularity ``r^(-a)``
@@ -430,13 +433,17 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for _ in range(max_doublings + 1):
         lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
         first = _panel_sums(g, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
-                                      (lo, hi, tail_panels), (lo, hi, 2 * tail_panels)])
+                                      (lo, hi, tail_panels)])
         body = _refined_integral(g, live, 0.0, lo, body_panels, first, rtol,
                                  np.full(live.size, 1e-300))
-        # the tail only needs to be located to ~1e-13 of the body, so the
-        # refinement there carries an absolute floor (tiny tails stop early)
-        tail = _refined_integral(g, live, lo, hi, tail_panels, first, 1e-6,
-                                 1e-13 * np.maximum(np.abs(body), 1e-300))
+        # a coarse tail within 1e-13 of the body is the tail; the rest refine
+        floor = 1e-13 * np.maximum(np.abs(body), 1e-300)
+        tail = next(first)
+        rows = np.flatnonzero(np.abs(tail) > floor)
+        if rows.size:
+            fine = _panel_sums(g, live[rows], [(lo, hi, 2 * tail_panels)])
+            tail[rows] = _refined_integral(g, live[rows], lo, hi, tail_panels,
+                                           chain([tail[rows]], fine), 1e-6, floor[rows])
         total = body + np.maximum(tail, 0.0)
         done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
         totals[live[done]] = total[done]

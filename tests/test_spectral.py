@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,16 @@ from hypothesis import strategies as st
 import bousslab.linear
 from bousslab import (ModelParams, PhysicalField, QuadratureError, RadialData,
                       forward_transform, gaussian_radial_data, inverse_transform,
-                      l1_norm, linear_norm_radial, make_grid, neg_sobolev_norm,
-                      sobolev_norm, spectral)
+                      l1_norm, linear_norm_radial, load_config, make_grid,
+                      neg_sobolev_norm, sobolev_norm, spectral,
+                      square_integrable_radial_data)
+from bousslab.experiments import run_experiment
 from bousslab.spectral import _panel_sums, _radial_integral
 
 from conftest import l2_norm, linf_norm, random_smooth_field
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: the lattices the half-lattice arrays are checked on, odd N // 3 included
 LATTICES = [(n, N) for n in (1, 2, 3) for N in (8, 12, 16)]
@@ -446,8 +451,9 @@ class TestPanelSums:
         # the body converged at its first doubling, then the tail's values
         (smooth_then(np.nan), 8, 400, [384],
          "non-finite integrand values on [2, 4]"),
-        # 4 panels on the body, then the tail's 8 (96 nodes) and 16 (192)
-        (smooth_then(0.0), 4, 150, [144, 96],
+        # 4 panels on the body, then the tail's 8 (96 nodes); a tail above
+        # its floor then needs its 16 panels (192 nodes)
+        (smooth_then(1e-3), 4, 150, [144, 96],
          "a panel sum on [2, 4] would need 192 nodes (limit 150)"),
     ], ids=["body_limit_before_tail_nan", "tail_nan", "tail_limit"])
     def test_errors_name_the_interval_of_one_call_per_sum(
@@ -466,8 +472,8 @@ class TestPanelSums:
         assert seen == sizes
 
     def test_one_kernel_evaluation_when_nothing_refines(self, monkeypatch):
-        # t = 1e3: 128 and 256 body panels, 64 and 128 tail panels, all of
-        # which converge at their first doubling
+        # t = 1e3: 128 and 256 body panels, which converge at the first
+        # doubling, and 64 tail panels, whose sum is below its floor
         calls = []
         real = bousslab.linear.propagator
 
@@ -477,4 +483,166 @@ class TestPanelSums:
 
         monkeypatch.setattr(bousslab.linear, "propagator", counted)
         linear_norm_radial(gaussian_radial_data(n=1), 1e3, [("linear", 0)], 1, ModelParams())
-        assert calls == [12 * (128 + 256 + 64 + 128)]
+        assert calls == [12 * (128 + 256 + 64)]
+
+
+def four_set_refine(f, live, a, b, panels, first, rtol, atol):
+    """The panel doubling of the four-set schedule: ``first`` yields the sums
+    at ``panels`` and ``2 panels``; a row stops where it changes by at most
+    ``max(rtol |value|, atol[row])``."""
+    out = np.empty(live.size)
+    rows = np.arange(live.size)
+    prev, cur = next(first), next(first)
+    panels *= 2
+    for doubling in range(12):
+        if doubling:
+            panels *= 2
+            (cur,) = _panel_sums(f, live[rows], [(a, b, panels)])
+        done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if rows.size == 0:
+            return out
+    raise QuadratureError(
+        f"radial quadrature did not converge to rtol={rtol:g} on [{a:g}, {b:g}]")
+
+
+def four_set_radial_integral(integrand, count, cutoff, panels0, rtol,
+                             substitution_power, max_doublings):
+    """The radial integral whose every cutoff takes the body's and the
+    tail's first two panel sums from one call and refines the tail from
+    its second sum, however small the first."""
+    q = substitution_power
+    if q == 1:
+        g = integrand
+    else:
+        def g(s, live):
+            return q * s ** (q - 1) * integrand(s**q, live)
+    totals = np.empty(count)
+    live = np.arange(count)
+    c = float(cutoff)
+    body_panels, tail_panels = max(4, int(panels0)), max(8, int(panels0) // 2)
+    for _ in range(max_doublings + 1):
+        lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
+        first = _panel_sums(g, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
+                                      (lo, hi, tail_panels), (lo, hi, 2 * tail_panels)])
+        body = four_set_refine(g, live, 0.0, lo, body_panels, first, rtol,
+                               np.full(live.size, 1e-300))
+        tail = four_set_refine(g, live, lo, hi, tail_panels, first, 1e-6,
+                               1e-13 * np.maximum(np.abs(body), 1e-300))
+        total = body + np.maximum(tail, 0.0)
+        done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
+        totals[live[done]] = total[done]
+        live = live[~done]
+        if live.size == 0:
+            return totals
+        c *= 2.0
+    raise QuadratureError(
+        f"radial quadrature did not converge: tail check failed after "
+        f"{max_doublings} cutoff doublings (last cutoff {c:g})")
+
+
+def tail_rows(r, live):
+    """``exp(-r^2)`` on ``[0, 2]`` and beyond it: a constant 2e-14, whose
+    tail is below its floor but moves the sum (row 0), a constant 2.5e-13,
+    whose tail lies between its floor and the gate (row 1), and that
+    constant plus a fast ripple, which takes several panel doublings
+    (row 2); row 3 is ``exp(-r^2)`` throughout."""
+    body = np.exp(-r * r)
+    out = (np.where(r <= 2.0, body, 2e-14), np.where(r <= 2.0, body, 2.5e-13),
+           np.where(r <= 2.0, body, 2.5e-13 + 3e-11 * np.cos(600.0 * r)), body)
+    return np.stack([out[i] for i in live])
+
+
+class TestTailCheck:
+    """The tail check on ``[c, 2c]``: a coarse tail sum below ``1e-13 |body|``
+    is the tail; only the other rows take the finer sum and refine."""
+
+    def run_both(self, f, count, cutoff, panels0, max_doublings, q=1):
+        calls = []
+
+        def counted(r, live):
+            calls.append((r.size, list(live)))
+            return f(r, live)
+
+        args = (count, cutoff, panels0, 1e-9)
+        kwargs = dict(substitution_power=q, max_doublings=max_doublings)
+        got = _radial_integral(counted, *args, **kwargs)
+        assert np.array_equal(got, four_set_radial_integral(f, *args, **kwargs))
+        return got, calls
+
+    def test_tail_above_its_floor_takes_the_finer_sum(self):
+        got, calls = self.run_both(lambda r, live: tail_rows(r, [1]), 1, 2.0, 8, 0)
+        # 8 + 16 body panels and 8 tail panels, then the tail's 16
+        assert calls == [(12 * (8 + 16 + 8), [0]), (12 * 16, [0])]
+        body = _radial_integral(lambda r, live: tail_rows(r, [0]), 1, 2.0, 8, 1e-9,
+                                substitution_power=1, max_doublings=0)
+        assert got[0] == pytest.approx(body[0] + 5e-13, rel=1e-15)
+
+    def test_mixed_rows_refine_only_where_the_tail_is_above_its_floor(self):
+        got, calls = self.run_both(tail_rows, 4, 2.0, 8, 2)
+        # at cutoff 2 row 0 takes its coarse tail, rows 1-3 the 16-panel
+        # one and row 2 refines its ripple to 64 panels; row 3's tail, about
+        # e^-4 / 4, fails the gate, and at cutoff 8 its coarse tail is the tail
+        assert calls == [(384, [0, 1, 2, 3]), (192, [1, 2, 3]), (384, [2]), (768, [2]),
+                         (384, [3]), (192, [3]), (384, [3])]
+        body = _radial_integral(lambda r, live: tail_rows(r, [0]) * (r <= 2.0), 1, 2.0, 8,
+                                1e-9, substitution_power=1, max_doublings=0)
+        assert body[0] < got[0] < got[2] < got[1]
+
+    def test_zero_profile_is_zero_from_one_call(self):
+        got, calls = self.run_both(lambda r, live: np.zeros((len(live), r.size)),
+                                   2, 3.0, 20, 3)
+        assert np.array_equal(got, [0.0, 0.0])
+        assert calls == [(12 * (20 + 40 + 10), [0, 1])]
+        data = RadialData(u0_hat=np.zeros_like, u1_hat=np.zeros_like)
+        assert linear_norm_radial(data, 1e3, [("linear", 0), ("gap", 1)], 2,
+                                  ModelParams()) == [0.0, 0.0]
+
+    def test_slow_decay_still_fails_the_tail_check(self):
+        def f(r, live):
+            return np.stack([1.0 / (1.0 + r)] * len(live))
+
+        messages = []
+        for integral in (_radial_integral, four_set_radial_integral):
+            with pytest.raises(QuadratureError, match="tail check failed") as err:
+                integral(f, 1, 2.0, 8, 1e-9, substitution_power=1, max_doublings=3)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_substituted_variable_matches_the_four_set_schedule(self):
+        self.run_both(tail_rows, 4, 2.0, 8, 2, q=5)
+
+
+RADIAL_CONFIGS = ("linear_rates_gaussian_1d", "linear_rates_gaussian_2d",
+                  "linear_rates_radial_l2_1d", "profile_gap_1d")
+
+
+class TestShippedRadialTails:
+    """On the shipped radial data every coarse tail is below its floor."""
+
+    COMPONENTS = [(w, k) for w in ("linear", "profile", "gap") for k in (0, 1, 2)]
+
+    @pytest.mark.parametrize("t", (0.0, 1e2, 1e3, 1e4))
+    @pytest.mark.parametrize("data, n", [
+        (gaussian_radial_data(n=1), 1), (gaussian_radial_data(n=2), 2),
+        (square_integrable_radial_data(n=1, eps=0.2), 1)],
+        ids=["gaussian_1d", "gaussian_2d", "radial_L2_1d"])
+    def test_bitwise_the_four_set_schedule(self, data, n, t, monkeypatch):
+        got = linear_norm_radial(data, t, self.COMPONENTS, n, ModelParams())
+        monkeypatch.setattr(bousslab.linear, "_radial_integral", four_set_radial_integral)
+        assert got == linear_norm_radial(data, t, self.COMPONENTS, n, ModelParams())
+
+    def test_node_count_of_the_radial_configs(self, monkeypatch):
+        sizes = []
+        real = spectral._pack_sums
+
+        def counting(f, live, pack, order):
+            sizes.append(sum(panels * order for _, _, panels in pack))
+            return real(f, live, pack, order)
+
+        monkeypatch.setattr(spectral, "_pack_sums", counting)
+        for name in RADIAL_CONFIGS:
+            run_experiment(load_config(ROOT / "configs" / f"{name}.json"))
+        # 1 368 576 nodes in the four-set schedule, in as many calls
+        assert (sum(sizes), len(sizes)) == (1_065_024, 160)
