@@ -134,8 +134,7 @@ def _check_series_length(size: int) -> None:
         raise ValueError(f"trajectory has {size} output times, need >= 8")
 
 
-def decay_series(run: Trajectory, k_list: Sequence[int],
-                 source: str = "nonlinear") -> list[DecaySeries]:
+def decay_series(run: Trajectory, k_list: Sequence[int]) -> list[DecaySeries]:
     """Sobolev norms of the displacement along a trajectory, one series per ``k``.
 
     The L^2 norm of the order-k radial derivative, a Plancherel sum over the
@@ -147,7 +146,7 @@ def decay_series(run: Trajectory, k_list: Sequence[int],
     _check_series_length(run.times.size)
     u_hat = run.spectra[:, 0]
     return [DecaySeries(times=run.times.copy(), values=sobolev_norm(run.grid, u_hat, k),
-                        k=int(k), norm_kind="sobolev2", source=source)
+                        k=int(k), norm_kind="sobolev2", source="nonlinear")
             for k in k_list]
 
 
@@ -156,8 +155,7 @@ _RADIAL_SOURCE = {"linear": "linear", "profile": "profile", "gap": "profile_gap"
 
 def radial_decay_series(data: RadialData, times: Sequence[float],
                         k_list: Sequence[int], n: int, params: ModelParams,
-                        which: str | Sequence[str] = "linear",
-                        rtol: float = 1e-9) -> list[DecaySeries]:
+                        which: str | Sequence[str] = "linear") -> list[DecaySeries]:
     """Continuum radial norms over a time sweep, one series per ``(which, k)``.
 
     ``which`` is one kernel name or a tuple of them; the series come out
@@ -174,14 +172,17 @@ def radial_decay_series(data: RadialData, times: Sequence[float],
         raise ValueError("which must name at least one kernel")
     components = [(w, int(k)) for w in whiches for k in k_list]
 
-    rows = [linear_norm_radial(data, float(t), components, n, params, rtol=rtol)
-            for t in t_arr]
+    rows = [linear_norm_radial(data, float(t), components, n, params) for t in t_arr]
     return [DecaySeries(times=t_arr.copy(), values=np.asarray([row[i] for row in rows]),
                         k=k, norm_kind="sobolev2", source=_RADIAL_SOURCE.get(w, w))
             for i, (w, k) in enumerate(components)]
 
 
-def xnorm_proxy(run: Trajectory, n: int, k_list: Sequence[int] = (0, 1, 2)) -> np.ndarray:
+#: derivative orders of the small-data theory's solution space and data norm
+_THEORY_ORDERS = (0, 1, 2)
+
+
+def xnorm_proxy(run: Trajectory, n: int) -> np.ndarray:
     """Decay-weighted amplitude ``max_k (1+t)^(n/4 + k/2) || |grad|^k u(t) ||_L2``.
 
     The sup over time of this quantity is the solution-space size used by the
@@ -190,22 +191,22 @@ def xnorm_proxy(run: Trajectory, n: int, k_list: Sequence[int] = (0, 1, 2)) -> n
     """
     u_hat = run.spectra[:, 0]
     return np.max([(1.0 + run.times) ** (0.25 * n + 0.5 * k)
-                   * sobolev_norm(run.grid, u_hat, k) for k in k_list], axis=0)
+                   * sobolev_norm(run.grid, u_hat, k) for k in _THEORY_ORDERS], axis=0)
 
 
-def initial_data_size(u0: PhysicalField, u1: PhysicalField, k_max: int = 2) -> float:
+def initial_data_size(u0: PhysicalField, u1: PhysicalField) -> float:
     """Size of the initial data in the norm the small-data theory controls.
 
-    Sum of the L1 and H^k_max norms of the displacement plus, for the
+    Sum of the L1 and H^2 norms of the displacement plus, for the
     velocity, an antiderivative L1 norm (the homogeneous negative-order
     quantity; in one dimension computed literally via the spectral
     antiderivative, otherwise replaced by the negative-order L2 norm) and the
-    H^(k_max) norm.  Used to gate smallness before a nonlinear run.
+    H^2 norm.  Used to gate smallness before a nonlinear run.
     """
     g = u0.grid
     u0_hat, u1_hat = forward_transform(g, np.stack([u0.values, u1.values]))
     total = l1_norm(u0)
-    total += sum(sobolev_norm(g, u0_hat, k) for k in range(k_max + 1))
+    total += sum(sobolev_norm(g, u0_hat, k) for k in _THEORY_ORDERS)
     mean_scale = g.dxi ** (g.n / 2.0) * abs(u1_hat[(0,) * g.n])
     if mean_scale > 1e-12 * max(sobolev_norm(g, u1_hat), 1e-300):
         raise ValueError("velocity must have zero mean for the negative-order norm")
@@ -219,7 +220,7 @@ def initial_data_size(u0: PhysicalField, u1: PhysicalField, k_max: int = 2) -> f
     else:
         neg_part = neg_sobolev_norm(g, u1_hat)
     total += neg_part
-    total += sum(sobolev_norm(g, u1_hat, k) for k in range(k_max + 1))
+    total += sum(sobolev_norm(g, u1_hat, k) for k in _THEORY_ORDERS)
     return float(total)
 
 
@@ -326,10 +327,11 @@ def certify_bound(which: str, xi_grid: np.ndarray, t_grid: np.ndarray,
                             grid_spec=grid_spec, cap=float(cap))
 
 
-def default_certify_grids(n_xi: int = 200, n_t: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced frequency grid [1e-3, 1e2] and time grid {0} + log [1e-2, 1e3]."""
-    xi = np.logspace(-3.0, 2.0, n_xi)
-    t = np.concatenate([[0.0], np.logspace(-2.0, 3.0, n_t - 1)])
+def default_certify_grids() -> tuple[np.ndarray, np.ndarray]:
+    """Log-spaced frequency grid [1e-3, 1e2] and time grid {0} + log [1e-2, 1e3],
+    200 points each."""
+    xi = np.logspace(-3.0, 2.0, 200)
+    t = np.concatenate([[0.0], np.logspace(-2.0, 3.0, 199)])
     return xi, t
 
 

@@ -327,7 +327,7 @@ def _nonlinear_rates(cfg: ExperimentConfig, report: RunReport) -> None:
         _, u0, u1 = _checked_box_data(report, cfg, "AC7")
         run = solve(u0, u1, d.T, d.dt, _nl_spec(cfg), _model_params(cfg),
                     out_every=d.out_every)
-    report.series = decay_series(run, cfg.analysis.k_list, source="nonlinear")
+    report.series = decay_series(run, cfg.analysis.k_list)
     tol = cfg.analysis.slope_tol
     # only the k = 0 decay law is gated
     _fit_block(report, cfg.analysis.fit_window, "AC7",

@@ -156,9 +156,12 @@ _WHICH = ("linear", "profile", "gap")
 #: the tail check refines and doubles the cutoff.
 _ENVELOPE_EXPONENT = 64.0
 
+#: relative tolerance of the panel doubling over the quadrature body
+_BODY_RTOL = 1e-9
+
 
 def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[str, int]],
-                       n: int, params: ModelParams, rtol: float = 1e-9) -> list[float]:
+                       n: int, params: ModelParams) -> list[float]:
     """Continuum L^2 norms at time ``t``, one per ``(which, k)`` of ``components``.
 
     Each value is ``sqrt(c_n int r^(2k+n-1) |W(r, t)|^2 dr)``, the norm of the
@@ -231,7 +234,7 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     # an overflow or NaN anywhere in the kernels reaches the quadrature's
     # non-finite check, which names the interval; numpy's warning would not
     with np.errstate(all="ignore"):
-        values = _radial_integral(integrand, len(components), cutoff, panels0, rtol,
+        values = _radial_integral(integrand, len(components), cutoff, panels0, _BODY_RTOL,
                                   substitution_power=data.substitution_power,
                                   max_doublings=3)
     return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]

@@ -521,9 +521,14 @@ def _output_count(n_steps: int, dt: float, out_every: int,
     return count
 
 
+#: :func:`march` raises BlowUpError once the state's L^2 amplitude exceeds
+#: this many times its initial value
+_BLOWUP_FACTOR = 1e6
+
+
 def march(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
-          spec: NonlinearitySpec, params: ModelParams, out_every: int = 1,
-          blowup_factor: float = 1e6) -> Iterator[tuple[float, np.ndarray]]:
+          spec: NonlinearitySpec, params: ModelParams,
+          out_every: int = 1) -> Iterator[tuple[float, np.ndarray]]:
     """March ``(u0, u1)`` to time ``T`` with steps ``dt``, yielding a cadence.
 
     Yields ``(t, y)``, the time and the stacked half spectra
@@ -533,7 +538,7 @@ def march(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     writes to again, so a consumer may keep it without a copy; the next step
     reads it, so the consumer must not write to it while the march goes on.
     Aborts with :class:`BlowUpError` if the spectral L^2 amplitude of the
-    state exceeds ``blowup_factor`` times its initial value.
+    state exceeds ``_BLOWUP_FACTOR`` times its initial value.
 
     The arguments are checked, and the stepper built, when ``march`` is
     called; the steps run as the states are consumed.  Numpy's overflow
@@ -547,14 +552,13 @@ def march(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
     g = u0.grid
     y = _initial_state(u0, u1)
     stepper = _EtdStepper(g, dt, spec, params)
-    guard = blowup_factor * max(*sobolev_norm(g, y), 1e-30)
+    guard = _BLOWUP_FACTOR * max(*sobolev_norm(g, y), 1e-30)
     return _march(y, stepper, dt, _output_steps(n_steps, int(out_every)),
-                  guard, g.dxi**g.n, blowup_factor)
+                  guard, g.dxi**g.n)
 
 
 def _march(y: np.ndarray, stepper: _EtdStepper, dt: float, out_steps: Iterator[int],
-           guard: float, volume: float,
-           blowup_factor: float) -> Iterator[tuple[float, np.ndarray]]:
+           guard: float, volume: float) -> Iterator[tuple[float, np.ndarray]]:
     """The steps of :func:`march`, from its checked arguments."""
     yield 0.0, y
     step = 0
@@ -566,20 +570,19 @@ def _march(y: np.ndarray, stepper: _EtdStepper, dt: float, out_steps: Iterator[i
                 if _over_guard(y, guard, volume):
                     raise BlowUpError(
                         f"state blow-up at t={t_now:.6g}: amplitude exceeded "
-                        f"{blowup_factor:g} x initial", t_now)
+                        f"{_BLOWUP_FACTOR:g} x initial", t_now)
         step = stop
         yield t_now, y
 
 
 def solve(u0: PhysicalField, u1: PhysicalField, T: float, dt: float,
-          spec: NonlinearitySpec, params: ModelParams, out_every: int = 1,
-          blowup_factor: float = 1e6) -> Trajectory:
+          spec: NonlinearitySpec, params: ModelParams, out_every: int = 1) -> Trajectory:
     """The states of :func:`march`, recorded as a :class:`Trajectory`.
 
     Records the initial state and every ``out_every``-th step and the last;
     the arguments and the blow-up guard are those of :func:`march`.
     """
-    states = march(u0, u1, T, dt, spec, params, out_every, blowup_factor)
+    states = march(u0, u1, T, dt, spec, params, out_every)
     times = _output_times(_step_count(T, dt), dt, int(out_every))
     spectra = np.empty((times.size, 2) + u0.grid.half_shape, dtype=np.complex128)
     for row, (_, y) in enumerate(states):

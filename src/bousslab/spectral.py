@@ -287,22 +287,23 @@ def l1_norm(field: PhysicalField) -> float:
 #: The shipped configs need one call of at most 16 380 nodes per cutoff
 _MAX_NODES = 2**20
 
+#: Gauss-Legendre nodes per panel
+_GAUSS_ORDER = 12
 
-@lru_cache(maxsize=8)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+
+@lru_cache(maxsize=1)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-               pack: Sequence[tuple[float, float, int]],
-               order: int) -> list[tuple[bool, np.ndarray]]:
+               pack: Sequence[tuple[float, float, int]]) -> list[tuple[bool, np.ndarray]]:
     """``(finite, sums)`` per segment of ``pack``, from one call of ``f``.
 
     Apart from :func:`_panel_sums` so that the node values are freed before
     its caller takes the first sum and refines on.
     """
-    x, w = _leggauss(order)
+    x, w = _leggauss()
     nodes, weights = [], []
     for a, b, panels in pack:
         edges = np.linspace(a, b, panels + 1)
@@ -325,8 +326,7 @@ def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarr
 
 
 def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-                segments: Sequence[tuple[float, float, int]],
-                order: int = 12) -> Iterator[np.ndarray]:
+                segments: Sequence[tuple[float, float, int]]) -> Iterator[np.ndarray]:
     """Composite Gauss-Legendre sums of the ``live`` rows of ``f``, one per segment.
 
     ``segments`` lists ``(a, b, panels)``; the row sums over each ``[a, b]``
@@ -344,16 +344,16 @@ def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndar
     start = 0
     while start < len(segments):
         stop, size = start, 0
-        while stop < len(segments) and size + segments[stop][2] * order <= _MAX_NODES:
-            size += segments[stop][2] * order
+        while stop < len(segments) and size + segments[stop][2] * _GAUSS_ORDER <= _MAX_NODES:
+            size += segments[stop][2] * _GAUSS_ORDER
             stop += 1
         if stop == start:
             a, b, panels = segments[start]
             raise QuadratureError(
                 f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
-                f"would need {panels * order} nodes (limit {_MAX_NODES})")
+                f"would need {panels * _GAUSS_ORDER} nodes (limit {_MAX_NODES})")
         for (a, b, _), (finite, sums) in zip(segments[start:stop],
-                                             _pack_sums(f, live, segments[start:stop], order)):
+                                             _pack_sums(f, live, segments[start:stop])):
             if not finite:
                 raise QuadratureError(
                     f"radial quadrature did not converge: non-finite integrand values "

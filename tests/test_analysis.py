@@ -7,18 +7,20 @@ and the t = 0 normalization of the kernel envelopes.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import bousslab.linear
+from bousslab import spectral
 from bousslab import (BOUND_KINDS, DecaySeries, ModelParams,
                       NonlinearitySpec, PhysicalField, certify_bound,
                       decay_series, default_certify_grids, fit_rate,
                       forward_transform, gap_weight, gaussian_radial_data,
                       initial_data_size, inverse_transform, l1_norm,
-                      linear_norm_radial, make_grid,
+                      linear_norm_radial, make_grid, march,
                       product_estimate_check,
                       radial_decay_series, solve,
                       square_integrable_radial_data, xnorm_proxy)
@@ -28,6 +30,20 @@ from bousslab.experiments import _random_smooth_fields
 from conftest import l2_norm, linf_norm, random_smooth_field
 
 P = ModelParams(alpha=-1.0)
+
+
+@pytest.mark.parametrize("fn, retired", [
+    (march, {"blowup_factor"}), (solve, {"blowup_factor"}),
+    (linear_norm_radial, {"rtol"}), (radial_decay_series, {"rtol"}),
+    (initial_data_size, {"k_max"}), (xnorm_proxy, {"k_list"}),
+    (default_certify_grids, {"n_xi", "n_t"}), (decay_series, {"source"}),
+    (spectral._panel_sums, {"order"}), (spectral._pack_sums, {"order"}),
+    (spectral._leggauss, {"order"})],
+    ids=lambda v: v.__name__ if callable(v) else "-".join(sorted(v)))
+def test_fixed_numerical_choices_are_not_keywords(fn, retired):
+    # the blow-up factor, body rtol, Gauss order, certification grids and the
+    # theory's derivative orders are module constants, not call options
+    assert retired.isdisjoint(inspect.signature(fn).parameters)
 
 
 def series_from(fn, t_lo=1e2, t_hi=1e4, n=40, **kw):
@@ -248,6 +264,11 @@ class TestDataSizeAndAmplitude:
             initial_data_size(PhysicalField.zero(g), u1)
 
 
+def log_grids(n):
+    """``default_certify_grids``' log-spaced layout with ``n`` points each."""
+    return np.logspace(-3.0, 2.0, n), np.concatenate([[0.0], np.logspace(-2.0, 3.0, n - 1)])
+
+
 class TestCertifyBound:
     def test_time_zero_ratio_is_one_for_displacement_envelope(self):
         # at t = 0 the displacement-kernel envelope equals its weight exactly
@@ -259,14 +280,14 @@ class TestCertifyBound:
         assert cert.sup_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_rate_always_passes_with_unit_floor(self):
-        xi, t = default_certify_grids(60, 60)
+        xi, t = log_grids(60)
         for which in ("sine_envelope", "cosine_envelope"):
             cert = certify_bound(which, xi, t, (0.0,), P)
             assert cert.passed
             assert cert.sup_ratio >= 1.0 - 1e-12
 
     def test_default_grid_certification(self):
-        xi, t = default_certify_grids(120, 120)
+        xi, t = default_certify_grids()
         cands = (1.0, 0.5, 0.25, 0.1)
         for which in BOUND_KINDS:
             cert = certify_bound(which, xi, t, cands, P)
@@ -275,7 +296,7 @@ class TestCertifyBound:
             assert cert.sup_ratio <= 1e3
 
     def test_sup_ratio_monotone_in_rate(self):
-        xi, t = default_certify_grids(60, 60)
+        xi, t = log_grids(60)
         sups = []
         for c in (0.0, 0.2, 0.5, 1.0):
             cert = certify_bound("sine_envelope", xi, t, (c,), P,
@@ -284,13 +305,13 @@ class TestCertifyBound:
         assert all(a <= b * (1 + 1e-12) for a, b in zip(sups, sups[1:]))
 
     def test_all_candidates_failing_is_a_result_not_an_error(self):
-        xi, t = default_certify_grids(40, 40)
+        xi, t = log_grids(40)
         cert = certify_bound("sine_envelope", xi, t, (50.0,), P, cap=10.0)
         assert not cert.passed
         assert math.isnan(cert.fitted_c)
 
     def test_unknown_bound_kind_rejected(self):
-        xi, t = default_certify_grids(10, 10)
+        xi, t = log_grids(10)
         with pytest.raises(ValueError, match="bound kind"):
             certify_bound("nonsense", xi, t, (0.1,), P)
 

@@ -24,7 +24,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bousslab import ExperimentConfig, load_config, solve, sobolev_norm
+from bousslab import (BOUND_KINDS, ExperimentConfig, ModelParams, certify_bound,
+                      default_certify_grids, load_config, solve, sobolev_norm)
 from bousslab import experiments
 from bousslab.experiments import (RunReport, _box_data, _gate, _model_params,
                                   _nl_spec, _phase, run_experiment)
@@ -109,6 +110,21 @@ def test_run_experiment_takes_one_thread_only():
     cfg = load_config(ROOT / "configs" / "lemma_certify.json")
     with pytest.raises(ValueError, match="one thread"):
         run_experiment(cfg, threads=2)
+
+
+@pytest.mark.parametrize("alpha, cap, r0", [(-2.0, 1e3, 0.5), (-1.0, 1e4, 0.25)])
+def test_edited_lemma_certify_gives_the_direct_certificates(alpha, cap, r0):
+    # an edited config is the route to certificates at other alpha, cap and r0
+    cfg = json.loads((ROOT / "configs" / "lemma_certify.json").read_text())
+    cfg["model"]["alpha"] = alpha
+    cfg["analysis"].update(cap=cap, r0=r0)
+    report = run_experiment(ExperimentConfig.from_dict(cfg))
+    xi, t = default_certify_grids()
+    direct = [dataclasses.asdict(certify_bound(which, xi, t, experiments._C_CANDIDATES,
+                                               ModelParams(alpha=alpha), r0=r0, cap=cap))
+              for which in BOUND_KINDS]
+    assert report.certificates == direct
+    assert all(cert["passed"] for cert in direct)
 
 
 @pytest.mark.parametrize("name, phases", [

@@ -305,9 +305,9 @@ class TestRadialDomain:
         nodes = []
         real = bousslab.spectral._panel_sums
 
-        def counting(f, live, segments, order=12):
-            nodes.extend(panels * order for _, _, panels in segments)
-            return real(f, live, segments, order)
+        def counting(f, live, segments):
+            nodes.extend(panels * bousslab.spectral._GAUSS_ORDER for _, _, panels in segments)
+            return real(f, live, segments)
 
         monkeypatch.setattr(bousslab.spectral, "_panel_sums", counting)
         linear_norm_radial(gaussian_radial_data(n=1), 1e4, [("linear", 0)], 1, P)

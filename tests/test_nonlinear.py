@@ -677,15 +677,15 @@ class TestStepAndSolve:
         e = total_energy(run.grid, run.spectra, P)
         assert np.all(np.diff(e) <= 1e-8 * e[0])
 
-    def test_blow_up_guard_carries_time(self):
+    def test_blow_up_guard_carries_time(self, monkeypatch):
         g = make_grid(1, 12.0, 32)
         u0 = small_gaussian(g, amplitude=1.0)
         u1 = PhysicalField.zero(g)
+        # an absurdly tight guard turns the first recorded step into a
+        # trip, exercising the diagnostic path deterministically
+        monkeypatch.setattr(bousslab.nonlinear, "_BLOWUP_FACTOR", 1e-12)
         with pytest.raises(BlowUpError) as exc:
-            # an absurdly tight guard turns the first recorded step into a
-            # trip, exercising the diagnostic path deterministically
-            solve(u0, u1, T=1.0, dt=0.1, spec=ZERO_SPEC, params=P,
-                  blowup_factor=1e-12)
+            solve(u0, u1, T=1.0, dt=0.1, spec=ZERO_SPEC, params=P)
         assert exc.value.time > 0.0
 
     def test_guard_trips_on_nan_in_velocity_row_only(self):
@@ -784,19 +784,20 @@ class TestMarch:
         (10.0, NonlinearitySpec("cubic", "cubic"), 1e250),    # the source overflows
     ], ids=["guard", "overflow"])
     def test_blow_up_is_the_same_through_march_and_solve(self, amplitude, spec,
-                                                         factor):
+                                                         factor, monkeypatch):
         g = make_grid(1, 30.0, 64)
         args = (small_gaussian(g, amplitude), PhysicalField.zero(g), 2.0, 0.01,
                 spec, P)
+        monkeypatch.setattr(bousslab.nonlinear, "_BLOWUP_FACTOR", factor)
         with pytest.raises(BlowUpError) as solved:
-            solve(*args, out_every=3, blowup_factor=factor)
+            solve(*args, out_every=3)
         with pytest.raises(BlowUpError) as marched:
-            for _ in march(*args, out_every=3, blowup_factor=factor):
+            for _ in march(*args, out_every=3):
                 pass
         assert marched.value.time == solved.value.time > 0.0
         assert str(marched.value) == str(solved.value)
 
-    def test_consumer_error_state_is_its_own_at_every_yield(self):
+    def test_consumer_error_state_is_its_own_at_every_yield(self, monkeypatch):
         g = make_grid(1, 30.0, 64)
         args = (small_gaussian(g, 10.0), PhysicalField.zero(g), 2.0, 0.01,
                 NonlinearitySpec("cubic", "cubic"), P)
@@ -811,8 +812,9 @@ class TestMarch:
             del states
             assert np.geterr() == inside
             # stopped by an overflow that the march itself keeps quiet
+            monkeypatch.setattr(bousslab.nonlinear, "_BLOWUP_FACTOR", 1e250)
             with pytest.raises(BlowUpError, match="non-finite"):
-                for _ in march(*args, blowup_factor=1e250):
+                for _ in march(*args):
                     assert np.geterr() == inside
             assert np.geterr() == inside
         assert np.geterr() == before
@@ -1161,16 +1163,16 @@ class TestOverflowWarnings:
                 run()
         return info.value
 
-    def test_solve_raises_at_the_step_whose_source_overflowed(self):
+    def test_solve_raises_at_the_step_whose_source_overflowed(self, monkeypatch):
         # cubic powers overflow below the guard's squares: the source of a
         # later multistep step, at t = 0.05, is the first non-finite one
         g = make_grid(1, 30.0, 64)
         u0 = small_gaussian(g, amplitude=10.0)
+        monkeypatch.setattr(bousslab.nonlinear, "_BLOWUP_FACTOR", 1e250)
 
         def run():
             solve(u0, PhysicalField.zero(g), T=2.0, dt=0.01,
-                  spec=NonlinearitySpec("cubic", "cubic"), params=P,
-                  blowup_factor=1e250)
+                  spec=NonlinearitySpec("cubic", "cubic"), params=P)
 
         quiet, strict = (self.raised_under(action, run, BlowUpError)
                          for action in ("ignore", "error"))

@@ -3,7 +3,9 @@
 ``scripts/rate_table.py`` is the only caller of the n = 3 radial route at
 late times; no config runs it.  Oracle: the linear decay law
 ``-n/4 - k/2`` of the paper for Gaussian data, which the fitted slopes over
-t in [1e2, 1e4] must reproduce to 0.05.  ``scripts/csv_drift.py`` is
+t in [1e2, 1e4] must reproduce to 0.05; a bad argument exits 2 naming its
+flag, and a sweep past the radial horizon exits 3, neither with a
+traceback.  ``scripts/csv_drift.py`` is
 checked on two hand-written run roots whose moves are known.
 """
 from __future__ import annotations
@@ -14,17 +16,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bousslab
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> str:
+def launch(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(bousslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_script(name: str, *args: str) -> str:
+    done = launch(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -38,6 +46,25 @@ def test_rate_table_slopes_match_linear_decay_law():
     for n, k, fitted, _, _ in rows:
         theory = -int(n) / 4.0 - int(k) / 2.0
         assert abs(float(fitted) - theory) <= 0.05, (n, k, fitted)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "5"), ("--t-lo", "0"), ("--t-hi", "50"), ("--alpha", "0.5"),
+    ("--alpha", "nan")])
+def test_rate_table_names_a_bad_argument(flag, value):
+    done = launch("rate_table.py", f"{flag}={value}")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith(f"rate_table.py: error: {flag}:")
+    assert done.stdout == ""
+
+
+def test_rate_table_exits_3_past_the_radial_horizon():
+    # at t = 1e9 a panel sum would need more than the 2^20-node limit
+    done = launch("rate_table.py", "--t-hi", "1e9", "--points", "8")
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: radial quadrature did not converge")
 
 
 def write_run(root: Path, value: str, slope: str, status: str,
