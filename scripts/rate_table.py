@@ -19,16 +19,20 @@ import numpy as np
 from bousslab import (ModelParams, QuadratureError, fit_rate,
                       gaussian_radial_data, radial_decay_series)
 
+#: most time points one sweep takes: 1000 run in about 2 s on one core
+MAX_POINTS = 1000
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t-lo", type=float, default=1e2)
     ap.add_argument("--t-hi", type=float, default=1e4)
-    ap.add_argument("--points", type=int, default=40)
+    ap.add_argument("--points", type=int, default=40,
+                    help=f"time points per sweep, 8 to {MAX_POINTS} (default 40)")
     ap.add_argument("--alpha", type=float, default=-1.0)
     args = ap.parse_args()
-    if args.points < 8:
-        ap.error(f"--points: need at least 8, got {args.points}")
+    if not 8 <= args.points <= MAX_POINTS:
+        ap.error(f"--points: need 8 to {MAX_POINTS}, got {args.points}")
     if not 0.0 < args.t_lo < math.inf:
         ap.error(f"--t-lo: need a finite time > 0, got {args.t_lo}")
     if not args.t_lo < args.t_hi < math.inf:

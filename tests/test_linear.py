@@ -251,6 +251,11 @@ def wide_domain_norms(data, t, components, n, params):
     """Reference radial norms over ``r^2 <= 800 / (|alpha| t)``, where the
     squared kernels' envelope has fallen to ``e^-800``: the same integrals as
     :func:`linear_norm_radial` on a domain 3.5 times wider.
+
+    The quadrature is handed twice the panel count that the oscillation
+    sets, so the body's first sums are at ``p`` and ``2 p`` panels: the
+    reference keeps its own density and does not follow the one of the
+    code under test (``p // 2`` and ``2 (p // 2)``).
     """
     def integrand(r, live):
         xi2 = r * r
@@ -265,7 +270,7 @@ def wide_domain_norms(data, t, components, n, params):
 
     cutoff = min(data.cutoff_hint, math.sqrt(800.0 / (abs(params.alpha) * t)))
     panels0 = int(3.0 * cutoff * (t + 1.0) / (2.0 * math.pi)) + 8
-    values = _radial_integral(integrand, len(components), cutoff, panels0, 1e-9,
+    values = _radial_integral(integrand, len(components), cutoff, 2 * panels0, 1e-9,
                               substitution_power=data.substitution_power,
                               max_doublings=3)
     return np.sqrt(SPHERE_SURFACE[n] * values)
@@ -301,7 +306,7 @@ class TestRadialDomain:
         assert np.max(np.abs(np.asarray(got) - ref) / ref) <= 1e-12
 
     def test_late_time_node_count(self, monkeypatch):
-        # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 21 060
+        # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 9 360
         nodes = []
         real = bousslab.spectral._panel_sums
 

@@ -49,8 +49,8 @@ def test_rate_table_slopes_match_linear_decay_law():
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--points", "5"), ("--t-lo", "0"), ("--t-hi", "50"), ("--alpha", "0.5"),
-    ("--alpha", "nan")])
+    ("--points", "5"), ("--points", "1000000000"), ("--t-lo", "0"), ("--t-hi", "50"),
+    ("--alpha", "0.5"), ("--alpha", "nan")])
 def test_rate_table_names_a_bad_argument(flag, value):
     done = launch("rate_table.py", f"{flag}={value}")
     assert done.returncode == 2
