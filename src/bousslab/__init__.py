@@ -18,7 +18,7 @@ from .config import (AnalysisConfig, ConfigError, DataConfig,
 from .experiments import RunReport, list_experiments, run_experiment
 from .linear import (RadialData, gaussian_profile, gaussian_radial_data,
                      linear_norm_radial, linear_solution,
-                     square_integrable_profile, square_integrable_radial_data)
+                     square_integrable_radial_data)
 from .nonlinear import (BlowUpError, NonlinearitySpec,
                         ReferenceIntegrationError, Trajectory,
                         linear_trajectory, march, picard_iterate,
@@ -28,9 +28,8 @@ from .spectral import (Grid, PhysicalField, QuadratureError,
                        make_grid, neg_sobolev_norm, sobolev_norm)
 from .symbols import (ModeEnergy, ModelParams, PropagatorSymbols,
                       characteristic_roots, damping_coefficient,
-                      decay_envelope, mode_energy, phi,
-                      phi_divided_difference, profile_symbols, propagator,
-                      restoring_coefficient)
+                      decay_envelope, mode_energy, phi_divided_difference,
+                      profile_symbols, propagator, restoring_coefficient)
 
 __version__ = "0.1.0"
 
@@ -48,10 +47,8 @@ __all__ = [
     "inverse_transform", "l1_norm", "linear_norm_radial",
     "linear_solution", "linear_trajectory", "list_experiments",
     "load_config", "make_grid", "march", "mode_energy", "neg_sobolev_norm",
-    "phi", "phi_divided_difference",
-    "picard_iterate", "product_estimate_check",
+    "phi_divided_difference", "picard_iterate", "product_estimate_check",
     "profile_symbols", "propagator", "radial_decay_series",
-    "reference_solve", "restoring_coefficient",
-    "run_experiment", "sobolev_norm", "solve", "square_integrable_profile",
-    "square_integrable_radial_data", "xnorm_proxy",
+    "reference_solve", "restoring_coefficient", "run_experiment",
+    "sobolev_norm", "solve", "square_integrable_radial_data", "xnorm_proxy",
 ]

@@ -150,7 +150,7 @@ def decay_series(run: Trajectory, k_list: Sequence[int]) -> list[DecaySeries]:
             for k in k_list]
 
 
-_RADIAL_SOURCE = {"linear": "linear", "profile": "profile", "gap": "profile_gap"}
+_RADIAL_SOURCE = {"linear": "linear", "gap": "profile_gap"}
 
 
 def radial_decay_series(data: RadialData, times: Sequence[float],

@@ -16,8 +16,8 @@ Two complementary evaluation routes for the same linear flow:
   verifies the truncation, and its largest relative tail on the shipped
   configs is 2.3e-24 against a 1e-12 gate.
 
-The radial route is also the reference for the asymptotic profile and for
-the (full - profile) gap, whose kernels are subtracted before squaring so
+The radial route is also the reference for the gap between the evolution
+and its asymptotic profile, whose kernels are subtracted before squaring so
 the gap norm is not polluted by cancellation of two large integrals.
 """
 
@@ -54,25 +54,35 @@ def linear_solution(grid: Grid, y0: np.ndarray, t, params: ModelParams) -> np.nd
 
 @dataclass(frozen=True)
 class RadialData:
-    """Radially symmetric initial data given by spectral profiles ``|xi| -> real``.
+    """Radially symmetric initial data with spectral profiles ``r^p u0_hat(r)``
+    and ``r^p u1_hat(r)``, ``r = |xi|``.
 
     ``substitution_power = q`` (a finite real ``q >= 1``) is the radial
     quadrature substitution ``r = s^q`` that keeps an integrand with an
-    integrable power singularity at ``r = 0`` smooth there.
+    integrable power singularity at ``r = 0`` smooth there.  ``power = p``
+    (a finite real) is that singularity, kept out of the profiles so the
+    quadrature forms it with its weight and Jacobian as one power of ``s``:
+    where ``r = s^q`` underflows, ``r^(2p)`` alone would overflow.
     """
 
     u0_hat: Callable[[np.ndarray], np.ndarray]
     u1_hat: Callable[[np.ndarray], np.ndarray]
     cutoff_hint: float = 12.0
     substitution_power: float = 1.0
+    power: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.cutoff_hint > 0.0):
             raise ValueError("cutoff hint must be positive")
-        q = self.substitution_power
-        real = isinstance(q, (int, float)) and not isinstance(q, bool)
-        if not (real and math.isfinite(q) and q >= 1):
+        q, p = self.substitution_power, self.power
+        if not (_finite_real(q) and q >= 1):
             raise ValueError(f"substitution power must be a finite real >= 1, got {q!r}")
+        if not _finite_real(p):
+            raise ValueError(f"power must be a finite real, got {p!r}")
+
+
+def _finite_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _zero_profile(r: np.ndarray) -> np.ndarray:
@@ -98,28 +108,6 @@ def gaussian_profile(amplitude: float = 1.0, width: float = 1.0,
     return profile
 
 
-def square_integrable_profile(n: int, eps: float = 0.2,
-                              amplitude: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Compactly supported spectral profile ``r^(-(n-eps)/2)`` on ``r <= 1``.
-
-    The field is square integrable (the singularity is integrable) but not
-    integrable in physical space, the regime where only the non-weighted
-    decay rates ``(1+t)^(-k/2)`` survive.  The supported range is
-    ``0 < eps < 1``, the same as the config field ``data.eps``.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"need 0 < eps < 1, got eps={eps}")
-    power = -0.5 * (n - eps)
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            vals = np.where(r > 0.0, np.power(np.where(r > 0.0, r, 1.0), power), 0.0)
-        return float(amplitude) * np.where(r <= 1.0, vals, 0.0)
-
-    return profile
-
-
 def gaussian_radial_data(amplitude: float = 1.0, width: float = 1.0, n: int = 1,
                          velocity_amplitude: float = 0.0) -> RadialData:
     """Gaussian displacement data (optionally Gaussian velocity data)."""
@@ -131,19 +119,28 @@ def gaussian_radial_data(amplitude: float = 1.0, width: float = 1.0, n: int = 1,
 
 def square_integrable_radial_data(n: int, eps: float = 0.2,
                                   amplitude: float = 1.0) -> RadialData:
-    """Square-integrable-only displacement data, zero velocity, ``0 < eps < 1``.
+    """Displacement profile ``amplitude * r^(-(n-eps)/2)`` on ``r <= 1``, zero
+    velocity, for ``0 < eps < 1`` (the range of the config field ``data.eps``).
 
-    The norm integrands behave like ``r^(eps - 1 + 2k)`` at ``r = 0``; under
-    ``r = s^q`` the ``k = 0`` one becomes ``q s^(q eps - 1)``, which the
-    power ``q = 1/eps`` makes constant (panel doubling converges slowly on
-    a fractional power of ``s``).
+    The field is square integrable (the singularity is integrable) but not
+    integrable in physical space, the regime where only the non-weighted
+    decay rates ``(1+t)^(-k/2)`` survive.  The norm integrands behave like
+    ``r^(eps - 1 + 2k)`` at ``r = 0``; under ``r = s^q`` the ``k = 0`` one
+    becomes ``q s^(q eps - 1)``, which the power ``q = 1/eps`` makes
+    constant (panel doubling converges slowly on a fractional power of ``s``).
     """
-    return RadialData(u0_hat=square_integrable_profile(n, eps, amplitude),
-                      u1_hat=_zero_profile,
-                      cutoff_hint=1.0, substitution_power=1.0 / eps)
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"need 0 < eps < 1, got eps={eps}")
+    a = float(amplitude)
+
+    def support(r: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(r, dtype=np.float64) <= 1.0, a, 0.0)
+
+    return RadialData(u0_hat=support, u1_hat=_zero_profile, cutoff_hint=1.0,
+                      substitution_power=1.0 / eps, power=-0.5 * (n - eps))
 
 
-_WHICH = ("linear", "profile", "gap")
+_WHICH = ("linear", "gap")
 
 
 #: late-time cutoff ``r^2 <= _ENVELOPE_EXPONENT / (|alpha| t)`` of the radial
@@ -156,9 +153,6 @@ _WHICH = ("linear", "profile", "gap")
 #: the tail check refines and doubles the cutoff.
 _ENVELOPE_EXPONENT = 64.0
 
-#: relative tolerance of the panel doubling over the quadrature body
-_BODY_RTOL = 1e-9
-
 
 def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[str, int]],
                        n: int, params: ModelParams) -> list[float]:
@@ -166,27 +160,29 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
 
     Each value is ``sqrt(c_n int r^(2k+n-1) |W(r, t)|^2 dr)``, the norm of the
     order-``k`` radial derivative, where ``which`` selects the kernel ``W``:
-    the full linear flow, the asymptotic profile, or their difference
-    (subtracted before squaring, so the gap norm is not the cancellation of
-    two large norms).  The panel count follows the ``t |xi|`` oscillation,
-    and the integration variable is ``r = s^q`` with
-    ``q = data.substitution_power``.
+    ``"linear"``, the full linear flow, or ``"gap"``, its difference from
+    the asymptotic profile (subtracted before squaring, so the gap norm is
+    not the cancellation of two large norms).  The panel count follows the
+    ``t |xi|`` oscillation, and the integration variable is ``r = s^q``
+    with ``q = data.substitution_power``; the Jacobian, the weight and the
+    data's ``r^(2p)``, ``p = data.power``, make one power of ``s``.
 
     The domain is ``[0, data.cutoff_hint]``, at ``t >= 50`` cut to
     ``r^2 <= 64 / (|alpha| t)`` (see ``_ENVELOPE_EXPONENT``); the tail check
     still verifies it.
 
     All components share the cutoff and panel schedule at ``t``, so each
-    integrand call evaluates ``propagator`` and/or ``profile_symbols`` once
-    and weighs the kernel by ``r^(2k+n-1)`` per component; every component
-    still converges on its own (see ``spectral._radial_integral``), so each
-    value is bitwise the one a one-component call gives.  One call covers
-    the body's first two panel sums, at half the panel count above and at
-    that count, and the tail's coarse sum, so a time whose body converges
-    at once and whose coarse tails are below their floor costs one kernel
-    evaluation.  On the shipped configs every body converges at once, its
-    relative change at most 6.2e-12 against ``_BODY_RTOL``, and every
-    integral agrees with its value at 4 times the panel count to 3.7e-13.
+    integrand call evaluates ``propagator`` (and ``profile_symbols`` for the
+    gap) once and weighs the kernel by its power of ``s`` per component;
+    every component still converges on its own (see
+    ``spectral._radial_integral``), so each value is bitwise the one a
+    one-component call gives.  One call covers the body's first two panel
+    sums, at half the panel count above and at that count, and the tail's
+    coarse sum, so a time whose body converges at once and whose coarse
+    tails are below their floor costs one kernel evaluation.  On the shipped
+    configs every body converges at once, its relative change at most
+    6.2e-12 against ``spectral._BODY_RTOL``, and every integral agrees with
+    its value at 4 times the panel count to 3.7e-13.
     Overflow or NaN in the kernels raises the quadrature's
     :class:`~bousslab.spectral.QuadratureError`, with no numpy warning.
     """
@@ -199,34 +195,35 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
             raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
         if k < 0 or int(k) != k:
             raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
+    q, p = data.substitution_power, data.power
     whiches = [which for which, _ in components]
-    weights = [2 * int(k) + n - 1 for _, k in components]
+    # r^(2k+n-1) (r^p W)^2 dr = q s^e W^2 ds, e the sum of the weight's, the
+    # Jacobian's and the data's powers of s: finite where r = s^q underflows
+    powers = [q * (2 * int(k) + n - 1) + (q - 1.0) + 2.0 * q * p for _, k in components]
 
-    def integrand(r: np.ndarray, live: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, live: np.ndarray) -> np.ndarray:
+        r = s if q == 1 else s**q
         xi2 = r * r
         need = {whiches[i] for i in live}
         u0, u1 = data.u0_hat(r), data.u1_hat(r)
+        sym = propagator(xi2, t, params)
         kernels = {}
-        if need & {"linear", "gap"}:
-            sym = propagator(xi2, t, params)
-            sine, cosine = sym.sine, sym.cosine
-        if need & {"profile", "gap"}:
-            g0, h0 = profile_symbols(xi2, t, params)
         if "linear" in need:
-            kernels["linear"] = sine * u1 + cosine * u0
-        if "profile" in need:
-            kernels["profile"] = g0 * u1 + h0 * u0
+            kernels["linear"] = sym.sine * u1 + sym.cosine * u0
         if "gap" in need:
+            g0, h0 = profile_symbols(xi2, t, params)
             # subtracted before squaring: no cancellation of two large norms
-            kernels["gap"] = (sine - g0) * u1 + (cosine - h0) * u0
-        out = np.empty((live.size, r.size))
+            kernels["gap"] = (sym.sine - g0) * u1 + (sym.cosine - h0) * u0
+        out = np.empty((live.size, s.size))
         for row, i in zip(out, live):
             w = kernels[whiches[i]]
-            if weights[i]:
-                np.multiply(r**weights[i], w, out=row)
+            if powers[i]:
+                np.multiply(s**powers[i], w, out=row)
                 row *= w
             else:
                 np.multiply(w, w, out=row)
+        if q != 1:
+            out *= q
         return out
 
     cutoff = data.cutoff_hint
@@ -237,7 +234,5 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     # an overflow or NaN anywhere in the kernels reaches the quadrature's
     # non-finite check, which names the interval; numpy's warning would not
     with np.errstate(all="ignore"):
-        values = _radial_integral(integrand, len(components), cutoff, panels0, _BODY_RTOL,
-                                  substitution_power=data.substitution_power,
-                                  max_doublings=3)
+        values = _radial_integral(integrand, len(components), cutoff, panels0, q)
     return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]

@@ -290,6 +290,13 @@ _MAX_NODES = 2**20
 #: Gauss-Legendre nodes per panel
 _GAUSS_ORDER = 12
 
+#: relative tolerance of the panel doubling over the body ``[0, cutoff]``,
+#: three orders above the tail gate's 1e-12
+_BODY_RTOL = 1e-9
+
+#: most cutoff doublings the tail check asks for before it raises
+_CUTOFF_DOUBLINGS = 3
+
 
 @lru_cache(maxsize=1)
 def _leggauss() -> tuple[np.ndarray, np.ndarray]:
@@ -390,19 +397,23 @@ def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     )
 
 
-def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     count: int, cutoff: float, panels0: int, rtol: float,
-                     substitution_power: float, max_doublings: int) -> np.ndarray:
-    """``int_0^inf integrand(r)[i] dr`` for each of ``count`` components.
+def _radial_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     count: int, cutoff: float, panels0: int,
+                     substitution_power: float) -> np.ndarray:
+    """``int_0^inf f(s)[i] ds`` for each of ``count`` components.
 
-    ``integrand(r, live)`` returns the rows ``live`` (an index array) at the
-    nodes ``r`` as a new array of shape ``(live.size, r.size)``, so one
-    kernel evaluation per node set serves every component.  Each row keeps
-    its own convergence state, exactly as if it were integrated alone: panel
-    doubling on ``[0, cutoff]`` to ``rtol``, then the truncation check on
-    ``[cutoff, 2 cutoff]`` with an absolute floor of 1e-13 of its own body;
-    a relative tail above 1e-12 doubles its cutoff, at most
-    ``max_doublings`` times.  Finished rows drop out of later panel sums.
+    The variable is ``s = r^(1/q)``, ``q = substitution_power`` (``>= 1``),
+    and ``cutoff`` is in ``r``: the body is ``[0, cutoff^(1/q)]``.
+    ``f(s, live)`` carries the Jacobian ``q s^(q-1)`` itself, so its
+    caller can form it with its own powers of ``r = s^q`` as one power of
+    ``s``.  It returns the rows ``live`` (an index array) at the nodes ``s``
+    as a new array of shape ``(live.size, s.size)``, so one kernel
+    evaluation per node set serves every component.  Each row keeps its own
+    convergence state, exactly as if it were integrated alone: panel
+    doubling on the body to ``_BODY_RTOL``, then the truncation check on
+    ``r`` in ``[cutoff, 2 cutoff]`` with an absolute floor of 1e-13 of its
+    own body; a relative tail above 1e-12 doubles its cutoff, at most
+    ``_CUTOFF_DOUBLINGS`` times.  Finished rows drop out of later panel sums.
 
     With ``h = panels0 // 2``, a cutoff's first integrand call (more past
     ``_MAX_NODES``) holds the body's sums at ``h`` and ``2 h`` panels
@@ -413,41 +424,28 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     and refine on.  One coarse sum of each suffices: on every shipped call
     the body's first check passes, its relative change at most 6.2e-12
     (3.4e-13 on the cancelling gap kernel, 2.6e-15 on the Gaussian norms)
-    against ``rtol`` = 1e-9, so ``h`` panels already resolve the
-    integrand; and the tail floor is 10 times below the gate.
-
-    ``substitution_power = q``, a real number ``>= 1``, integrates in the
-    variable ``s = r^(1/q)``, which turns an endpoint singularity ``r^(-a)``
-    into ``s^(q (1 - a) - 1)``: bounded for ``q * (1 - a) >= 1`` and
-    constant for ``q * (1 - a) == 1``.
+    against ``_BODY_RTOL``, so ``h`` panels already resolve the integrand;
+    and the tail floor is 10 times below the gate.
     """
     q = substitution_power
-    if not q >= 1:
-        raise ValueError(f"substitution power must be a real number >= 1, got {q!r}")
-    if q == 1:
-        g = integrand
-    else:
-        def g(s: np.ndarray, live: np.ndarray) -> np.ndarray:
-            return q * s ** (q - 1) * integrand(s**q, live)
-
     totals = np.empty(count)
     live = np.arange(count)
     c = float(cutoff)
     half = int(panels0) // 2
     body_panels, tail_panels = max(2, half), max(8, half)
-    for _ in range(max_doublings + 1):
+    for _ in range(_CUTOFF_DOUBLINGS + 1):
         lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
-        first = _panel_sums(g, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
+        first = _panel_sums(f, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
                                       (lo, hi, tail_panels)])
-        body = _refined_integral(g, live, 0.0, lo, body_panels, first, rtol,
+        body = _refined_integral(f, live, 0.0, lo, body_panels, first, _BODY_RTOL,
                                  np.full(live.size, 1e-300))
         # a coarse tail within 1e-13 of the body is the tail; the rest refine
         floor = 1e-13 * np.maximum(np.abs(body), 1e-300)
         tail = next(first)
         rows = np.flatnonzero(np.abs(tail) > floor)
         if rows.size:
-            fine = _panel_sums(g, live[rows], [(lo, hi, 2 * tail_panels)])
-            tail[rows] = _refined_integral(g, live[rows], lo, hi, tail_panels,
+            fine = _panel_sums(f, live[rows], [(lo, hi, 2 * tail_panels)])
+            tail[rows] = _refined_integral(f, live[rows], lo, hi, tail_panels,
                                            chain([tail[rows]], fine), 1e-6, floor[rows])
         total = body + np.maximum(tail, 0.0)
         done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
@@ -458,5 +456,5 @@ def _radial_integral(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
         c *= 2.0
     raise QuadratureError(
         f"radial quadrature did not converge: tail check failed after "
-        f"{max_doublings} cutoff doublings (last cutoff {c:g})"
+        f"{_CUTOFF_DOUBLINGS} cutoff doublings (last cutoff {c:g})"
     )

@@ -177,7 +177,7 @@ def _split(mask: np.ndarray, on_true, on_false, *args) -> tuple[np.ndarray, ...]
     return tuple(stitched)
 
 
-def phi(k: int, z) -> np.ndarray:
+def _phi(k: int, z) -> np.ndarray:
     """Exponential remainder function ``phi_k``.
 
     ``phi_0 = exp``, ``phi_{k+1}(z) = (phi_k(z) - 1/k!) / z``, equivalently
@@ -234,7 +234,7 @@ def phi_divided_difference(k: int, a, b) -> np.ndarray:
     elif np.any(near):
         m = 0.5 * (a[near] + b[near])
         d = a[near] - b[near]
-        pk = [phi(k + j, m) for j in range(4)]
+        pk = [_phi(k + j, m) for j in range(4)]
         first = pk[0] - k * pk[1]
         third = (pk[0] - 3 * k * pk[1] + 3 * k * (k + 1) * pk[2]
                  - k * (k + 1) * (k + 2) * pk[3])
@@ -242,7 +242,7 @@ def phi_divided_difference(k: int, a, b) -> np.ndarray:
 
     if np.any(direct):
         aa, bb = a[direct], b[direct]
-        out[direct] = (phi(k, aa) - phi(k, bb)) / (aa - bb)
+        out[direct] = (_phi(k, aa) - _phi(k, bb)) / (aa - bb)
     return out
 
 

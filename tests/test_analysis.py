@@ -7,8 +7,10 @@ and the t = 0 normalization of the kernel envelopes.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,12 +40,37 @@ P = ModelParams(alpha=-1.0)
     (initial_data_size, {"k_max"}), (xnorm_proxy, {"k_list"}),
     (default_certify_grids, {"n_xi", "n_t"}), (decay_series, {"source"}),
     (spectral._panel_sums, {"order"}), (spectral._pack_sums, {"order"}),
-    (spectral._leggauss, {"order"})],
+    (spectral._leggauss, {"order"}),
+    (spectral._radial_integral, {"rtol", "max_doublings"})],
     ids=lambda v: v.__name__ if callable(v) else "-".join(sorted(v)))
 def test_fixed_numerical_choices_are_not_keywords(fn, retired):
-    # the blow-up factor, body rtol, Gauss order, certification grids and the
-    # theory's derivative orders are module constants, not call options
+    # the blow-up factor, body rtol, Gauss order, cutoff doublings,
+    # certification grids and the theory's derivative orders are module
+    # constants, not call options
     assert retired.isdisjoint(inspect.signature(fn).parameters)
+
+
+def fixed_choices_rows() -> list[tuple[str, str, str]]:
+    """``(constant, value, module)`` per row of README's "Fixed numerical
+    choices" table, backticks stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Fixed numerical choices", 1)[1].split("\n## ", 1)[0]
+    return [tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_fixed_numerical_choices_match_the_code():
+    # a constant that moves module or changes value must take its row along
+    rows = fixed_choices_rows()
+    assert {"_BODY_RTOL", "_CUTOFF_DOUBLINGS", "_GAUSS_ORDER"} <= {r[0] for r in rows}
+    for name, value, module in rows:
+        mod = importlib.import_module(f"bousslab.{module}")
+        if name == "default_certify_grids()":
+            assert value == "200 × 200"
+            assert [g.shape for g in mod.default_certify_grids()] == [(200,), (200,)]
+        else:
+            got = np.atleast_1d(getattr(mod, name)).tolist()
+            assert got == [float(v) for v in value.split(",")], name
 
 
 def series_from(fn, t_lo=1e2, t_hi=1e4, n=40, **kw):

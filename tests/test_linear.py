@@ -17,7 +17,7 @@ from bousslab import (ModelParams, PhysicalField, RadialData, forward_transform,
                       gaussian_radial_data, inverse_transform, linear_norm_radial,
                       linear_solution, linear_trajectory, make_grid,
                       profile_symbols, sobolev_norm, solve,
-                      square_integrable_profile, square_integrable_radial_data)
+                      square_integrable_radial_data)
 from bousslab.nonlinear import NonlinearitySpec
 from bousslab.spectral import SPHERE_SURFACE, _radial_integral
 from bousslab.symbols import propagator
@@ -164,10 +164,13 @@ class TestRadialNorms:
         assert linear_norm_radial(data, 0.0, [("gap", 0)], 1, P)[0] \
             == pytest.approx(0.0, abs=1e-12)
 
-    def test_unknown_which_rejected(self):
+    @pytest.mark.parametrize("which", ("moonshine", "profile"))
+    def test_unknown_which_rejected(self, which):
+        # the profile norm alone has no caller: the gap norm is the profile's use
         data = gaussian_radial_data(n=1)
-        with pytest.raises(ValueError):
-            linear_norm_radial(data, 1.0, [("moonshine", 0)], 1, P)
+        with pytest.raises(ValueError, match=r"one of \('linear', 'gap'\), got '"
+                           + which):
+            linear_norm_radial(data, 1.0, [(which, 0)], 1, P)
 
     def test_square_integrable_data_has_finite_norms(self):
         data = square_integrable_radial_data(n=1, eps=0.2)
@@ -230,10 +233,24 @@ class TestSquareIntegrableData:
             v = linear_norm_radial(data, 1e4, [("linear", k)], 1, P)[0]
             assert math.isfinite(v) and v > 0.0
 
+    @pytest.mark.parametrize("eps", (0.01, 0.015, 0.016, 0.2))
+    def test_small_eps_closed_forms_at_time_zero(self, eps):
+        # r = s^(1/eps) underflows at the first nodes of a fine panel sum,
+        # where r^(eps-1) alone overflows: c_1 int_0^1 A^2 r^(eps-1+2k) dr is
+        # 2 A^2 / eps at k = 0 and 2 A^2 / (2 + eps) at k = 1
+        a = 1.5
+        data = square_integrable_radial_data(n=1, eps=eps, amplitude=a)
+        got = linear_norm_radial(data, 0.0, [("linear", 0), ("linear", 1)], 1, P)
+        assert got[0] == pytest.approx(math.sqrt(2.0 * a * a / eps), rel=1e-12)
+        assert got[1] == pytest.approx(math.sqrt(2.0 * a * a / (2.0 + eps)), rel=1e-12)
+        for t in (1e2, 1e4):
+            late = linear_norm_radial(data, t, [("linear", 0), ("linear", 1)], 1, P)
+            assert all(math.isfinite(v) and v > 0.0 for v in late)
+
     @pytest.mark.parametrize("eps", (0.0, 1.0, 1.5))
     def test_eps_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError, match="0 < eps < 1"):
-            square_integrable_profile(3, eps)
+            square_integrable_radial_data(3, eps)
 
     @pytest.mark.parametrize("q", (0, 0.5, -2.0, math.nan, math.inf, True, "2", None))
     def test_substitution_power_validated(self, q):
@@ -246,6 +263,11 @@ class TestSquareIntegrableData:
         data = RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, substitution_power=q)
         assert data.substitution_power == q
 
+    @pytest.mark.parametrize("p", (math.nan, math.inf, True, "-0.4", None))
+    def test_power_validated(self, p):
+        with pytest.raises(ValueError, match="power must be a finite real"):
+            RadialData(u0_hat=np.ones_like, u1_hat=np.zeros_like, power=p)
+
 
 def wide_domain_norms(data, t, components, n, params):
     """Reference radial norms over ``r^2 <= 800 / (|alpha| t)``, where the
@@ -255,31 +277,34 @@ def wide_domain_norms(data, t, components, n, params):
     The quadrature is handed twice the panel count that the oscillation
     sets, so the body's first sums are at ``p`` and ``2 p`` panels: the
     reference keeps its own density and does not follow the one of the
-    code under test (``p // 2`` and ``2 (p // 2)``).
+    code under test (``p // 2`` and ``2 (p // 2)``).  Its integrand forms
+    the weight, the data's power and the Jacobian of ``r = s^q`` as three
+    separate factors.
     """
-    def integrand(r, live):
+    q, p = data.substitution_power, data.power
+
+    def integrand(s, live):
+        r = s**q
         xi2 = r * r
         sym = propagator(xi2, t, params)
         g0, h0 = profile_symbols(xi2, t, params)
         u0, u1 = data.u0_hat(r), data.u1_hat(r)
         kernels = {"linear": sym.sine * u1 + sym.cosine * u0,
-                   "profile": g0 * u1 + h0 * u0,
                    "gap": (sym.sine - g0) * u1 + (sym.cosine - h0) * u0}
-        return np.stack([r ** (2 * components[i][1] + n - 1) * kernels[components[i][0]] ** 2
-                         for i in live])
+        jacobian, data_power = q * s ** (q - 1), r ** (2 * p)
+        return np.stack([jacobian * data_power * r ** (2 * k + n - 1) * kernels[w] ** 2
+                         for w, k in (components[i] for i in live)])
 
     cutoff = min(data.cutoff_hint, math.sqrt(800.0 / (abs(params.alpha) * t)))
     panels0 = int(3.0 * cutoff * (t + 1.0) / (2.0 * math.pi)) + 8
-    values = _radial_integral(integrand, len(components), cutoff, 2 * panels0, 1e-9,
-                              substitution_power=data.substitution_power,
-                              max_doublings=3)
+    values = _radial_integral(integrand, len(components), cutoff, 2 * panels0, q)
     return np.sqrt(SPHERE_SURFACE[n] * values)
 
 
 class TestRadialDomain:
     """The late-time domain ``r^2 <= 64 / (|alpha| t)`` of the radial norms."""
 
-    COMPONENTS = [(w, k) for w in ("linear", "profile", "gap") for k in (0, 1, 2)]
+    COMPONENTS = [(w, k) for w in ("linear", "gap") for k in (0, 1, 2)]
 
     @pytest.mark.parametrize("t", (50.0, 1e2, 1e3, 1e4))
     @pytest.mark.parametrize("kind", ("gaussian", "radial_L2"))

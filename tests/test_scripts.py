@@ -1,12 +1,15 @@
-"""The command-line scripts under ``scripts/``, run as a user runs them.
+"""The README's edited-config recipes and the scripts under ``scripts/``,
+run as a user runs them.
 
-``scripts/rate_table.py`` is the only caller of the n = 3 radial route at
-late times; no config runs it.  Oracle: the linear decay law
-``-n/4 - k/2`` of the paper for Gaussian data, which the fitted slopes over
-t in [1e2, 1e4] must reproduce to 0.05; a bad argument exits 2 naming its
-flag, and a sweep past the radial horizon exits 3, neither with a
-traceback.  ``scripts/csv_drift.py`` is
-checked on two hand-written run roots whose moves are known.
+An edited copy of a shipped ``linear_rates`` config is the route to the
+decay slopes in a dimension no config ships: n = 3 runs nowhere else at
+late times.  Oracles: the AC4 gate on the linear decay law
+``-n/4 - k/2`` of the paper for Gaussian data, and ``radial_decay_series``
+plus ``fit_rate`` called directly, whose slopes ``rates.csv`` must hold
+bitwise; a bad edit exits 2 naming its field, and a window past the
+radial horizon exits 3, neither with a traceback.
+``scripts/csv_drift.py`` is checked on two hand-written run roots whose
+moves are known.
 """
 from __future__ import annotations
 
@@ -16,55 +19,75 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bousslab
+from bousslab import ModelParams, fit_rate, gaussian_radial_data, radial_decay_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def launch(name: str, *args: str) -> subprocess.CompletedProcess:
+def launch(*argv: str) -> subprocess.CompletedProcess:
+    """``python argv`` with the package under test on the path."""
     env = dict(os.environ)
     src = str(Path(bousslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
 def run_script(name: str, *args: str) -> str:
-    done = launch(name, *args)
+    done = launch(str(ROOT / "scripts" / name), *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_rate_table_slopes_match_linear_decay_law():
-    lines = run_script("rate_table.py", "--points", "12").splitlines()
-    assert lines[0].split() == ["n", "k", "fitted", "theory", "stderr"]
-    rows = [line.split() for line in lines[1:]]
-    assert [(int(n), int(k)) for n, k, *_ in rows] == [
-        (n, k) for n in (1, 2, 3) for k in (0, 1, 2)]
-    for n, k, fitted, _, _ in rows:
-        theory = -int(n) / 4.0 - int(k) / 2.0
-        assert abs(float(fitted) - theory) <= 0.05, (n, k, fitted)
+def run_edited(tmp_path: Path, name: str, section: str,
+               **edits) -> tuple[subprocess.CompletedProcess, Path]:
+    """``bousslab run`` on a copy of ``configs/<name>.json`` with ``edits``
+    made to ``section``, as the README's recipe makes it."""
+    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    cfg[section].update(edits)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    return launch("-m", "bousslab.cli", "run", str(path), "--out", str(out)), out
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--points", "5"), ("--points", "1000000000"), ("--t-lo", "0"), ("--t-hi", "50"),
-    ("--alpha", "0.5"), ("--alpha", "nan")])
-def test_rate_table_names_a_bad_argument(flag, value):
-    done = launch("rate_table.py", f"{flag}={value}")
+def test_edited_config_gives_the_three_dimensional_slopes(tmp_path):
+    done, out = run_edited(tmp_path, "linear_rates_gaussian_2d", "discretization", n=3)
+    assert done.returncode == 0, done.stderr
+    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    assert [(v["criterion"], v["status"]) for v in verdicts] == [("AC4", "pass")] * 3
+    rows = (out / "rates.csv").read_text().splitlines()
+    slopes = [float(row.split(",")[1]) for row in rows[1:]]
+    series = radial_decay_series(gaussian_radial_data(n=3), np.geomspace(1e2, 1e4, 40),
+                                 (0, 1, 2), 3, ModelParams())
+    assert slopes == [fit_rate(s, (1e2, 1e4)).slope for s in series]
+    assert slopes == [-0.74732000820070199, -1.243623490878109, -1.738461430151655]
+
+
+@pytest.mark.parametrize("section, edits, field", [
+    ("analysis", dict(n_times=5), "analysis.n_times"),
+    ("analysis", dict(fit_window=[50.0, 10.0]), "analysis.fit_window"),
+    ("model", dict(alpha=0.5), "model.alpha"),
+    ("discretization", dict(n=4), "discretization.n")])
+def test_bad_edit_exits_2_naming_its_field(tmp_path, section, edits, field):
+    done, out = run_edited(tmp_path, "linear_rates_gaussian_2d", section, **edits)
     assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1].startswith(f"rate_table.py: error: {flag}:")
-    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {field}:") and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
-def test_rate_table_exits_3_past_the_radial_horizon():
+def test_edited_window_past_the_radial_horizon_exits_3(tmp_path):
     # at t = 1e9 a panel sum would need more than the 2^20-node limit
-    done = launch("rate_table.py", "--t-hi", "1e9", "--points", "8")
+    done, out = run_edited(tmp_path, "linear_rates_gaussian_1d", "analysis",
+                           fit_window=[1e2, 1e9], n_times=8)
     assert done.returncode == 3
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: radial quadrature did not converge")
+    assert done.stderr == ("error: radial quadrature did not converge: a panel sum on "
+                           "[0, 0.000252982] would need 1449576 nodes (limit 1048576)\n")
+    assert not out.exists()
 
 
 def write_run(root: Path, value: str, slope: str, status: str,

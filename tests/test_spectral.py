@@ -467,9 +467,9 @@ class TestPanelSums:
             return f(r, live)
 
         monkeypatch.setattr(spectral, "_MAX_NODES", limit)
+        monkeypatch.setattr(spectral, "_CUTOFF_DOUBLINGS", 0)
         with pytest.raises(QuadratureError) as err:
-            _radial_integral(counted, 1, 2.0, panels0, 1e-9, substitution_power=1,
-                             max_doublings=0)
+            _radial_integral(counted, 1, 2.0, panels0, 1)
         assert str(err.value) == "radial quadrature did not converge: " + message
         assert seen == sizes
 
@@ -488,10 +488,10 @@ class TestPanelSums:
         assert calls == [12 * (64 + 128 + 64)]
 
 
-def four_times_the_panels(integrand, count, cutoff, panels0, *args, **kwargs):
+def four_times_the_panels(f, count, cutoff, panels0, q):
     """``_radial_integral`` at 4 times the panel count ``panels0``: the
     reference a norm's quadrature error is measured against."""
-    return _radial_integral(integrand, count, cutoff, 4 * panels0, *args, **kwargs)
+    return _radial_integral(f, count, cutoff, 4 * panels0, q)
 
 
 def assert_relative(got, ref, rtol):
@@ -517,7 +517,7 @@ class TestTailCheck:
     """The tail check on ``[c, 2c]``: a coarse tail sum below ``1e-13 |body|``
     is the tail; only the other rows take the finer sum and refine."""
 
-    def run_counted(self, f, count, cutoff, panels0, max_doublings, q=1):
+    def run_counted(self, f, count, cutoff, panels0, q=1):
         """The integrals and the ``(nodes, live)`` of each integrand call;
         the integrals agree to 1e-11 with those at 4 times the panels."""
         calls = []
@@ -526,34 +526,34 @@ class TestTailCheck:
             calls.append((r.size, list(live)))
             return f(r, live)
 
-        args = (count, cutoff, panels0, 1e-9)
-        kwargs = dict(substitution_power=q, max_doublings=max_doublings)
-        got = _radial_integral(counted, *args, **kwargs)
-        assert_relative(got, four_times_the_panels(f, *args, **kwargs), 1e-11)
+        args = (count, cutoff, panels0, q)
+        got = _radial_integral(counted, *args)
+        assert_relative(got, four_times_the_panels(f, *args), 1e-11)
         return got, calls
 
-    def test_tail_above_its_floor_takes_the_finer_sum(self):
-        got, calls = self.run_counted(lambda r, live: tail_rows(r, [1]), 1, 2.0, 8, 0)
+    def test_tail_above_its_floor_takes_the_finer_sum(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CUTOFF_DOUBLINGS", 0)
+        got, calls = self.run_counted(lambda r, live: tail_rows(r, [1]), 1, 2.0, 8)
         # 4 + 8 body panels and 8 tail panels, then the tail's 16
         assert calls == [(12 * (4 + 8 + 8), [0]), (12 * 16, [0])]
-        body = _radial_integral(lambda r, live: tail_rows(r, [0]), 1, 2.0, 8, 1e-9,
-                                substitution_power=1, max_doublings=0)
+        body = _radial_integral(lambda r, live: tail_rows(r, [0]), 1, 2.0, 8, 1)
         assert got[0] == pytest.approx(body[0] + 5e-13, rel=1e-15)
 
-    def test_mixed_rows_refine_only_where_the_tail_is_above_its_floor(self):
-        got, calls = self.run_counted(tail_rows, 4, 2.0, 8, 2)
+    def test_mixed_rows_refine_only_where_the_tail_is_above_its_floor(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CUTOFF_DOUBLINGS", 2)
+        got, calls = self.run_counted(tail_rows, 4, 2.0, 8)
         # at cutoff 2 row 0 takes its coarse tail, rows 1-3 the 16-panel
         # one and row 2 refines its ripple to 64 panels; row 3's tail, about
         # e^-4 / 4, fails the gate, and at cutoff 8 its coarse tail is the tail
         assert calls == [(240, [0, 1, 2, 3]), (192, [1, 2, 3]), (384, [2]), (768, [2]),
                          (240, [3]), (192, [3]), (240, [3])]
-        body = _radial_integral(lambda r, live: tail_rows(r, [0]) * (r <= 2.0), 1, 2.0, 8,
-                                1e-9, substitution_power=1, max_doublings=0)
+        monkeypatch.setattr(spectral, "_CUTOFF_DOUBLINGS", 0)
+        body = _radial_integral(lambda r, live: tail_rows(r, [0]) * (r <= 2.0), 1, 2.0, 8, 1)
         assert body[0] < got[0] < got[2] < got[1]
 
     def test_zero_profile_is_zero_from_one_call(self):
         got, calls = self.run_counted(lambda r, live: np.zeros((len(live), r.size)),
-                                      2, 3.0, 20, 3)
+                                      2, 3.0, 20)
         assert np.array_equal(got, [0.0, 0.0])
         assert calls == [(12 * (10 + 20 + 10), [0, 1])]
         data = RadialData(u0_hat=np.zeros_like, u1_hat=np.zeros_like)
@@ -566,13 +566,14 @@ class TestTailCheck:
 
         for panels0 in (8, 32):
             with pytest.raises(QuadratureError) as err:
-                _radial_integral(f, 1, 2.0, panels0, 1e-9, substitution_power=1,
-                                 max_doublings=3)
+                _radial_integral(f, 1, 2.0, panels0, 1)
             assert str(err.value) == ("radial quadrature did not converge: tail check "
                                       "failed after 3 cutoff doublings (last cutoff 32)")
 
-    def test_substituted_variable_agrees_with_four_times_the_panels(self):
-        self.run_counted(tail_rows, 4, 2.0, 8, 2, q=5)
+    def test_substituted_variable_agrees_with_four_times_the_panels(self, monkeypatch):
+        # the rows in s = r^(1/5), the integrand carrying its Jacobian
+        monkeypatch.setattr(spectral, "_CUTOFF_DOUBLINGS", 2)
+        self.run_counted(lambda s, live: 5.0 * s**4 * tail_rows(s**5, live), 4, 2.0, 8, q=5)
 
 
 RADIAL_CONFIGS = ("linear_rates_gaussian_1d", "linear_rates_gaussian_2d",
@@ -583,7 +584,7 @@ class TestShippedRadialTails:
     """On the shipped radial data every body converges at its first check
     and every coarse tail is below its floor."""
 
-    COMPONENTS = [(w, k) for w in ("linear", "profile", "gap") for k in (0, 1, 2)]
+    COMPONENTS = [(w, k) for w in ("linear", "gap") for k in (0, 1, 2)]
 
     @pytest.mark.parametrize("t", (0.0, 1e2, 1e3, 1e4))
     @pytest.mark.parametrize("data, n", [
