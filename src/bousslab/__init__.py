@@ -16,16 +16,16 @@ from .config import (AnalysisConfig, ConfigError, DataConfig,
                      DiscretizationConfig, ExperimentConfig, ModelConfig,
                      load_config)
 from .experiments import RunReport, list_experiments, run_experiment
-from .linear import (RadialData, gaussian_profile, gaussian_radial_data,
-                     linear_norm_radial, linear_solution,
+from .linear import (QuadratureError, RadialData, gaussian_profile,
+                     gaussian_radial_data, linear_norm_radial, linear_solution,
                      square_integrable_radial_data)
 from .nonlinear import (BlowUpError, NonlinearitySpec,
                         ReferenceIntegrationError, Trajectory,
                         linear_trajectory, march, picard_iterate,
                         reference_solve, solve)
-from .spectral import (Grid, PhysicalField, QuadratureError,
-                       forward_transform, inverse_transform, l1_norm,
-                       make_grid, neg_sobolev_norm, sobolev_norm)
+from .spectral import (Grid, PhysicalField, forward_transform,
+                       inverse_transform, l1_norm, make_grid, neg_sobolev_norm,
+                       sobolev_norm)
 from .symbols import (ModeEnergy, ModelParams, PropagatorSymbols,
                       characteristic_roots, damping_coefficient,
                       decay_envelope, mode_energy, phi_divided_difference,

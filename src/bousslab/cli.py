@@ -26,10 +26,10 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .experiments import list_experiments, run_experiment
+from .linear import QuadratureError
 from .nonlinear import BlowUpError, ReferenceIntegrationError
 from .reporting import (plot_run_svgs, read_series_csv, slope_guides,
                         write_rates_csv, write_report_json, write_series_csv)
-from .spectral import QuadratureError
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILED = 1

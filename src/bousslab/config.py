@@ -24,6 +24,10 @@ from .nonlinear import _output_count, _step_count
 #: |xi|^4 alpha^2 or width^n, stay finite nonzero doubles
 _SCALE_LIMIT = 1e100
 
+#: first time of the radial experiments' sweep, ``n_times`` log-spaced times
+#: from ``max(lo, _SWEEP_START)`` to the fit window's ``hi``
+_SWEEP_START = 1e-3
+
 #: most time steps ``T/dt`` a box run may take: 250 times the largest
 #: shipped run (``nonlinear_rates_1d``, 4 000 steps)
 MAX_STEPS = 1_000_000
@@ -205,6 +209,7 @@ class ExperimentConfig:
         _check_data_path(cfg)
         _check_box_schedule(cfg)
         _check_certify_band(cfg)
+        _check_fits(cfg)
         return cfg
 
     def to_dict(self) -> dict[str, Any]:
@@ -278,6 +283,20 @@ def _check_certify_band(cfg: ExperimentConfig) -> None:
     if not (xi <= cfg.analysis.r0).any():
         raise ConfigError(f"analysis.r0: no certification frequency at or below "
                           f"r0={cfg.analysis.r0:g} (the grid starts at {xi.min():g})")
+
+
+def _check_fits(cfg: ExperimentConfig) -> None:
+    """AC7 gates the k = 0 decay law alone, so ``nonlinear_rates`` needs it.
+    A relative rise of 1e-9 per step, far above ``np.geomspace``'s rounding,
+    keeps the radial times strictly increasing; no sweep is built."""
+    if cfg.experiment == "nonlinear_rates" and 0 not in cfg.analysis.k_list:
+        raise ConfigError("analysis.k_list: must hold 0, the order whose decay AC7 gates")
+    lo, hi = cfg.analysis.fit_window
+    start, n_times = max(lo, _SWEEP_START), cfg.analysis.n_times
+    if (cfg.experiment in ("linear_rates", "profile_gap")
+            and not math.log(hi / start) >= 1e-9 * (n_times - 1)):
+        raise ConfigError(f"analysis.fit_window: the radial sweep of {n_times} times from "
+                          f"{start!r} to {hi!r} does not rise by a relative 1e-9 per step")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

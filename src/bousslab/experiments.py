@@ -32,7 +32,7 @@ from .analysis import (DecaySeries, RateFit, certify_bound, decay_series,
                        default_certify_grids, fit_rate, gap_weight,
                        initial_data_size, product_estimate_check,
                        radial_decay_series, xnorm_proxy)
-from .config import ConfigError, DataConfig, ExperimentConfig
+from .config import _SWEEP_START, ConfigError, DataConfig, ExperimentConfig
 from .linear import RadialData, gaussian_radial_data, square_integrable_radial_data
 from .nonlinear import (NonlinearitySpec, Trajectory, _step_count,
                         linear_trajectory, march, picard_iterate,
@@ -250,7 +250,7 @@ def _radial_series(cfg: ExperimentConfig,
     """The radial decay series of ``which`` over the log-spaced time sweep."""
     n = cfg.discretization.n
     lo, hi = cfg.analysis.fit_window
-    times = np.geomspace(max(lo, 1e-3), hi, cfg.analysis.n_times)
+    times = np.geomspace(max(lo, _SWEEP_START), hi, cfg.analysis.n_times)
     return radial_decay_series(_radial_data(cfg.data, n), times, cfg.analysis.k_list,
                                n, _model_params(cfg), which=which)
 

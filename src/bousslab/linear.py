@@ -9,12 +9,8 @@ Two complementary evaluation routes for the same linear flow:
 * :func:`linear_norm_radial` evaluates L^2-type norms of the evolution of
   radially symmetric data directly as one-dimensional continuum integrals
   over ``|xi|``, free of any box truncation, which is what makes decay-rate
-  windows like t in [1e2, 1e4] reachable.  At late times the integrals run
-  only where the kernels live: the squared kernels carry the envelope
-  ``exp(alpha |xi|^2 t)``, so the domain ends at ``|xi|^2 = 64 / (|alpha| t)``,
-  where that envelope is ``e^-64``; the tail check of the quadrature still
-  verifies the truncation, and its largest relative tail on the shipped
-  configs is 2.3e-24 against a 1e-12 gate.
+  windows like t in [1e2, 1e4] reachable.  Its quadrature lives here too:
+  :func:`_radial_integral` states the cutoff, panel rule and tolerances.
 
 The radial route is also the reference for the gap between the evolution
 and its asymptotic profile, whose kernels are subtracted before squaring so
@@ -25,12 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .spectral import SPHERE_SURFACE, Grid, _radial_integral
+from .spectral import TWO_PI, Grid
 from .symbols import ModelParams, profile_symbols, propagator
+
+#: surface ``c_n`` of the unit sphere in R^n, n = 1, 2, 3: a radial field has
+#: ``||u||^2 = c_n int r^(n-1) |u_hat(r)|^2 dr`` (unitary transform)
+SPHERE_SURFACE = {1: 2.0, 2: TWO_PI, 3: 2.0 * TWO_PI}
+
+
+class QuadratureError(RuntimeError):
+    """Raised when the radial quadrature tail or refinement fails to converge."""
 
 
 def linear_solution(grid: Grid, y0: np.ndarray, t, params: ModelParams) -> np.ndarray:
@@ -147,10 +153,9 @@ _WHICH = ("linear", "gap")
 #: norms (t >= 50).  In the oscillatory band ``|kernel|^2 <~ poly(r, t) *
 #: exp(-|alpha| r^2 t / (1 + r^2))`` (``exp(alpha r^2 t)`` exactly for the
 #: profile kernels and for alpha = -1): ``e^-64`` at the cutoff against the
-#: 1e-12 relative tail gate (``e^-27.6``) of ``spectral._radial_integral``;
-#: the largest shipped tail is 2.3e-24.  Beyond the band the slow real root
-#: rules: -1 at alpha = -1, but about -0.125 at alpha = -10, r = 0.3, where
-#: the tail check refines and doubles the cutoff.
+#: 1e-12 relative tail gate (``e^-27.6``) of :func:`_radial_integral`.  Beyond
+#: the band the slow real root rules: -1 at alpha = -1, but about -0.125 at
+#: alpha = -10, r = 0.3, where the tail check refines and doubles the cutoff.
 _ENVELOPE_EXPONENT = 64.0
 
 
@@ -162,29 +167,18 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     order-``k`` radial derivative, where ``which`` selects the kernel ``W``:
     ``"linear"``, the full linear flow, or ``"gap"``, its difference from
     the asymptotic profile (subtracted before squaring, so the gap norm is
-    not the cancellation of two large norms).  The panel count follows the
-    ``t |xi|`` oscillation, and the integration variable is ``r = s^q``
-    with ``q = data.substitution_power``; the Jacobian, the weight and the
-    data's ``r^(2p)``, ``p = data.power``, make one power of ``s``.
+    not the cancellation of two large norms).  The integration variable is
+    ``r = s^q`` with ``q = data.substitution_power``; the Jacobian, the
+    weight and the data's ``r^(2p)``, ``p = data.power``, make one power of
+    ``s``.
 
-    The domain is ``[0, data.cutoff_hint]``, at ``t >= 50`` cut to
-    ``r^2 <= 64 / (|alpha| t)`` (see ``_ENVELOPE_EXPONENT``); the tail check
-    still verifies it.
-
-    All components share the cutoff and panel schedule at ``t``, so each
-    integrand call evaluates ``propagator`` (and ``profile_symbols`` for the
-    gap) once and weighs the kernel by its power of ``s`` per component;
-    every component still converges on its own (see
-    ``spectral._radial_integral``), so each value is bitwise the one a
-    one-component call gives.  One call covers the body's first two panel
-    sums, at half the panel count above and at that count, and the tail's
-    coarse sum, so a time whose body converges at once and whose coarse
-    tails are below their floor costs one kernel evaluation.  On the shipped
-    configs every body converges at once, its relative change at most
-    6.2e-12 against ``spectral._BODY_RTOL``, and every integral agrees with
-    its value at 4 times the panel count to 3.7e-13.
-    Overflow or NaN in the kernels raises the quadrature's
-    :class:`~bousslab.spectral.QuadratureError`, with no numpy warning.
+    All components share the cutoff and panel schedule at ``t`` (see
+    :func:`_radial_integral`), so each integrand call evaluates
+    ``propagator`` (and ``profile_symbols`` for the gap) once and weighs the
+    kernel by its power of ``s`` per component; every component still
+    converges on its own, so each value is bitwise the one a one-component
+    call gives.  Overflow or NaN in the kernels raises
+    :class:`QuadratureError`, with no numpy warning.
     """
     if n not in SPHERE_SURFACE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -230,9 +224,187 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
     if t >= 50.0:
         cutoff = min(cutoff, math.sqrt(_ENVELOPE_EXPONENT / (abs(params.alpha) * t)))
     cycles = cutoff * (t + 1.0) / (2.0 * math.pi)
-    panels0 = max(8, int(3.0 * cycles) + 8)
+    panels0 = int(3.0 * cycles) + 8
     # an overflow or NaN anywhere in the kernels reaches the quadrature's
     # non-finite check, which names the interval; numpy's warning would not
     with np.errstate(all="ignore"):
         values = _radial_integral(integrand, len(components), cutoff, panels0, q)
     return [math.sqrt(max(SPHERE_SURFACE[n] * v, 0.0)) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# radial quadrature
+# ---------------------------------------------------------------------------
+
+#: most nodes one integrand call may see: a panel sum that needs more raises,
+#: and the panel sums batched into one call total at most this many nodes
+_MAX_NODES = 2**20
+
+#: Gauss-Legendre nodes per panel
+_GAUSS_ORDER = 12
+
+#: relative tolerance of the panel doubling over the body ``[0, cutoff]``,
+#: three orders above the tail gate's 1e-12
+_BODY_RTOL = 1e-9
+
+#: most cutoff doublings the tail check asks for before it raises
+_CUTOFF_DOUBLINGS = 3
+
+
+@lru_cache(maxsize=1)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+
+
+def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
+               pack: Sequence[tuple[float, float, int]]) -> list[tuple[bool, np.ndarray]]:
+    """``(finite, sums)`` per segment of ``pack``, from one call of ``f``.
+
+    Apart from :func:`_panel_sums` so that the node values are freed before
+    its caller takes the first sum and refines on.
+    """
+    x, w = _leggauss()
+    nodes, weights = [], []
+    for a, b, panels in pack:
+        edges = np.linspace(a, b, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        nodes.append((mid + half * x[None, :]).ravel())
+        weights.append((half * w[None, :]).ravel())
+    vals = np.asarray(f(np.concatenate(nodes), live), dtype=np.float64)
+    out = []
+    start = 0
+    for wts in weights:
+        seg = vals[:, start:start + wts.size]
+        start += wts.size
+        finite = bool(np.all(np.isfinite(seg)))
+        seg *= wts
+        # one sum per row along the contiguous node axis: the same summation
+        # order as a scalar integrand
+        out.append((finite, seg.sum(axis=1)))
+    return out
+
+
+def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
+                segments: Sequence[tuple[float, float, int]]) -> Iterator[np.ndarray]:
+    """Composite Gauss-Legendre sums of the ``live`` rows of ``f``, one per segment.
+
+    ``segments`` lists ``(a, b, panels)``; the row sums over each ``[a, b]``
+    with ``panels`` panels come out in that order.  Consecutive segments
+    share one call of ``f`` while their nodes total at most ``_MAX_NODES``;
+    each row of a segment is summed alone, in node order, so every sum is
+    bitwise the one a call per segment gives.  ``f`` returns a new array,
+    which the sums overwrite.  A segment is checked when its sums are
+    taken, so the :class:`QuadratureError` for more than ``_MAX_NODES``
+    nodes or for non-finite values fires where the caller first uses it.
+    """
+    start = 0
+    while start < len(segments):
+        stop, size = start, 0
+        while stop < len(segments) and size + segments[stop][2] * _GAUSS_ORDER <= _MAX_NODES:
+            size += segments[stop][2] * _GAUSS_ORDER
+            stop += 1
+        if stop == start:
+            a, b, panels = segments[start]
+            raise QuadratureError(
+                f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
+                f"would need {panels * _GAUSS_ORDER} nodes (limit {_MAX_NODES})")
+        for (a, b, _), (finite, sums) in zip(segments[start:stop],
+                                             _pack_sums(f, live, segments[start:stop])):
+            if not finite:
+                raise QuadratureError(
+                    f"radial quadrature did not converge: non-finite integrand values "
+                    f"on [{a:g}, {b:g}]")
+            yield sums
+        start = stop
+
+
+def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                      live: np.ndarray, a: float, b: float, panels: int,
+                      first: Iterator[np.ndarray], rtol: float,
+                      atol: np.ndarray) -> np.ndarray:
+    """Integrals of the ``live`` rows of ``f`` over ``[a, b]`` by panel doubling.
+
+    ``first`` yields the panel sums at ``panels`` and ``2 panels``.  Each row
+    stops at the first doubling where it changes by at most
+    ``max(rtol * |value|, atol[row])`` and is left out of later panel sums.
+    """
+    out = np.empty(live.size)
+    rows = np.arange(live.size)  # positions in ``live`` still refining
+    prev, cur = next(first), next(first)
+    panels *= 2  # the panel count of ``cur``
+    for doubling in range(12):
+        if doubling:
+            panels *= 2
+            (cur,) = _panel_sums(f, live[rows], [(a, b, panels)])
+        done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if rows.size == 0:
+            return out
+    raise QuadratureError(
+        f"radial quadrature did not converge to rtol={rtol:g} on [{a:g}, {b:g}]")
+
+
+def _radial_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     count: int, cutoff: float, panels0: int,
+                     substitution_power: float) -> np.ndarray:
+    """``int_0^inf f(s)[i] ds`` for each of ``count`` components.
+
+    The variable is ``s = r^(1/q)``, ``q = substitution_power`` (``>= 1``),
+    and ``cutoff`` is in ``r``: the body is ``[0, cutoff^(1/q)]``.
+    ``f(s, live)`` carries the Jacobian ``q s^(q-1)`` itself and returns the
+    rows ``live`` (an index array) at the nodes ``s`` as a new array of
+    shape ``(live.size, s.size)``, so one kernel evaluation per node set
+    serves every component.
+
+    The radial schedule, stated here once.  :func:`linear_norm_radial` sets
+    ``cutoff`` to ``data.cutoff_hint``, at ``t >= 50`` cut to
+    ``r^2 <= _ENVELOPE_EXPONENT / (|alpha| t)``, and ``panels0`` to
+    ``int(3 cycles) + 8`` for the ``cycles = cutoff (t + 1) / 2 pi`` of
+    ``t |xi|``.  With ``h = panels0 // 2``, a cutoff's first integrand call
+    (more past ``_MAX_NODES``) holds the body's sums at ``h`` and ``2 h``
+    panels and a coarse tail sum over ``r`` in ``[cutoff, 2 cutoff]`` at
+    ``max(8, h)`` panels.  Each row then converges on its own, as if
+    integrated alone, and drops out of later panel sums: the body doubles
+    its panels until it changes by at most ``_BODY_RTOL``; a coarse tail
+    within 1e-13 of its body is the tail, the others take twice its panels
+    in a second call and refine on; a relative tail above 1e-12 doubles the
+    cutoff, at most ``_CUTOFF_DOUBLINGS`` times.
+
+    On the shipped configs each cutoff takes one call of at most 9 360
+    nodes; every body passes its first check, its relative change at most
+    6.2e-12 (3.4e-13 on the cancelling gap kernel, 2.6e-15 on the Gaussian
+    norms); every integral is within 3.7e-13 of its value at 4 times the
+    panels; and the largest relative tail is 2.3e-24.
+    """
+    q = substitution_power
+    totals = np.empty(count)
+    live = np.arange(count)
+    c = float(cutoff)
+    body_panels = int(panels0) // 2
+    tail_panels = max(8, body_panels)
+    for _ in range(_CUTOFF_DOUBLINGS + 1):
+        lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
+        first = _panel_sums(f, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
+                                      (lo, hi, tail_panels)])
+        body = _refined_integral(f, live, 0.0, lo, body_panels, first, _BODY_RTOL,
+                                 np.full(live.size, 1e-300))
+        # a coarse tail within 1e-13 of the body is the tail; the rest refine
+        floor = 1e-13 * np.maximum(np.abs(body), 1e-300)
+        tail = next(first)
+        rows = np.flatnonzero(np.abs(tail) > floor)
+        if rows.size:
+            fine = _panel_sums(f, live[rows], [(lo, hi, 2 * tail_panels)])
+            tail[rows] = _refined_integral(f, live[rows], lo, hi, tail_panels,
+                                           chain([tail[rows]], fine), 1e-6, floor[rows])
+        total = body + np.maximum(tail, 0.0)
+        done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
+        totals[live[done]] = total[done]
+        live = live[~done]
+        if live.size == 0:
+            return totals
+        c *= 2.0
+    raise QuadratureError(
+        f"radial quadrature did not converge: tail check failed after "
+        f"{_CUTOFF_DOUBLINGS} cutoff doublings (last cutoff {c:g})")

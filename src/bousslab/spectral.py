@@ -14,13 +14,11 @@ Conventions used throughout the package:
   ``coeffs = (L/N)^n * (2 pi)^(-n/2) * rfftn(values)``
   (:func:`forward_transform`; :func:`inverse_transform` undoes it).
   With this convention the unit-width Gaussian ``exp(-|x|^2/2)`` is its own
-  transform, and the surface constants of the radial norm quadrature are
-  ``c_1 = 2``, ``c_2 = 2 pi``, ``c_3 = 4 pi``.  Both transforms act on the
-  last ``n`` axes, so a leading stack axis (for example ``(u, u_t)``, or
-  the output times of a trajectory) is transformed in one batched call;
-  they make the per-axis ``numpy.fft`` calls of ``rfftn``/``irfftn``
-  themselves, the same calls the source evaluator of
-  :mod:`bousslab.nonlinear` prunes to the 2/3 band.
+  transform.  Both transforms act on the last ``n`` axes, so a leading
+  stack axis (for example ``(u, u_t)``, or the output times of a
+  trajectory) is transformed in one batched call; they make the per-axis
+  ``numpy.fft`` calls of ``rfftn``/``irfftn`` themselves, the same calls
+  the source evaluator of :mod:`bousslab.nonlinear` prunes to the 2/3 band.
 * Parseval holds exactly on the lattice once each half-lattice mode is
   weighed by its multiplicity (:attr:`Grid.half_multiplicity`): 1 on the
   last-axis planes ``m = 0`` and ``m = N/2``, which hold their own
@@ -46,20 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import chain
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, reduce
+from typing import Callable
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-#: surface measure of the unit sphere in R^n, n = 1, 2, 3
-SPHERE_SURFACE = {1: 2.0, 2: TWO_PI, 3: 2.0 * TWO_PI}
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the radial quadrature tail or refinement fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -277,184 +267,3 @@ def l1_norm(field: PhysicalField) -> float:
     """``int |u| dx`` by the rectangle rule."""
     return float(field.grid.cell_volume * np.sum(np.abs(field.values)))
 
-
-# ---------------------------------------------------------------------------
-# radial quadrature (continuum norms of radially symmetric spectra)
-# ---------------------------------------------------------------------------
-
-#: most nodes one integrand call may see: a panel sum that needs more raises,
-#: and the panel sums batched into one call total at most this many nodes.
-#: The shipped configs need one call of at most 9 360 nodes per cutoff
-_MAX_NODES = 2**20
-
-#: Gauss-Legendre nodes per panel
-_GAUSS_ORDER = 12
-
-#: relative tolerance of the panel doubling over the body ``[0, cutoff]``,
-#: three orders above the tail gate's 1e-12
-_BODY_RTOL = 1e-9
-
-#: most cutoff doublings the tail check asks for before it raises
-_CUTOFF_DOUBLINGS = 3
-
-
-@lru_cache(maxsize=1)
-def _leggauss() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-
-def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-               pack: Sequence[tuple[float, float, int]]) -> list[tuple[bool, np.ndarray]]:
-    """``(finite, sums)`` per segment of ``pack``, from one call of ``f``.
-
-    Apart from :func:`_panel_sums` so that the node values are freed before
-    its caller takes the first sum and refines on.
-    """
-    x, w = _leggauss()
-    nodes, weights = [], []
-    for a, b, panels in pack:
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        nodes.append((mid + half * x[None, :]).ravel())
-        weights.append((half * w[None, :]).ravel())
-    vals = np.asarray(f(np.concatenate(nodes), live), dtype=np.float64)
-    out = []
-    start = 0
-    for wts in weights:
-        seg = vals[:, start:start + wts.size]
-        start += wts.size
-        finite = bool(np.all(np.isfinite(seg)))
-        seg *= wts
-        # one sum per row along the contiguous node axis: the same summation
-        # order as a scalar integrand
-        out.append((finite, seg.sum(axis=1)))
-    return out
-
-
-def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-                segments: Sequence[tuple[float, float, int]]) -> Iterator[np.ndarray]:
-    """Composite Gauss-Legendre sums of the ``live`` rows of ``f``, one per segment.
-
-    ``segments`` lists ``(a, b, panels)``; the row sums over each ``[a, b]``
-    with ``panels`` panels come out in that order.  Consecutive segments
-    share one call of ``f`` while their nodes total at most ``_MAX_NODES``;
-    each row of a segment is summed alone, in node order, so every sum is
-    bitwise the one a call per segment gives.  ``f`` returns a new array,
-    which the sums overwrite.
-
-    A segment is checked when its sums are taken: it raises
-    :class:`QuadratureError` rather than evaluate more than ``_MAX_NODES``
-    nodes or sum non-finite values.  So the errors fire in segment order,
-    where the caller first uses the failing segment.
-    """
-    start = 0
-    while start < len(segments):
-        stop, size = start, 0
-        while stop < len(segments) and size + segments[stop][2] * _GAUSS_ORDER <= _MAX_NODES:
-            size += segments[stop][2] * _GAUSS_ORDER
-            stop += 1
-        if stop == start:
-            a, b, panels = segments[start]
-            raise QuadratureError(
-                f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
-                f"would need {panels * _GAUSS_ORDER} nodes (limit {_MAX_NODES})")
-        for (a, b, _), (finite, sums) in zip(segments[start:stop],
-                                             _pack_sums(f, live, segments[start:stop])):
-            if not finite:
-                raise QuadratureError(
-                    f"radial quadrature did not converge: non-finite integrand values "
-                    f"on [{a:g}, {b:g}]")
-            yield sums
-        start = stop
-
-
-def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      live: np.ndarray, a: float, b: float, panels: int,
-                      first: Iterator[np.ndarray], rtol: float,
-                      atol: np.ndarray) -> np.ndarray:
-    """Integrals of the ``live`` rows of ``f`` over ``[a, b]`` by panel doubling.
-
-    ``first`` yields the panel sums at ``panels`` and ``2 panels``.  Each row
-    stops at the first doubling where it changes by at most
-    ``max(rtol * |value|, atol[row])`` and is left out of later panel sums.
-    """
-    out = np.empty(live.size)
-    rows = np.arange(live.size)  # positions in ``live`` still refining
-    prev, cur = next(first), next(first)
-    panels *= 2  # the panel count of ``cur``
-    for doubling in range(12):
-        if doubling:
-            panels *= 2
-            (cur,) = _panel_sums(f, live[rows], [(a, b, panels)])
-        done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
-        if rows.size == 0:
-            return out
-    raise QuadratureError(
-        f"radial quadrature did not converge to rtol={rtol:g} on [{a:g}, {b:g}]"
-    )
-
-
-def _radial_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     count: int, cutoff: float, panels0: int,
-                     substitution_power: float) -> np.ndarray:
-    """``int_0^inf f(s)[i] ds`` for each of ``count`` components.
-
-    The variable is ``s = r^(1/q)``, ``q = substitution_power`` (``>= 1``),
-    and ``cutoff`` is in ``r``: the body is ``[0, cutoff^(1/q)]``.
-    ``f(s, live)`` carries the Jacobian ``q s^(q-1)`` itself, so its
-    caller can form it with its own powers of ``r = s^q`` as one power of
-    ``s``.  It returns the rows ``live`` (an index array) at the nodes ``s``
-    as a new array of shape ``(live.size, s.size)``, so one kernel
-    evaluation per node set serves every component.  Each row keeps its own
-    convergence state, exactly as if it were integrated alone: panel
-    doubling on the body to ``_BODY_RTOL``, then the truncation check on
-    ``r`` in ``[cutoff, 2 cutoff]`` with an absolute floor of 1e-13 of its
-    own body; a relative tail above 1e-12 doubles its cutoff, at most
-    ``_CUTOFF_DOUBLINGS`` times.  Finished rows drop out of later panel sums.
-
-    With ``h = panels0 // 2``, a cutoff's first integrand call (more past
-    ``_MAX_NODES``) holds the body's sums at ``h`` and ``2 h`` panels
-    (``2 h`` is ``panels0``, or ``panels0 - 1`` when that is odd) and a
-    coarse tail sum at ``max(8, h)`` panels.  A body row that passes its
-    first check is its ``2 h`` sum.  A coarse tail within its floor is the
-    tail; the other rows take the tail at twice its panels in a second call
-    and refine on.  One coarse sum of each suffices: on every shipped call
-    the body's first check passes, its relative change at most 6.2e-12
-    (3.4e-13 on the cancelling gap kernel, 2.6e-15 on the Gaussian norms)
-    against ``_BODY_RTOL``, so ``h`` panels already resolve the integrand;
-    and the tail floor is 10 times below the gate.
-    """
-    q = substitution_power
-    totals = np.empty(count)
-    live = np.arange(count)
-    c = float(cutoff)
-    half = int(panels0) // 2
-    body_panels, tail_panels = max(2, half), max(8, half)
-    for _ in range(_CUTOFF_DOUBLINGS + 1):
-        lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
-        first = _panel_sums(f, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
-                                      (lo, hi, tail_panels)])
-        body = _refined_integral(f, live, 0.0, lo, body_panels, first, _BODY_RTOL,
-                                 np.full(live.size, 1e-300))
-        # a coarse tail within 1e-13 of the body is the tail; the rest refine
-        floor = 1e-13 * np.maximum(np.abs(body), 1e-300)
-        tail = next(first)
-        rows = np.flatnonzero(np.abs(tail) > floor)
-        if rows.size:
-            fine = _panel_sums(f, live[rows], [(lo, hi, 2 * tail_panels)])
-            tail[rows] = _refined_integral(f, live[rows], lo, hi, tail_panels,
-                                           chain([tail[rows]], fine), 1e-6, floor[rows])
-        total = body + np.maximum(tail, 0.0)
-        done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
-        totals[live[done]] = total[done]
-        live = live[~done]
-        if live.size == 0:
-            return totals
-        c *= 2.0
-    raise QuadratureError(
-        f"radial quadrature did not converge: tail check failed after "
-        f"{_CUTOFF_DOUBLINGS} cutoff doublings (last cutoff {c:g})"
-    )

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import bousslab.linear
-from bousslab import spectral
 from bousslab import (BOUND_KINDS, DecaySeries, ModelParams,
                       NonlinearitySpec, PhysicalField, certify_bound,
                       decay_series, default_certify_grids, fit_rate,
@@ -39,9 +38,9 @@ P = ModelParams(alpha=-1.0)
     (linear_norm_radial, {"rtol"}), (radial_decay_series, {"rtol"}),
     (initial_data_size, {"k_max"}), (xnorm_proxy, {"k_list"}),
     (default_certify_grids, {"n_xi", "n_t"}), (decay_series, {"source"}),
-    (spectral._panel_sums, {"order"}), (spectral._pack_sums, {"order"}),
-    (spectral._leggauss, {"order"}),
-    (spectral._radial_integral, {"rtol", "max_doublings"})],
+    (bousslab.linear._panel_sums, {"order"}), (bousslab.linear._pack_sums, {"order"}),
+    (bousslab.linear._leggauss, {"order"}),
+    (bousslab.linear._radial_integral, {"rtol", "max_doublings"})],
     ids=lambda v: v.__name__ if callable(v) else "-".join(sorted(v)))
 def test_fixed_numerical_choices_are_not_keywords(fn, retired):
     # the blow-up factor, body rtol, Gauss order, cutoff doublings,
@@ -62,7 +61,8 @@ def fixed_choices_rows() -> list[tuple[str, str, str]]:
 def test_readme_fixed_numerical_choices_match_the_code():
     # a constant that moves module or changes value must take its row along
     rows = fixed_choices_rows()
-    assert {"_BODY_RTOL", "_CUTOFF_DOUBLINGS", "_GAUSS_ORDER"} <= {r[0] for r in rows}
+    assert {"_BODY_RTOL", "_CUTOFF_DOUBLINGS", "_ENVELOPE_EXPONENT", "_GAUSS_ORDER",
+            "_MAX_NODES"} <= {r[0] for r in rows}
     for name, value, module in rows:
         mod = importlib.import_module(f"bousslab.{module}")
         if name == "default_certify_grids()":

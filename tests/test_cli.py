@@ -8,6 +8,7 @@ written to a temp directory, then inspects exit codes and the artifact set
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -328,14 +329,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ("discretization", "dt", 0.07, "dt=0.07 does not divide T"),
-        ("analysis", "fit_window", [1000, 2000], "need at least 6 points"),
-        ("discretization", "out_every", 100000, "2 output times, need >= 8"),
-    ], ids=["dt_not_dividing_T", "fit_window_past_T", "too_few_output_times"])
+    @pytest.mark.parametrize("name, section, key, value, message", [
+        ("nonlinear_rates_1d", "discretization", "dt", 0.07, "dt=0.07 does not divide T"),
+        ("nonlinear_rates_1d", "analysis", "fit_window", [1000, 2000],
+         "need at least 6 points"),
+        ("nonlinear_rates_1d", "discretization", "out_every", 100000,
+         "2 output times, need >= 8"),
+        ("nonlinear_rates_1d", "analysis", "k_list", [1, 2], "must hold 0"),
+        # the radial sweep starts at t = 1e-3, so it cannot rise to these ends
+        *(("linear_rates_gaussian_1d", "analysis", "fit_window", [0.0, hi],
+           "does not rise by a relative 1e-9 per step")
+          for hi in (1e-4, 1e-3, math.nextafter(1e-3, 1.0))),
+    ], ids=["dt_not_dividing_T", "fit_window_past_T", "too_few_output_times",
+            "k_list_without_zero", "radial_window_below_sweep_start",
+            "radial_window_at_sweep_start", "radial_window_one_double_past_sweep_start"])
     def test_cross_field_defect_returns_two_and_names_the_field(
-            self, tmp_path, section, key, value, message):
-        cfg = json.loads((ROOT / "configs" / "nonlinear_rates_1d.json").read_text())
+            self, tmp_path, name, section, key, value, message):
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
         cfg[section][key] = value
         path = write_config(tmp_path, cfg)
         env = dict(os.environ)
@@ -346,7 +356,7 @@ class TestExitCodes:
              "--out", str(tmp_path / "o")],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_BAD_CONFIG, done.stderr
-        assert "Traceback" not in done.stderr
+        assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
         assert f"error: {section}.{key}: " in done.stderr
         assert message in done.stderr
         assert not (tmp_path / "o").exists()

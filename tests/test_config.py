@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -125,6 +126,30 @@ class TestValidation:
         cfg["analysis"]["fit_window"] = [0.0, 30.0]
         with pytest.raises(ConfigError, match=r"^analysis\.fit_window: must start "
                                               r"after t = 0"):
+            ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("hi", (1e-4, 1e-3, math.nextafter(1e-3, 1.0)))
+    @pytest.mark.parametrize("name", ("linear_rates_gaussian_1d", "profile_gap_1d"))
+    def test_radial_window_must_end_past_the_sweep_start(self, tmp_path, name, hi):
+        # the radial times are log-spaced from max(lo, 1e-3) to hi
+        cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        path = tmp_path / "cfg.json"
+        for window, ok in (([0.0, 2e-3], True), ([0.0, hi], False), ([hi / 2, hi], False)):
+            cfg["analysis"]["fit_window"] = window
+            path.write_text(json.dumps(cfg))
+            if ok:
+                load_config(path)
+            else:
+                with pytest.raises(ConfigError, match=r"^analysis\.fit_window: the radial "
+                                                      r"sweep of 40 times from 0\.001 to "):
+                    load_config(path)
+
+    def test_nonlinear_rates_must_gate_order_zero(self):
+        # AC7 gates the k = 0 slope alone; without it the run gates no decay
+        cfg = {**VALID, "experiment": "nonlinear_rates"}
+        ExperimentConfig.from_dict(cfg)
+        cfg["analysis"] = {**VALID["analysis"], "k_list": [1, 2]}
+        with pytest.raises(ConfigError, match=r"^analysis\.k_list: must hold 0"):
             ExperimentConfig.from_dict(cfg)
 
     @pytest.mark.parametrize("section,key,wrong", [
