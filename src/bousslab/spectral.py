@@ -266,4 +266,3 @@ def neg_sobolev_norm(grid: Grid, coeffs: np.ndarray) -> float:
 def l1_norm(field: PhysicalField) -> float:
     """``int |u| dx`` by the rectangle rule."""
     return float(field.grid.cell_volume * np.sum(np.abs(field.values)))
-

@@ -697,7 +697,8 @@ class TestShippedRadialTails:
         # margin: one propagator call per cutoff, and a first relative
         # change 10 times under _BODY_RTOL (6.2e-12 at most, radial_L2)
         calls, changes = [], []
-        real_propagator, real_refine = bousslab.linear.propagator, bousslab.linear._refined_integral
+        real_propagator = bousslab.linear.propagator
+        real_refine = bousslab.linear._refined_integral
 
         def counted(xi2, t, params):
             calls.append(xi2.size)
