@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -240,8 +239,9 @@ def linear_norm_radial(data: RadialData, t: float, components: Sequence[tuple[st
 #: and the panel sums batched into one call total at most this many nodes
 _MAX_NODES = 2**20
 
-#: Gauss-Legendre nodes per panel
+#: Gauss-Legendre nodes per panel, and the nodes of its Kronrod extension
 _GAUSS_ORDER = 12
+_KRONROD_ORDER = 2 * _GAUSS_ORDER + 1
 
 #: relative tolerance of the panel doubling over the body ``[0, cutoff]``,
 #: three orders above the tail gate's 1e-12
@@ -250,67 +250,113 @@ _BODY_RTOL = 1e-9
 #: most cutoff doublings the tail check asks for before it raises
 _CUTOFF_DOUBLINGS = 3
 
+#: the Gauss-Kronrod pair G12/K25 on [-1, 1], by its symmetry through the
+#: nodes x >= 0 alone: ``(x, G12 weight, K25 weight)`` at the Gauss nodes,
+#: whose x and G12 weight are bitwise those of
+#: ``numpy.polynomial.legendre.leggauss(12)``; then ``(x, K25 weight)`` at
+#: the Kronrod nodes, x = 0 first.  The Kronrod nodes are the roots of the
+#: Stieltjes polynomial E_13, orthogonal to P_12 x^k for k <= 12, and the K25
+#: weights solve the moment equations; both are rounded to float64 from a
+#: 50-digit derivation, which ``tests/test_gauss_kronrod.py`` repeats.  K25
+#: is exact to degree 37 (Laurie, Math. Comp. 66, 1997).
+_GAUSS_HALF = (
+    (0.1252334085114689, 0.2491470458134027, 0.12458416453615608),
+    (0.3678314989981802, 0.2334925365383546, 0.11671205350175683),
+    (0.5873179542866175, 0.20316742672306573, 0.10164973227906028),
+    (0.7699026741943047, 0.16007832854334642, 0.0799202753336017),
+    (0.9041172563704748, 0.10693932599531907, 0.05369701760775625),
+    (0.9815606342467192, 0.04717533638651141, 0.023036084038982232))
+_KRONROD_HALF = (
+    (0.0, 0.12555689390547434),
+    (0.2485057483204693, 0.12162630352394839),
+    (0.48133945047815707, 0.11002260497764407),
+    (0.6840598954700559, 0.09154946829504922),
+    (0.8435581241611533, 0.06725090705083993),
+    (0.9505377959431213, 0.038915230469299476),
+    (0.9969339225295955, 0.008257711433168396))
+
 
 @lru_cache(maxsize=1)
-def _leggauss() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+def _gauss_kronrod() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 25 nodes, the 12 G12 weights and the 25 K25 weights on [-1, 1].
+
+    The Gauss nodes come first, in ``leggauss`` order, so the G12 rule is
+    on the first ``_GAUSS_ORDER`` nodes.
+    """
+    g, k = np.array(_GAUSS_HALF), np.array(_KRONROD_HALF)
+    return (np.concatenate([-g[::-1, 0], g[:, 0], -k[:0:-1, 0], k[:, 0]]),
+            np.concatenate([g[::-1, 1], g[:, 1]]),
+            np.concatenate([g[::-1, 2], g[:, 2], k[:0:-1, 1], k[:, 1]]))
 
 
 def _pack_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-               pack: Sequence[tuple[float, float, int]]) -> list[tuple[bool, np.ndarray]]:
+               pack: Sequence[tuple[float, float, int, int]]
+               ) -> list[tuple[bool, np.ndarray | tuple[np.ndarray, np.ndarray]]]:
     """``(finite, sums)`` per segment of ``pack``, from one call of ``f``.
 
     Apart from :func:`_panel_sums` so that the node values are freed before
     its caller takes the first sum and refines on.
     """
-    x, w = _leggauss()
-    nodes, weights = [], []
-    for a, b, panels in pack:
+    x, gauss, kronrod = _gauss_kronrod()
+    nodes, halves = [], []
+    for a, b, panels, order in pack:
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        nodes.append((mid + half * x[None, :]).ravel())
-        weights.append((half * w[None, :]).ravel())
+        nodes.append((mid + half * x[None, :order]).ravel())
+        halves.append(half)
     vals = np.asarray(f(np.concatenate(nodes), live), dtype=np.float64)
+    nrows = len(vals)
     out = []
     start = 0
-    for wts in weights:
-        seg = vals[:, start:start + wts.size]
-        start += wts.size
+    for half, (_, _, panels, order) in zip(halves, pack):
+        seg = vals[:, start:start + panels * order].reshape(nrows, panels, order)
+        start += panels * order
         finite = bool(np.all(np.isfinite(seg)))
-        seg *= wts
         # one sum per row along the contiguous node axis: the same summation
         # order as a scalar integrand
-        out.append((finite, seg.sum(axis=1)))
+        if order == _GAUSS_ORDER:
+            seg *= half * gauss
+            out.append((finite, seg.reshape(nrows, -1).sum(axis=1)))
+        else:
+            embedded = seg[:, :, :_GAUSS_ORDER] * (half * gauss)
+            seg *= half * kronrod
+            out.append((finite, (seg.reshape(nrows, -1).sum(axis=1),
+                                 embedded.reshape(nrows, -1).sum(axis=1))))
     return out
 
 
 def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndarray,
-                segments: Sequence[tuple[float, float, int]]) -> Iterator[np.ndarray]:
-    """Composite Gauss-Legendre sums of the ``live`` rows of ``f``, one per segment.
+                segments: Sequence[tuple[float, float, int, int]]
+                ) -> Iterator[np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """Composite panel sums of the ``live`` rows of ``f``, one per segment.
 
-    ``segments`` lists ``(a, b, panels)``; the row sums over each ``[a, b]``
-    with ``panels`` panels come out in that order.  Consecutive segments
-    share one call of ``f`` while their nodes total at most ``_MAX_NODES``;
-    each row of a segment is summed alone, in node order, so every sum is
-    bitwise the one a call per segment gives.  ``f`` returns a new array,
-    which the sums overwrite.  A segment is checked when its sums are
-    taken, so the :class:`QuadratureError` for more than ``_MAX_NODES``
-    nodes or for non-finite values fires where the caller first uses it.
+    ``segments`` lists ``(a, b, panels, order)``; the row sums over each
+    ``[a, b]`` with ``panels`` panels come out in that order.  ``order`` is
+    the rule's nodes per panel: ``_GAUSS_ORDER`` gives the G12 sums,
+    ``_KRONROD_ORDER`` the pair of K25 sums and of the G12 sums on its
+    embedded Gauss nodes.  Consecutive segments share one call of ``f``
+    while their nodes total at most ``_MAX_NODES``; each row of a segment
+    is summed alone, in node order, so every sum is bitwise the one a call
+    per segment gives.  ``f`` returns a new array, which the sums
+    overwrite.  A segment is checked when its sums are taken, so the
+    :class:`QuadratureError` for more than ``_MAX_NODES`` nodes or for
+    non-finite values fires where the caller first uses it.
     """
+    sizes = [panels * order for _, _, panels, order in segments]
     start = 0
     while start < len(segments):
         stop, size = start, 0
-        while stop < len(segments) and size + segments[stop][2] * _GAUSS_ORDER <= _MAX_NODES:
-            size += segments[stop][2] * _GAUSS_ORDER
+        while stop < len(segments) and size + sizes[stop] <= _MAX_NODES:
+            size += sizes[stop]
             stop += 1
         if stop == start:
-            a, b, panels = segments[start]
+            a, b, _, _ = segments[start]
             raise QuadratureError(
                 f"radial quadrature did not converge: a panel sum on [{a:g}, {b:g}] "
-                f"would need {panels * _GAUSS_ORDER} nodes (limit {_MAX_NODES})")
-        for (a, b, _), (finite, sums) in zip(segments[start:stop],
-                                             _pack_sums(f, live, segments[start:stop])):
+                f"would need {sizes[start]} nodes (limit {_MAX_NODES})")
+        for (a, b, _, _), (finite, sums) in zip(segments[start:stop],
+                                                _pack_sums(f, live, segments[start:stop])):
             if not finite:
                 raise QuadratureError(
                     f"radial quadrature did not converge: non-finite integrand values "
@@ -320,26 +366,28 @@ def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], live: np.ndar
 
 
 def _refined_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      live: np.ndarray, a: float, b: float, panels: int,
-                      first: Iterator[np.ndarray], rtol: float,
+                      live: np.ndarray, a: float, b: float, panels: int, order: int,
+                      value: np.ndarray, check: np.ndarray, rtol: float,
                       atol: np.ndarray) -> np.ndarray:
     """Integrals of the ``live`` rows of ``f`` over ``[a, b]`` by panel doubling.
 
-    ``first`` yields the panel sums at ``panels`` and ``2 panels``.  Each row
-    stops at the first doubling where it changes by at most
-    ``max(rtol * |value|, atol[row])`` and is left out of later panel sums.
+    ``value`` holds the rows' sums on ``panels`` panels of the rule with
+    ``order`` nodes and ``check`` what they are checked against: the
+    embedded G12 sums on the same panels for K25, the G12 sums on half the
+    panels for G12.  Each row stops at the first panel count where
+    ``|value - check| <= max(rtol * |value|, atol[row])`` and is left out of
+    later panel sums, which double the panels.
     """
     out = np.empty(live.size)
     rows = np.arange(live.size)  # positions in ``live`` still refining
-    prev, cur = next(first), next(first)
-    panels *= 2  # the panel count of ``cur``
     for doubling in range(12):
         if doubling:
             panels *= 2
-            (cur,) = _panel_sums(f, live[rows], [(a, b, panels)])
-        done = np.abs(cur - prev) <= np.maximum(rtol * np.abs(cur), atol[rows])
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
+            (sums,) = _panel_sums(f, live[rows], [(a, b, panels, order)])
+            value, check = sums if order == _KRONROD_ORDER else (sums, value)
+        done = np.abs(value - check) <= np.maximum(rtol * np.abs(value), atol[rows])
+        out[rows[done]] = value[done]
+        rows, value = rows[~done], value[~done]
         if rows.size == 0:
             return out
     raise QuadratureError(
@@ -363,20 +411,22 @@ def _radial_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``r^2 <= _ENVELOPE_EXPONENT / (|alpha| t)``, and ``panels0`` to
     ``int(3 cycles) + 8`` for the ``cycles = cutoff (t + 1) / 2 pi`` of
     ``t |xi|``.  With ``h = panels0 // 2``, a cutoff's first integrand call
-    (more past ``_MAX_NODES``) holds the body's sums at ``h`` and ``2 h``
-    panels and a coarse tail sum over ``r`` in ``[cutoff, 2 cutoff]`` at
-    ``max(8, h)`` panels.  Each row then converges on its own, as if
-    integrated alone, and drops out of later panel sums: the body doubles
-    its panels until it changes by at most ``_BODY_RTOL``; a coarse tail
-    within 1e-13 of its body is the tail, the others take twice its panels
-    in a second call and refine on; a relative tail above 1e-12 doubles the
+    (more past ``_MAX_NODES``) holds the body's K25 sums on ``h`` panels,
+    with the G12 sums on their embedded Gauss nodes, and a coarse G12 tail
+    sum over ``r`` in ``[cutoff, 2 cutoff]`` on ``max(8, h)`` panels:
+    ``37 h`` nodes for ``h >= 8``.  Each row then converges on its own, as
+    if integrated alone, and drops out of later panel sums: the body's K25
+    sum is its value once it is within ``_BODY_RTOL`` of its G12 sum, and
+    the others double their panels with the same pair; a coarse tail within
+    1e-13 of its body is the tail, the others take twice its panels in a
+    second call and refine on; a relative tail above 1e-12 doubles the
     cutoff, at most ``_CUTOFF_DOUBLINGS`` times.
 
-    On the shipped configs each cutoff takes one call of at most 9 360
-    nodes; every body passes its first check, its relative change at most
-    6.2e-12 (3.4e-13 on the cancelling gap kernel, 2.6e-15 on the Gaussian
-    norms); every integral is within 3.7e-13 of its value at 4 times the
-    panels; and the largest relative tail is 2.3e-24.
+    On the shipped configs each cutoff takes one call of at most 7 215
+    nodes; every body passes its first check, its relative ``|K25 - G12|``
+    at most 6.3e-12 (1.7e-13 on the cancelling gap kernel, 2.5e-15 on the
+    Gaussian norms); every integral is within 2.6e-13 of its value at 4
+    times the panels; and the largest relative tail is 2.3e-24.
     """
     q = substitution_power
     totals = np.empty(count)
@@ -386,18 +436,18 @@ def _radial_integral(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tail_panels = max(8, body_panels)
     for _ in range(_CUTOFF_DOUBLINGS + 1):
         lo, hi = c ** (1.0 / q), (2.0 * c) ** (1.0 / q)
-        first = _panel_sums(f, live, [(0.0, lo, body_panels), (0.0, lo, 2 * body_panels),
-                                      (lo, hi, tail_panels)])
-        body = _refined_integral(f, live, 0.0, lo, body_panels, first, _BODY_RTOL,
-                                 np.full(live.size, 1e-300))
+        first = _panel_sums(f, live, [(0.0, lo, body_panels, _KRONROD_ORDER),
+                                      (lo, hi, tail_panels, _GAUSS_ORDER)])
+        body = _refined_integral(f, live, 0.0, lo, body_panels, _KRONROD_ORDER, *next(first),
+                                 _BODY_RTOL, np.full(live.size, 1e-300))
         # a coarse tail within 1e-13 of the body is the tail; the rest refine
         floor = 1e-13 * np.maximum(np.abs(body), 1e-300)
         tail = next(first)
         rows = np.flatnonzero(np.abs(tail) > floor)
         if rows.size:
-            fine = _panel_sums(f, live[rows], [(lo, hi, 2 * tail_panels)])
-            tail[rows] = _refined_integral(f, live[rows], lo, hi, tail_panels,
-                                           chain([tail[rows]], fine), 1e-6, floor[rows])
+            (fine,) = _panel_sums(f, live[rows], [(lo, hi, 2 * tail_panels, _GAUSS_ORDER)])
+            tail[rows] = _refined_integral(f, live[rows], lo, hi, 2 * tail_panels,
+                                           _GAUSS_ORDER, fine, tail[rows], 1e-6, floor[rows])
         total = body + np.maximum(tail, 0.0)
         done = np.abs(tail) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
         totals[live[done]] = total[done]

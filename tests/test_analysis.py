@@ -39,7 +39,7 @@ P = ModelParams(alpha=-1.0)
     (initial_data_size, {"k_max"}), (xnorm_proxy, {"k_list"}),
     (default_certify_grids, {"n_xi", "n_t"}), (decay_series, {"source"}),
     (bousslab.linear._panel_sums, {"order"}), (bousslab.linear._pack_sums, {"order"}),
-    (bousslab.linear._leggauss, {"order"}),
+    (bousslab.linear._gauss_kronrod, {"order"}),
     (bousslab.linear._radial_integral, {"rtol", "max_doublings"})],
     ids=lambda v: v.__name__ if callable(v) else "-".join(sorted(v)))
 def test_fixed_numerical_choices_are_not_keywords(fn, retired):

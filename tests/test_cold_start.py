@@ -1,10 +1,14 @@
-"""No shipped config imports scipy, not even the oracle's.
+"""No shipped config imports scipy, not even the oracle's, and a radial run
+leaves ``numpy.polynomial`` unimported.
 
 The Radau oracle of ``oracle_crosscheck`` is the package's own
 (:mod:`bousslab.radau`), so ``import bousslab.cli``, loading every shipped
 config and running ``oracle_crosscheck`` must leave scipy unimported.  The
-check runs in a fresh interpreter, since the test session itself imports
-scipy.  Nothing is timed.
+radial quadrature takes its Gauss-Kronrod nodes and weights from a table in
+:mod:`bousslab.linear`, so running a radial config must not import
+``numpy.polynomial`` (whose ``leggauss`` it once called).  The check runs in
+a fresh interpreter, since the test session itself imports both.  Nothing
+is timed.
 """
 from __future__ import annotations
 
@@ -36,6 +40,10 @@ for path in sys.argv[1:]:
         report = run_experiment(cfg)
         seen["run " + path] = scipy_modules()
         seen["verdicts"] = sorted({v["status"] for v in report.to_dict()["verdicts"]})
+    elif path.endswith("linear_rates_gaussian_1d.json"):
+        run_experiment(cfg)
+        seen["numpy.polynomial"] = sorted(m for m in sys.modules
+                                          if m.startswith("numpy.polynomial"))
 print(json.dumps(seen))
 """
 
@@ -58,7 +66,8 @@ def test_no_config_and_no_oracle_run_imports_scipy():
     assert len(CONFIGS) == 8
     seen = scipy_modules_seen(CONFIGS)
     steps = ["import bousslab.cli"] + [f"load {p}" for p in CONFIGS] + [f"run {oracle[0]}"]
-    assert set(seen) == set(steps) | {"verdicts"}
+    assert set(seen) == set(steps) | {"verdicts", "numpy.polynomial"}
     for step in steps:
         assert seen[step] == [], step
     assert seen["verdicts"] == ["pass"]
+    assert seen["numpy.polynomial"] == []

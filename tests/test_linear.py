@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,8 @@ from bousslab import (ModelParams, PhysicalField, QuadratureError, RadialData,
                       load_config, make_grid, profile_symbols, sobolev_norm, solve,
                       square_integrable_radial_data)
 from bousslab.experiments import run_experiment
-from bousslab.linear import SPHERE_SURFACE, _panel_sums, _radial_integral
+from bousslab.linear import (_GAUSS_ORDER, _KRONROD_ORDER, SPHERE_SURFACE, _gauss_kronrod,
+                             _panel_sums, _radial_integral)
 from bousslab.nonlinear import NonlinearitySpec
 from bousslab.symbols import propagator
 
@@ -308,9 +308,9 @@ def wide_domain_norms(data, t, components, n, params):
     :func:`linear_norm_radial` on a domain 3.5 times wider.
 
     The quadrature is handed twice the panel count that the oscillation
-    sets, so the body's first sums are at ``p`` and ``2 p`` panels: the
-    reference keeps its own density and does not follow the one of the
-    code under test (``p // 2`` and ``2 (p // 2)``).
+    sets, so the body's first K25 sum is on ``p`` panels: the reference
+    keeps its own density and does not follow the one of the code under
+    test (``p // 2``).
     """
     cutoff = min(data.cutoff_hint, math.sqrt(800.0 / (abs(params.alpha) * t)))
     return reference_norms(data, t, components, n, params, cutoff, 2)
@@ -365,12 +365,12 @@ class TestRadialDomain:
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_late_time_node_count(self, monkeypatch):
-        # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 9 360
+        # the e^-800 domain used 73 332 nodes here; the e^-64 one uses 7 215
         nodes = []
         real = bousslab.linear._panel_sums
 
         def counting(f, live, segments):
-            nodes.extend(panels * bousslab.linear._GAUSS_ORDER for _, _, panels in segments)
+            nodes.extend(panels * order for _, _, panels, order in segments)
             return real(f, live, segments)
 
         monkeypatch.setattr(bousslab.linear, "_panel_sums", counting)
@@ -467,10 +467,14 @@ def four_rows(r, live):
     return np.stack([table[i] for i in live])
 
 
-def one_row_panel_sum(f, row, a, b, panels, order=12):
-    """The composite Gauss-Legendre sum of one row over ``[a, b]`` as a
-    scalar integrand gives it: the weighted node values in one 1-D sum."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def one_row_panel_sum(f, row, a, b, panels, order=_GAUSS_ORDER):
+    """The composite sum of one row over ``[a, b]`` as a scalar integrand
+    gives it: the weighted node values in one 1-D sum.  ``order`` picks the
+    rule, G12 from ``leggauss`` or K25 from the table."""
+    if order == _GAUSS_ORDER:
+        x, w = np.polynomial.legendre.leggauss(order)
+    else:
+        x, _, w = _gauss_kronrod()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -493,22 +497,29 @@ def smooth_then(tail_value):
 class TestPanelSums:
     """Several panel sums from one integrand call (``_panel_sums``)."""
 
-    SEGMENTS = [(0.0, 1.0, 8), (0.0, 1.0, 16), (1.0, 2.0, 8), (1.0, 2.0, 16),
-                (0.5, 3.0, 5)]
+    SEGMENTS = [(0.0, 1.0, 8, _GAUSS_ORDER), (0.0, 1.0, 8, _KRONROD_ORDER),
+                (1.0, 2.0, 8, _GAUSS_ORDER), (1.0, 2.0, 16, _GAUSS_ORDER),
+                (0.5, 3.0, 5, _KRONROD_ORDER)]
 
     @pytest.mark.parametrize("live", ([0, 1, 2, 3], [2, 0], [3]))
     def test_batched_sums_are_bitwise_the_one_segment_sums(self, live):
+        # a K25 segment gives its K25 sums and the G12 sums on its embedded
+        # Gauss nodes, each bitwise the sum of a scalar integrand
         live = np.array(live)
         batched = list(_panel_sums(four_rows, live, self.SEGMENTS))
         assert len(batched) == len(self.SEGMENTS)
         for segment, sums in zip(self.SEGMENTS, batched, strict=True):
             (alone,) = _panel_sums(four_rows, live, [segment])
+            a, b, panels, order = segment
+            expected = [one_row_panel_sum(four_rows, i, a, b, panels) for i in live]
+            if order == _KRONROD_ORDER:
+                expected = [[one_row_panel_sum(four_rows, i, *segment) for i in live],
+                            expected]
             assert np.array_equal(sums, alone)
-            assert np.array_equal(sums, [one_row_panel_sum(four_rows, i, *segment)
-                                         for i in live])
+            assert np.array_equal(sums, expected)
 
     def test_calls_are_packed_below_the_node_limit(self, monkeypatch):
-        # 96 + 192 + 96 nodes share the first call; the last 192 would not fit
+        # 96 + 200 + 96 nodes share the first call; the last 192 would not fit
         segments = self.SEGMENTS[:4]
         expected = list(_panel_sums(four_rows, np.arange(4), segments))
         sizes = []
@@ -519,22 +530,22 @@ class TestPanelSums:
 
         monkeypatch.setattr(bousslab.linear, "_MAX_NODES", 400)
         got = list(_panel_sums(counted, np.arange(4), segments))
-        assert sizes == [384, 192]
+        assert sizes == [392, 192]
         assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
     @pytest.mark.parametrize("f, panels0, limit, sizes, message", [
-        # the first call held 4 + 8 body panels and the 8 tail panels, the
-        # body's doublings made 192 and 384 nodes and stopped at the next
+        # the first call held 4 K25 body panels and the 8 tail panels, the
+        # body's doublings made 200 and 400 nodes and stopped at the next
         # one; the tail's NaN was never reached
-        (singular_then(np.nan), 8, 400, [240, 192, 384],
-         "a panel sum on [0, 2] would need 768 nodes (limit 400)"),
-        # the body converged at its first doubling, then the tail's values
-        (smooth_then(np.nan), 8, 400, [240],
+        (singular_then(np.nan), 8, 400, [196, 200, 400],
+         "a panel sum on [0, 2] would need 800 nodes (limit 400)"),
+        # the body converged at its first check, then the tail's values
+        (smooth_then(np.nan), 8, 400, [196],
          "non-finite integrand values on [2, 4]"),
-        # 2 + 4 panels on the body, then the tail's 8 (96 nodes); a tail
-        # above its floor then needs its 16 panels (192 nodes)
-        (smooth_then(1e-3), 4, 150, [72, 96],
-         "a panel sum on [2, 4] would need 192 nodes (limit 150)"),
+        # 2 K25 panels on the body, then the tail's 8 (96 nodes) in a call
+        # of their own; a tail above its floor then needs its 16 panels
+        (smooth_then(1e-3), 4, 120, [50, 96],
+         "a panel sum on [2, 4] would need 192 nodes (limit 120)"),
     ], ids=["body_limit_before_tail_nan", "tail_nan", "tail_limit"])
     def test_errors_name_the_interval_of_one_call_per_sum(
             self, monkeypatch, f, panels0, limit, sizes, message):
@@ -552,8 +563,8 @@ class TestPanelSums:
         assert seen == sizes
 
     def test_one_kernel_evaluation_when_nothing_refines(self, monkeypatch):
-        # t = 1e3, p = 128: 64 and 128 body panels, which converge at the
-        # first check, and 64 tail panels, whose sum is below its floor
+        # t = 1e3, p = 128: 64 K25 body panels, which converge at the first
+        # check, and 64 G12 tail panels, whose sum is below its floor
         calls = []
         real = bousslab.linear.propagator
 
@@ -563,7 +574,7 @@ class TestPanelSums:
 
         monkeypatch.setattr(bousslab.linear, "propagator", counted)
         linear_norm_radial(gaussian_radial_data(n=1), 1e3, [("linear", 0)], 1, ModelParams())
-        assert calls == [12 * (64 + 128 + 64)]
+        assert calls == [25 * 64 + 12 * 64]
 
 
 def four_times_the_panels(f, count, cutoff, panels0, q):
@@ -612,8 +623,8 @@ class TestTailCheck:
     def test_tail_above_its_floor_takes_the_finer_sum(self, monkeypatch):
         monkeypatch.setattr(bousslab.linear, "_CUTOFF_DOUBLINGS", 0)
         got, calls = self.run_counted(lambda r, live: tail_rows(r, [1]), 1, 2.0, 8)
-        # 4 + 8 body panels and 8 tail panels, then the tail's 16
-        assert calls == [(12 * (4 + 8 + 8), [0]), (12 * 16, [0])]
+        # 4 K25 body panels and 8 tail panels, then the tail's 16
+        assert calls == [(25 * 4 + 12 * 8, [0]), (12 * 16, [0])]
         body = _radial_integral(lambda r, live: tail_rows(r, [0]), 1, 2.0, 8, 1)
         assert got[0] == pytest.approx(body[0] + 5e-13, rel=1e-15)
 
@@ -623,8 +634,8 @@ class TestTailCheck:
         # at cutoff 2 row 0 takes its coarse tail, rows 1-3 the 16-panel
         # one and row 2 refines its ripple to 64 panels; row 3's tail, about
         # e^-4 / 4, fails the gate, and at cutoff 8 its coarse tail is the tail
-        assert calls == [(240, [0, 1, 2, 3]), (192, [1, 2, 3]), (384, [2]), (768, [2]),
-                         (240, [3]), (192, [3]), (240, [3])]
+        assert calls == [(196, [0, 1, 2, 3]), (192, [1, 2, 3]), (384, [2]), (768, [2]),
+                         (196, [3]), (192, [3]), (196, [3])]
         monkeypatch.setattr(bousslab.linear, "_CUTOFF_DOUBLINGS", 0)
         body = _radial_integral(lambda r, live: tail_rows(r, [0]) * (r <= 2.0), 1, 2.0, 8, 1)
         assert body[0] < got[0] < got[2] < got[1]
@@ -633,7 +644,7 @@ class TestTailCheck:
         got, calls = self.run_counted(lambda r, live: np.zeros((len(live), r.size)),
                                       2, 3.0, 20)
         assert np.array_equal(got, [0.0, 0.0])
-        assert calls == [(12 * (10 + 20 + 10), [0, 1])]
+        assert calls == [(25 * 10 + 12 * 10, [0, 1])]
         data = RadialData(u0_hat=np.zeros_like, u1_hat=np.zeros_like)
         assert linear_norm_radial(data, 1e3, [("linear", 0), ("gap", 1)], 2,
                                   ModelParams()) == [0.0, 0.0]
@@ -682,20 +693,20 @@ class TestShippedRadialTails:
         real = bousslab.linear._pack_sums
 
         def counting(f, live, pack):
-            sizes.append(sum(panels * bousslab.linear._GAUSS_ORDER for _, _, panels in pack))
+            sizes.append(sum(panels * order for _, _, panels, order in pack))
             return real(f, live, pack)
 
         monkeypatch.setattr(bousslab.linear, "_pack_sums", counting)
         for name in RADIAL_CONFIGS:
             run_experiment(load_config(ROOT / "configs" / f"{name}.json"))
-        # 1 065 024 nodes when the body's first sums were at p and 2 p
-        # panels, in as many calls
-        assert (sum(sizes), len(sizes)) == (607_104, 160)
+        # in as many calls, 1 065 024 nodes when the body's first sums were
+        # G12 at p and 2 p panels, 607 104 at p // 2 and 2 (p // 2)
+        assert (sum(sizes), len(sizes)) == (467_976, 160)
 
     def test_every_body_converges_at_its_first_check(self, monkeypatch):
-        # the cut to p // 2 and 2 (p // 2) first body panels rests on this
-        # margin: one propagator call per cutoff, and a first relative
-        # change 10 times under _BODY_RTOL (6.2e-12 at most, radial_L2)
+        # the K25 body on p // 2 first panels rests on this margin: one
+        # propagator call per cutoff, and a first |K25 - G12| 10 times under
+        # _BODY_RTOL (6.2e-12 at most, radial_L2)
         calls, changes = [], []
         real_propagator = bousslab.linear.propagator
         real_refine = bousslab.linear._refined_integral
@@ -704,12 +715,11 @@ class TestShippedRadialTails:
             calls.append(xi2.size)
             return real_propagator(xi2, t, params)
 
-        def recording(f, live, a, b, panels, first, rtol, atol):
+        def recording(f, live, a, b, panels, order, value, check, rtol, atol):
             if a == 0.0:
-                prev, cur = next(first), next(first)
-                changes.append((np.abs(cur - prev), np.abs(cur)))
-                first = chain([prev, cur], first)
-            return real_refine(f, live, a, b, panels, first, rtol, atol)
+                assert order == _KRONROD_ORDER
+                changes.append((np.abs(value - check), np.abs(value)))
+            return real_refine(f, live, a, b, panels, order, value, check, rtol, atol)
 
         monkeypatch.setattr(bousslab.linear, "propagator", counted)
         monkeypatch.setattr(bousslab.linear, "_refined_integral", recording)

@@ -17,8 +17,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bousslab"
 FULL_LATTICE_TRANSFORMS = {"fftn", "ifftn"}
 RADIAL_QUADRATURE = {"_radial_integral", "_refined_integral", "_panel_sums", "_pack_sums",
-                     "_leggauss", "_MAX_NODES", "_GAUSS_ORDER", "_BODY_RTOL",
-                     "_CUTOFF_DOUBLINGS", "SPHERE_SURFACE", "QuadratureError"}
+                     "_gauss_kronrod", "_GAUSS_HALF", "_KRONROD_HALF", "_MAX_NODES",
+                     "_GAUSS_ORDER", "_KRONROD_ORDER", "_BODY_RTOL", "_CUTOFF_DOUBLINGS",
+                     "SPHERE_SURFACE", "QuadratureError"}
 
 
 def package_trees() -> dict[str, ast.AST]:
@@ -93,7 +94,7 @@ def test_the_checks_see_what_they_look_for():
     assert sum(map(is_floor_division_by_three, ast.walk(tree))) == 2
     tree = ast.parse("_MAX_NODES = 2\n_BODY_RTOL: float = 1e-9\n"
                      "class QuadratureError(Exception): pass\n"
-                     "def _radial_integral(): pass\n'def _leggauss(): pass'\n")
+                     "def _radial_integral(): pass\n'def _gauss_kronrod(): pass'\n")
     assert set().union(*map(names_defined, ast.walk(tree))) & RADIAL_QUADRATURE == {
         "_MAX_NODES", "_BODY_RTOL", "QuadratureError", "_radial_integral"}
     for source in ("from .linear import SPHERE_SURFACE", "from . import linear",

@@ -86,7 +86,7 @@ def test_edited_window_past_the_radial_horizon_exits_3(tmp_path):
                            fit_window=[1e2, 1e9], n_times=8)
     assert done.returncode == 3
     assert done.stderr == ("error: radial quadrature did not converge: a panel sum on "
-                           "[0, 0.000252982] would need 1449576 nodes (limit 1048576)\n")
+                           "[0, 0.000252982] would need 1509975 nodes (limit 1048576)\n")
     assert not out.exists()
 
 
